@@ -239,6 +239,8 @@ class Facts:
 
         for t in self._all_atomic(pure, spatial):
             self._parent.setdefault(t, t)
+        for t in addr_terms:  # an offset address is its own class
+            self._parent.setdefault(t, t)
 
         # -- equalities ----------------------------------------------------
         for p in pure:
@@ -332,7 +334,10 @@ class Facts:
                 yield from atoms_of(a.hi)
 
     def _find(self, t: Term) -> Term:
-        self._parent.setdefault(t, t)
+        """Representative of t; a term not in the union-find is its own,
+        and is not inserted, so queries never change the classes."""
+        if t not in self._parent:
+            return t
         root = t
         while self._parent[root] != root:
             root = self._parent[root]
@@ -697,7 +702,11 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
     """Canonical form: substitute away logical-variable equalities, drop
     trivial atoms, convert single-occurrence payload variables to wild,
     collapse duplicate spatial true, sort atoms; inconsistent heaps become
-    the false heap."""
+    the false heap.
+
+    A heap already in canonical form comes back as the same object, so the
+    ``facts`` closure it holds is built once however often it is
+    normalized."""
     pure = [p for p in h.pure if p.op != "true"]
     spatial = list(h.spatial)
     if any(p.op == "false" for p in pure):
@@ -759,6 +768,8 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
 
     out = SymbolicHeap(tuple(sorted(pure, key=lambda p: p.sort_key())),
                        tuple(sorted(spatial, key=spatial_sort_key)))
+    if out == h:
+        out = h
     if out.facts.inconsistent:
         return FALSE_HEAP
     return out

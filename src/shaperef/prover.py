@@ -100,13 +100,11 @@ class ProofOutcome:
 
     ``instantiation`` maps the right-hand side's existential variables to
     the left-hand terms they were bound to.  ``frame`` is the left-over
-    left-hand material (frame inference only); ``antiframe`` is reserved
-    for abduction wrappers.
+    left-hand material (frame inference only).
     """
 
     holds: bool
     frame: Optional[SymbolicHeap] = None
-    antiframe: Optional[SymbolicHeap] = None
     instantiation: dict[LVar, Term] = field(default_factory=dict)
 
 
@@ -300,10 +298,12 @@ class _Search:
         self.mode = mode
         self.config = config
         self._steps = 0
-        self._facts_cache: dict[tuple, Facts] = {}
 
         lhs_spatial = tuple(a for a in lhs.spatial
                             if not isinstance(a, TrueAtom))
+        # heaps by left context, so each closure is built once per search;
+        # the root reuses the normalized left side's (true adds no facts)
+        self._contexts = {(lhs.pure, lhs_spatial): lhs}
         self.lhs_had_true = len(lhs_spatial) != len(lhs.spatial)
         rhs_spatial = tuple(a for a in rhs.spatial
                             if not isinstance(a, TrueAtom))
@@ -344,14 +344,17 @@ class _Search:
             raise BudgetExceeded(
                 f"prover exceeded {self.config.max_steps} search steps")
 
+    def _context(self, pure: tuple[PureAtom, ...],
+                 full: tuple[Spatial, ...]) -> SymbolicHeap:
+        key = (pure, full)
+        ctx = self._contexts.get(key)
+        if ctx is None:
+            ctx = self._contexts[key] = SymbolicHeap(pure, full)
+        return ctx
+
     def _facts(self, pure: tuple[PureAtom, ...],
                full: tuple[Spatial, ...]) -> Facts:
-        key = (pure, full)
-        f = self._facts_cache.get(key)
-        if f is None:
-            f = Facts(pure, full)
-            self._facts_cache[key] = f
-        return f
+        return self._context(pure, full).facts
 
     def _is_unbound(self, t: Term) -> bool:
         return isinstance(t, LVar) and t in self.rhs_evars
@@ -617,7 +620,8 @@ class _Search:
             return
         if g.ubud <= 0:
             return
-        facts = self._facts(g.pure, g.full)
+        ctx = self._context(g.pure, g.full)
+        facts = ctx.facts
         src = self._ap(atom_head(r_atom), g.theta)
         if self._is_unbound(src):
             return
@@ -626,7 +630,6 @@ class _Search:
         if not nodes:
             return
         r2 = r_atom.subst(dict(g.theta))
-        ctx = SymbolicHeap(g.pure, g.full)
         known = {v.name for v in ctx.vars()}
         known.update(v.name for v in r2.vars())
         known.update(v.name for v in self.rhs_evars)
@@ -663,13 +666,13 @@ class _Search:
         want = self._ap(want, g.theta)
         if self._is_unbound(want):
             return
-        facts = self._facts(g.pure, g.full)
+        ctx = self._context(g.pure, g.full)
+        facts = ctx.facts
         seg = next((a for a in g.rem
                     if isinstance(a, (ListSegAtom, SortedSegAtom))
                     and facts.equal(atom_head(a), want)), None)
         if seg is None:
             return
-        ctx = SymbolicHeap(g.pure, g.full)
         collected: list[_Leaf] = []
         for case in unfold(seg, ctx, fresh=self.fresh):
             pure2 = g.pure + case.pure

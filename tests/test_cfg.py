@@ -8,6 +8,7 @@ concrete successor of some sampled pre-state (up to address renaming).
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,8 @@ from shaperef.terms import Const, LVar, PVar
 from conc import (DANGLING, _k_not, canon_state, cond_choices, exec_program,
                   mixed_pool, step)
 
-RUNNING_EXAMPLE = open("benchmarks/running_example.hl").read()
+RUNNING_EXAMPLE = (Path(__file__).resolve().parent.parent / "benchmarks"
+                   / "running_example.hl").read_text()
 
 SMALL = OracleBounds(max_cells=2, max_extension=0, n_spare_data=0,
                      max_models=5000, max_steps=100000)

@@ -110,6 +110,7 @@ def test_normalize_is_idempotent_on_random_heaps():
         for dom in ("mls", "rls", "sls"):
             h = random_heap(rng, dom)
             assert normalize(h) == h  # random_heap already normalizes
+            assert normalize(h) is h  # and keeps the closure h holds
 
 
 def test_offset_reasoning():
@@ -145,6 +146,19 @@ def test_congruence_classes_partition():
     assert {"t", "r"} in as_sets
     assert {"d", "x"} in as_sets
     assert {"nil"} in as_sets
+
+
+def test_facts_queries_on_unknown_terms_leave_classes_unchanged():
+    h = H("x=y /\\ node(x,nil,_)")
+    before = congruence_classes(h)
+    f = h.facts
+    q, z = LVar("q"), PVar("z")
+    assert not f.equal(q, z)
+    assert f.rep(q) == q
+    assert not f.proves_neq(q, z)
+    assert not f.proves_leq(q, z)
+    assert not f.proves_lt(z, q)
+    assert congruence_classes(h) == before
 
 
 def test_facts_proves_order_through_constants():

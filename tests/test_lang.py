@@ -1,12 +1,15 @@
 """Lexer, parser, AST, and renderer tests for the source language."""
 
+from pathlib import Path
+
 import pytest
 
 from shaperef.lang import (AllocNode, AndC, Assert, Assign, Ast, If, IntE,
                            Load, NilE, NondetC, NondetE, NotC, OrC, ParseError,
                            RelC, Store, VarE, While, parse, render)
 
-RUNNING_EXAMPLE = open("benchmarks/running_example.hl").read()
+RUNNING_EXAMPLE = (Path(__file__).resolve().parent.parent / "benchmarks"
+                   / "running_example.hl").read_text()
 
 
 # ---------------------------------------------------------------------------

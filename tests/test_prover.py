@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from shaperef.domains import AbstractionParam, abstract
 from shaperef.heaps import (
     Disj,
     FALSE_HEAP,
+    Facts,
     ListSegAtom,
     NodeAtom,
     SortedSegAtom,
@@ -36,7 +38,7 @@ from shaperef.prover import (
 from shaperef.syntax import parse_heap as H
 from shaperef.terms import Const, LVar, Multiset, PVar
 
-from gens import random_heap
+from gens import random_heap, random_param_multiset
 
 TIGHT = OracleBounds(max_cells=3, max_extension=1, n_spare_data=1,
                      max_models=20000, max_steps=200000)
@@ -146,6 +148,32 @@ def test_budget_exceeded_raises():
     with pytest.raises(BudgetExceeded):
         entails(lhs, rhs, config=ProverConfig(max_unfold_depth=3,
                                               max_steps=5))
+
+
+@pytest.mark.parametrize("domain", ["mls", "rls", "sls"])
+def test_entails_of_abstraction_builds_each_closure_once(domain, monkeypatch):
+    """normalize, abstract and the search reuse the closure a canonical
+    heap already holds, and each search builds a context's closure once."""
+    built: list[tuple] = []
+    init = Facts.__init__
+
+    def counting_init(self, pure, spatial):
+        built.append((pure, spatial))
+        init(self, pure, spatial)
+
+    monkeypatch.setattr(Facts, "__init__", counting_init)
+    rng = random.Random(23)
+    total = 0
+    for i in range(40):
+        h = random_heap(rng, domain, max_atoms=4, with_true=i % 5 == 0)
+        assert not h.facts.inconsistent  # built before counting starts
+        param = AbstractionParam(domain, random_param_multiset(rng))
+        built.clear()
+        entails(h, abstract(h, param)[0])
+        assert (h.pure, h.spatial) not in built
+        assert len(set(built)) == len(built)
+        total += len(built)
+    assert total > 0  # the searches did build closures of their own
 
 
 # ---------------------------------------------------------------------------
