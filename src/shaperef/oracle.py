@@ -7,6 +7,15 @@ of the assertion language directly (footprint partition, segment walks,
 sortedness, value-frequency lower bounds) and shares nothing with the
 symbolic prover.
 
+The enumerator of left models builds each candidate on canonical cells and
+prunes, while it enumerates, the candidates the checker is bound to reject:
+a store that falsifies a pure atom gets no heaps, and a segment whose
+footprint is forced gets only the payloads its own constraints admit.  A
+segment's footprint is forced when its end value is unallocated or the head
+cell of an atom: a walk from its head can then stop only at its own cells.
+The pruning reads nothing but the store and the atoms, and every candidate
+left still goes through the checker, so a model is what the checker accepts.
+
 Values are sorted: addresses are tagged tuples ``('a', k)`` with nil =
 ``('a', 0)``; data values are plain ints.  Sharing an int between the two
 sorts is therefore impossible by construction.
@@ -15,8 +24,8 @@ sorts is therefore impossible by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from .terms import (Const, LVar, Multiset, NilTerm, Offset, PVar, PureAtom,
                     Term, term_vars)
@@ -26,7 +35,8 @@ from .heaps import (
     SortedSegAtom,
     Spatial,
     SymbolicHeap,
-    TrueAtom,
+    atom_head,
+    atom_tail,
 )
 
 NIL_V = ("a", 0)
@@ -142,44 +152,43 @@ def _data_universe(*heaps: SymbolicHeap, n_spare: int = 2) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class _SatSearch:
-    def __init__(self, heap: dict, universe_data: list[int], budget: list[int]):
-        self.heap = heap
+    """Satisfaction of one formula, checked against one model at a time.
+
+    What depends on the formula alone (its cells, spatial true, variables
+    and data universe) is computed once; ``run`` does the per-model search.
+    """
+
+    def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
+        self.atoms = h.cells()
+        self.has_true = h.has_true()
+        self.vars = h.vars()
+        self.pure = h.pure
         self.data = universe_data
-        self.budget = budget
-        addrs = set(heap.keys()) | {NIL_V}
-        for nx, _ in heap.values():
-            if isinstance(nx, tuple):
-                addrs.add(nx)
-        self.addrs = sorted(addrs)
+        self.max_steps = max_steps
 
     def _tick(self) -> None:
-        self.budget[0] -= 1
-        if self.budget[0] <= 0:
+        self.steps -= 1
+        if self.steps <= 0:
             raise BoundsTooLarge("satisfaction search budget exhausted")
 
-    def run(self, h: SymbolicHeap, env: dict, allow_leftover: bool) -> bool:
-        # dangling addresses reachable only through the store still belong
-        # to the existential universe of the pure part
-        env_addrs = {v for v in env.values() if isinstance(v, tuple)}
-        self.addrs = sorted(set(self.addrs) | env_addrs)
-        atoms = list(h.cells())
-        has_true = h.has_true()
-        cover_all = not (allow_leftover or has_true)
-        return self._place(atoms, 0, dict(env), frozenset(), h, cover_all)
+    def run(self, model: Model, allow_leftover: bool) -> bool:
+        self.model = model
+        self.heap = model.heap
+        self.steps = self.max_steps
+        cover_all = not (allow_leftover or self.has_true)
+        return self._place(0, dict(model.env), frozenset(), cover_all)
 
     # -- atom placement (footprint search) --------------------------------
 
-    def _place(self, atoms: list, i: int, env: dict, used: frozenset,
-               h: SymbolicHeap, cover_all: bool) -> bool:
+    def _place(self, i: int, env: dict, used: frozenset, cover_all: bool) -> bool:
         self._tick()
-        if i == len(atoms):
-            return self._finish_pure(h, env, used, cover_all)
-        a = atoms[i]
-        for env2, cells in self._placements(a, env):
+        if i == len(self.atoms):
+            return self._finish_pure(env, used, cover_all)
+        for env2, cells in self._placements(self.atoms[i], env):
             cs = frozenset(cells)
             if cs & used:
                 continue
-            if self._place(atoms, i + 1, env2, used | cs, h, cover_all):
+            if self._place(i + 1, env2, used | cs, cover_all):
                 return True
         return False
 
@@ -312,21 +321,25 @@ class _SatSearch:
 
     # -- pure part ------------------------------------------------------------
 
-    def _finish_pure(self, h: SymbolicHeap, env: dict, used: frozenset,
-                     cover_all: bool) -> bool:
-        if cover_all and used != frozenset(self.heap.keys()):
+    def _finish_pure(self, env: dict, used: frozenset, cover_all: bool) -> bool:
+        if cover_all and used != self.heap.keys():
             return False
-        free = [v for v in h.vars() if v not in env]
+        free = [v for v in self.vars if v not in env]
         if not free:
-            return all(_eval_pure(p, env) for p in h.pure)
+            return all(_eval_pure(p, env) for p in self.pure)
         if len(free) > 4:
             raise BoundsTooLarge("too many unconstrained variables")
-        universe = list(self.addrs) + list(self.data)
+        # dangling addresses reachable only through the store still belong
+        # to the existential universe of the pure part
+        addrs = set(self.heap) | {NIL_V}
+        addrs.update(nx for nx, _ in self.heap.values() if isinstance(nx, tuple))
+        addrs.update(v for v in self.model.env.values() if isinstance(v, tuple))
+        universe = sorted(addrs) + list(self.data)
         for combo in itertools.product(universe, repeat=len(free)):
             self._tick()
             env2 = dict(env)
             env2.update(zip(free, combo))
-            if all(_eval_pure(p, env2) for p in h.pure):
+            if all(_eval_pure(p, env2) for p in self.pure):
                 return True
         return False
 
@@ -337,8 +350,7 @@ def satisfies(model: Model, h: SymbolicHeap, bounds: Optional[OracleBounds] = No
     """Does the model satisfy h (with h's unassigned variables existential)?"""
     bounds = bounds or OracleBounds()
     data = extra_data if extra_data is not None else _data_universe(h, n_spare=bounds.n_spare_data)
-    search = _SatSearch(model.heap, data, [bounds.max_steps])
-    return search.run(h, model.env, allow_leftover)
+    return _SatSearch(h, data, bounds.max_steps).run(model, allow_leftover)
 
 
 # ---------------------------------------------------------------------------
@@ -349,32 +361,41 @@ def models(h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
            data_universe: Optional[list[int]] = None) -> Iterator[Model]:
     """Enumerate the models of h up to the bounds.
 
-    Generation is structure-directed (segment lengths, canonical cell
-    addresses, enumerated values for unanchored variables) and every
-    candidate is filtered through the independent satisfaction checker, so
-    overgeneration is harmless and undergeneration is confined to the
-    size bounds.
+    Generation is structure-directed: segment lengths, canonical cell
+    addresses, enumerated values for unanchored variables, and payloads
+    from the data universe (which must be ascending, as ``_data_universe``
+    returns it).  Two prunings drop candidates the satisfaction checker
+    would reject, without changing the models or their order: a store that
+    falsifies a pure atom gets no heaps, and a segment whose footprint is
+    forced (see the module docstring) gets only the payloads that are
+    sorted and inside its interval, for a sorted segment, and that cover
+    its contents.  Every other segment gets every payload, since the
+    checker may place it on other cells than the canonical ones.  The
+    checker still filters every candidate: it is the definition of a
+    model, and the pruning only spares it work.  Undergeneration is
+    confined to the size bounds.
     """
     bounds = bounds or OracleBounds()
     if h.is_false or h.facts.inconsistent:
         return
     data = data_universe if data_universe is not None else _data_universe(
         h, n_spare=bounds.n_spare_data)
-    atoms = list(h.cells())
+    atoms = h.cells()
     segs = [a for a in atoms if isinstance(a, (ListSegAtom, SortedSegAtom))]
-    n_fixed = sum(1 for a in atoms if isinstance(a, NodeAtom))
+    n_fixed = len(atoms) - len(segs)
     ext_max = bounds.max_extension if h.has_true() else 0
+    data_vars = _data_position_vars(h)
+    check = _SatSearch(h, data, bounds.max_steps)
     count = 0
 
-    len_ranges = []
-    for _ in segs:
-        len_ranges.append(range(1, bounds.max_cells + 1))
-    for seg_lens in itertools.product(*len_ranges):
+    for seg_lens in itertools.product(range(1, bounds.max_cells + 1),
+                                      repeat=len(segs)):
         total = n_fixed + sum(seg_lens)
         if total > bounds.max_cells:
             continue
         for ext in range(0, ext_max + 1):
-            for m in _models_skeleton(h, atoms, seg_lens, ext, data, bounds):
+            for m in _models_skeleton(h, atoms, seg_lens, ext, data,
+                                      data_vars, check):
                 count += 1
                 if count > bounds.max_models:
                     raise BoundsTooLarge("model enumeration budget exhausted")
@@ -402,124 +423,105 @@ def _data_position_vars(h: SymbolicHeap) -> set:
     return out
 
 
-def _models_skeleton(h: SymbolicHeap, atoms: list, seg_lens: tuple, ext: int,
-                     data: list[int], bounds: OracleBounds) -> Iterator[Model]:
+def _seg_payloads(a, n: int, env: dict, data: list[int]) -> list[tuple]:
+    """The payload tuples of an n-cell segment on a forced footprint that
+    satisfy its constraints under env, in product order."""
+    tuples: Iterator[tuple] = itertools.product(data, repeat=n)
+    if isinstance(a, SortedSegAtom):
+        lo, hi = _eval(a.lo, env), _eval(a.hi, env)
+        if not isinstance(lo, int) or not isinstance(hi, int):
+            return []
+        # the nondecreasing tuples, in product order since data ascends
+        tuples = itertools.combinations_with_replacement(
+            [d for d in data if lo <= d < hi], n)
+    need: dict[object, int] = {}
+    for k, m in a.contents.items:
+        kv = _eval(k, env)
+        need[kv] = need.get(kv, 0) + m
+    return [t for t in tuples if all(t.count(v) >= m for v, m in need.items())]
+
+
+def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
+                     data: list[int], data_vars: set,
+                     check: _SatSearch) -> Iterator[Model]:
     # allocate canonical addresses per atom
-    next_addr = 1
+    lens = iter(seg_lens)
     atom_cells: list[list[tuple]] = []
-    si = 0
     for a in atoms:
-        if isinstance(a, NodeAtom):
-            n = 1
-        else:
-            n = seg_lens[si]
-            si += 1
-        atom_cells.append([_addr(next_addr + i) for i in range(n)])
-        next_addr += n
-    ext_cells = [_addr(next_addr + i) for i in range(ext)]
-    all_cells = [c for cs in atom_cells for c in cs] + ext_cells
+        n = 1 if isinstance(a, NodeAtom) else next(lens)
+        first = sum(map(len, atom_cells)) + 1
+        atom_cells.append([_addr(first + i) for i in range(n)])
+    cells = [c for cs in atom_cells for c in cs]
+    ext_cells = [_addr(len(cells) + 1 + i) for i in range(ext)]
+    all_cells = cells + ext_cells
 
     # head variables are forced to their atom's first cell
     env: dict[Term, object] = {}
-    ok = True
     for a, cs in zip(atoms, atom_cells):
-        head = a.at if isinstance(a, NodeAtom) else a.src
-        if isinstance(head, (PVar, LVar)):
-            if head in env and env[head] != cs[0]:
-                ok = False
-                break
-            env[head] = cs[0]
-        else:
-            ok = False  # nil/const heads are inconsistent
-            break
-    if not ok:
-        return
+        head = atom_head(a)
+        if not isinstance(head, (PVar, LVar)):
+            return  # nil/const heads are inconsistent
+        if env.setdefault(head, cs[0]) != cs[0]:
+            return
+    # A segment's walk can stop again after its own cells only where it
+    # re-enters a cell that is allocated but no atom's head.
+    reentry = set(all_cells) - set(env.values())
 
-    # choice slots: end vars, payloads, remaining vars.  Values are sorted:
+    # choice slots: end vars, then remaining vars.  Values are sorted:
     # next/endpoint positions hold addresses, data positions hold ints, and
     # a variable used only in pure atoms may be either.
-    choice_vars: list[tuple] = []  # (kind, key, candidates)
     addr_universe = all_cells + [NIL_V, _addr(990)]  # one dangling address
-    data_vars = _data_position_vars(h)
-
-    for a, cs in zip(atoms, atom_cells):
-        t = a.nxt if isinstance(a, NodeAtom) else a.dst
-        if _eval(t, env) is None and isinstance(t, (PVar, LVar)) and not any(
-                cv[1] == t for cv in choice_vars):
-            choice_vars.append(("var", t, list(addr_universe)))
-
-    # payload slots per cell
-    payload_terms: list[tuple] = []  # (cell, term-or-None)
-    for a, cs in zip(atoms, atom_cells):
-        if isinstance(a, NodeAtom):
-            payload_terms.append((cs[0], a.data))
-        else:
-            # segment cells: every cell gets a data choice; content/sort
-            # constraints are applied by the final satisfaction filter
-            for c in cs:
-                payload_terms.append((c, None))
-
-    free_data_vars: list[Term] = []
+    choice_vars: list[Term] = []
+    choice_cands: list[list] = []
+    for t in map(atom_tail, atoms):
+        if isinstance(t, (PVar, LVar)) and t not in env and t not in choice_vars:
+            choice_vars.append(t)
+            choice_cands.append(addr_universe)
     for v in h.vars():
-        if v not in env and not any(cv[1] == v for cv in choice_vars):
-            free_data_vars.append(v)
-    for v in free_data_vars:
-        if v in data_vars:
-            choice_vars.append(("var", v, list(data)))
-        else:
-            choice_vars.append(("var", v,
-                                list(data) + list(addr_universe)))
+        if v not in env and v not in choice_vars:
+            choice_vars.append(v)
+            choice_cands.append(data if v in data_vars else data + addr_universe)
 
-    payload_choices: list[list] = []
-    for c, t in payload_terms:
-        if t is None:
-            payload_choices.append(list(data))
-        else:
-            payload_choices.append([t])  # resolved against env later
+    seg_terms = [t for a in atoms if not isinstance(a, NodeAtom)
+                 for t in ((a.lo, a.hi) if isinstance(a, SortedSegAtom) else ())
+                 + a.contents.keys()]
+    wild = [(d,) for d in data]
+    ext_space = [all_cells + [NIL_V]] * ext + [data] * ext
 
-    ext_next = [list(all_cells) + [NIL_V]] * ext
-    ext_data = [list(data)] * ext
-
-    var_cands = [cv[2] for cv in choice_vars]
-    for var_combo in itertools.product(*var_cands):
+    for var_combo in itertools.product(*choice_cands):
         env1 = dict(env)
-        for (kind, key, _), val in zip(choice_vars, var_combo):
-            env1[key] = val
-        for pay_combo in itertools.product(*payload_choices):
-            heap: dict[tuple, tuple] = {}
-            bad = False
-            pi = 0
-            si2 = 0
-            for a, cs in zip(atoms, atom_cells):
-                t = a.nxt if isinstance(a, NodeAtom) else a.dst
-                endv = _eval(t, env1)
-                if endv is None:
-                    bad = True
+        env1.update(zip(choice_vars, var_combo))
+        ends = [_eval(atom_tail(a), env1) for a in atoms]
+        if None in ends or any(_eval_pure(p, env1) is not True for p in h.pure):
+            continue
+        # the checker binds the base of an offset that does not evaluate,
+        # so the store it ends with may differ from env1: prune nothing then
+        prune = all(_eval(t, env1) is not None for t in seg_terms)
+        payloads: list[list[tuple]] = []
+        for a, cs, endv in zip(atoms, atom_cells, ends):
+            if isinstance(a, NodeAtom):
+                if a.data is None:
+                    payloads.append(wild)
+                elif (dv := _eval(a.data, env1)) is None:
                     break
-                for j, c in enumerate(cs):
-                    nx = cs[j + 1] if j + 1 < len(cs) else endv
-                    dslot = pay_combo[pi]
-                    pi += 1
-                    dv = dslot if isinstance(dslot, int) else _eval(dslot, env1)
-                    if dv is None:
-                        bad = True
-                        break
-                    heap[c] = (nx, dv)
-                if bad:
-                    break
-            if bad:
-                continue
-            if any(_eval_pure(p, env1) is not True for p in h.pure):
-                continue
-            ec_space = itertools.product(*(ext_next + ext_data)) if ext else iter([()])
-            for ec_combo in ec_space:
-                heap2 = dict(heap)
-                for k, c in enumerate(ext_cells):
-                    heap2[c] = (ec_combo[k], ec_combo[ext + k])
-                model = Model(env1, heap2)
-                if satisfies(model, h, bounds, allow_leftover=False,
-                             extra_data=data):
-                    yield model
+                else:
+                    payloads.append([(dv,)])
+            elif prune and endv not in reentry:
+                payloads.append(_seg_payloads(a, len(cs), env1, data))
+            else:
+                payloads.append(list(itertools.product(data, repeat=len(cs))))
+        else:
+            nexts = [c for cs, endv in zip(atom_cells, ends)
+                     for c in cs[1:] + [endv]]
+            for pay_combo in itertools.product(*payloads):
+                heap = dict(zip(cells, zip(
+                    nexts, itertools.chain.from_iterable(pay_combo))))
+                for ec_combo in itertools.product(*ext_space):
+                    heap2 = dict(heap)
+                    heap2.update(zip(ext_cells, zip(ec_combo[:ext], ec_combo[ext:])))
+                    model = Model(env1, heap2)
+                    if check.run(model, allow_leftover=False):
+                        yield model
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +546,7 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
                   key=lambda v: v.name)
     if len(univ) > 3:
         raise BoundsTooLarge("too many universally quantified variables")
+    check = _SatSearch(rhs, data, bounds.max_steps)
     checked = 0
     for m in models(lhs, bounds, data_universe=data):
         base_env = {v: val for v, val in m.env.items() if isinstance(v, PVar)}
@@ -552,9 +555,7 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
             checked += 1
             env2 = dict(base_env)
             env2.update(zip(univ, combo))
-            m2 = Model(env2, m.heap)
-            if not satisfies(m2, rhs, bounds, allow_leftover=modulo_true,
-                             extra_data=data):
+            if not check.run(Model(env2, m.heap), allow_leftover=modulo_true):
                 return OracleVerdict(False, Model(dict(m.env), m.heap),
                                      checked)
     return OracleVerdict(True, None, checked)

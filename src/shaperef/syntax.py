@@ -149,7 +149,10 @@ class _Parser:
                 n = 1
                 if self.peek() == ":":
                     self.next()
-                    n = int(self.next())
+                    k = self.next()
+                    if not re.fullmatch(r"\d+", k):
+                        raise ParseError(f"expected multiplicity, got {k!r}")
+                    n = int(k)
                 pairs.append((t, n))
                 if self.peek() != ",":
                     break

@@ -8,8 +8,12 @@ footprint exactness, and the modulo-true mode.
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
+from shaperef import oracle
 from shaperef.oracle import (
     BoundsTooLarge,
     Model,
@@ -21,6 +25,8 @@ from shaperef.oracle import (
 )
 from shaperef.syntax import parse_heap as H
 from shaperef.terms import PVar
+
+from gens import random_heap
 
 
 def holds(l, r, **kw):
@@ -176,3 +182,73 @@ def test_bounds_too_large():
     h = H("a'=b' /\\ c'=d' /\\ e'=f' /\\ g'=h' /\\ i'=j' /\\ emp")
     with pytest.raises(BoundsTooLarge):
         oracle_entails(H("emp"), h)
+
+
+# ---------------------------------------------------------------------------
+# enumeration: pruned as it goes, same models in the same order
+# ---------------------------------------------------------------------------
+
+# The soundness tests' bounds (4 cells, or 3 cells plus one extension cell
+# for a heap with a true conjunct), fixed here so that the recorded digest
+# does not move with them.
+PLAIN = OracleBounds(max_cells=4, max_extension=1, n_spare_data=1,
+                     max_models=4000, max_steps=200000)
+WITH_TRUE = OracleBounds(max_cells=3, max_extension=1, n_spare_data=1,
+                         max_models=4000, max_steps=200000)
+
+
+def model_sequence_digest(seed: int = 29, n: int = 60) -> str:
+    """sha256 over each seeded heap and its models, (env, heap) in order."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for i in range(n):
+        with_true = i % 2 == 1
+        h = random_heap(rng, domain=("mls", "rls", "sls")[i % 3],
+                        max_atoms=2 if with_true else 3,
+                        with_true=with_true, n_pure=2)
+        digest.update(f"{h}\n".encode())
+        try:
+            for m in models(h, WITH_TRUE if h.has_true() else PLAIN):
+                digest.update(f"{m.render()}\n".encode())
+        except BoundsTooLarge:
+            digest.update(b"BoundsTooLarge\n")
+    return digest.hexdigest()
+
+
+# recorded with the generate-then-filter enumerator that checked every
+# payload combination of every segment
+MODEL_SEQUENCE_SHA256 = (
+    "8c73ee3684af1ace1c70151637b4804a1f2ed59d3e5ee78ab1c80c851756a665")
+
+
+def test_model_sequences_are_unchanged_on_random_heaps():
+    assert model_sequence_digest() == MODEL_SEQUENCE_SHA256
+
+
+def test_unforced_segment_keeps_alternative_placements():
+    # y and w end inside the list's cells, so the one-cell slseg may also
+    # be placed on a1,a3: its payload alone does not cover {5:2}
+    ms = [m.render() for m in models(H("slseg(x,y,[0,9),{5:2}) * list(z,w)"),
+                                     OracleBounds(max_cells=3, n_spare_data=1))]
+    assert ("[w=a3, x=a1, y=a3, z=a2] heap=[a1:(next=a3,data=5); "
+            "a2:(next=a3,data=0); a3:(next=a3,data=5)]") in ms
+
+
+@pytest.mark.parametrize("text", [
+    "slseg(x,nil,[0,9),{5:1})",
+    "v<3 /\\ slseg(x,y,[0,9),{v:1}) * node(y,nil,_)",
+    "list(x,x,{3:2})",
+])
+def test_forced_footprints_check_only_models(monkeypatch, text):
+    """On forced footprints every candidate the enumerator builds is a
+    model: the checker runs once per model yielded."""
+    runs = []
+    run = oracle._SatSearch.run
+
+    def counting_run(self, model, allow_leftover):
+        runs.append(model)
+        return run(self, model, allow_leftover)
+
+    monkeypatch.setattr(oracle._SatSearch, "run", counting_run)
+    ms = list(models(H(text), OracleBounds(max_cells=4)))
+    assert ms and len(runs) == len(ms)

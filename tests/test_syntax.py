@@ -70,6 +70,10 @@ def test_parse_term_forms():
     "x=",                   # missing rhs
     "node(x,nil,_) %",      # trailing garbage
     "slseg(a,b,[0,10],{})", # wrong interval bracket
+    "list(x,y,{5:y})",      # multiplicity not an integer
+    "list(x,y,{5:})",       # missing multiplicity
+    "list(x,y,{5:-1})",     # negative multiplicity
+    "list(x,y,{5:",         # input ends in a multiplicity
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
