@@ -25,7 +25,8 @@ terminates.  The step sequence is recorded in a :class:`RewriteTrace`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .terms import (
@@ -155,9 +156,15 @@ def project_contents(contents: Multiset, facts: Facts, tracked: Multiset) -> Mul
 # for the first redex in canonical atom order, or None.  The engine tries
 # the rules of a domain in a fixed listing order, so the whole rewrite is
 # deterministic on normalized input.
+#
+# The domains differ only in how two chained atoms fold, and rls has no
+# contents to cap.  ``_JOINS`` maps a domain to join(a, b, facts, param),
+# which returns the folded segment's constructor (src, dst) -> atom, or
+# None; the one fold rule scans the junctions and targets nil or a witness.
 
 _Rule = Callable[[SymbolicHeap, Facts, AbstractionParam],
                  Optional[tuple[str, SymbolicHeap]]]
+_Make = Callable[[Term, Term], Spatial]
 
 
 def _evars_of(pure: tuple[PureAtom, ...], atoms: tuple[Spatial, ...],
@@ -229,76 +236,101 @@ def _rule_collect_cycle(h: SymbolicHeap, facts: Facts,
     return None
 
 
-# -- unsorted folding (value and address domains) ---------------------------
+# -- folding -----------------------------------------------------------------
 
-def _list_like(a: Spatial) -> bool:
-    return isinstance(a, (NodeAtom, ListSegAtom))
+_LIST_LIKE = (NodeAtom, ListSegAtom)
 
 
-def _fold_unsorted(h: SymbolicHeap, facts: Facts, param: AbstractionParam,
-                   mid: bool, keep_contents: bool, protect_heads: bool):
-    """Shared body of the two chain-folding rules.
+def _merged(a: Spatial, b: Spatial, facts: Facts,
+            param: AbstractionParam) -> Multiset:
+    return project_contents(atom_contents(a).msum(atom_contents(b)),
+                            facts, param.tracked)
 
-    ``mid`` selects the variant that folds before a witness atom (some
-    other atom's head proves the junction target is allocated) instead of
-    requiring the target to be nil.  ``keep_contents`` merges and projects
-    the operands' value multisets (value domain) versus dropping them
-    (address domain); ``protect_heads`` blocks the fold when the folded
-    head is a tracked address.
+
+def _join_mls(a: Spatial, b: Spatial, facts: Facts,
+              param: AbstractionParam) -> Optional[_Make]:
+    """Unsorted material folds into a list keeping the projected contents."""
+    if not (isinstance(a, _LIST_LIKE) and isinstance(b, _LIST_LIKE)):
+        return None
+    return partial(ListSegAtom, contents=_merged(a, b, facts, param))
+
+
+def _join_rls(a: Spatial, b: Spatial, facts: Facts,
+              param: AbstractionParam) -> Optional[_Make]:
+    """Unsorted material folds into a list unless its head is tracked."""
+    if not (isinstance(a, _LIST_LIKE) and isinstance(b, _LIST_LIKE)):
+        return None
+    if any(facts.equal(atom_head(a), t) for t in param.tracked.keys()):
+        return None
+    return ListSegAtom
+
+
+def _join_sls(a: Spatial, b: Spatial, facts: Facts,
+              param: AbstractionParam) -> Optional[_Make]:
+    """Sorted material folds when the left upper boundary (payload / upper
+    bound) is provably <= the right entry point (payload / lower bound); the
+    folded segment spans both intervals, a node counting as [d, d+1)."""
+    if isinstance(a, NodeAtom) and a.data is not None:
+        lo, upper = a.data, a.data
+    elif isinstance(a, SortedSegAtom):
+        lo, upper = a.lo, a.hi
+    else:
+        return None
+    if isinstance(b, NodeAtom) and b.data is not None:
+        entry, hi = b.data, shifted(b.data, 1)
+    elif isinstance(b, SortedSegAtom):
+        entry, hi = b.lo, b.hi
+    else:
+        return None
+    if not facts.proves_leq(upper, entry):
+        return None
+    return partial(SortedSegAtom, lo=lo, hi=hi,
+                   contents=_merged(a, b, facts, param))
+
+
+_JOINS = {"mls": _join_mls, "rls": _join_rls, "sls": _join_sls}
+
+
+def _fold(h: SymbolicHeap, facts: Facts, param: AbstractionParam, mid: bool):
+    """Fold the first junction the domain's join accepts.
+
+    The folded segment runs from the left operand's head to the right
+    operand's target, which must be nil (``mid`` false) or, for ``mid``,
+    the head of a third atom witnessing that it is allocated.  The
+    junction variable may occur nowhere else, or the fold would lose it.
     """
+    join = _JOINS[param.domain]
     atoms = h.spatial
     for i, j, x in _junctions(h):
         a, b = atoms[i], atoms[j]
-        if not (_list_like(a) and _list_like(b)):
+        make = join(a, b, facts, param)
+        if make is None:
             continue
         e1, e2 = atom_head(a), atom_tail(b)
-        if protect_heads and any(facts.equal(e1, t) for t in param.tracked.keys()):
-            continue
-        if keep_contents:
-            merged = project_contents(atom_contents(a).msum(atom_contents(b)),
-                                      facts, param.tracked)
-        else:
-            merged = EMPTY_MS
         if not mid:
             if not facts.equal(e2, NIL):
                 continue
             rest = _without(atoms, i, j)
-            if x in _evars_of(h.pure, rest, (e1, e2)):
-                continue
-            seg = ListSegAtom(e1, NIL, merged)
-            return ("fold-at-nil", SymbolicHeap(h.pure, rest + (seg,)))
+            if x not in _evars_of(h.pure, rest, (e1, e2)):
+                return ("fold-at-nil",
+                        SymbolicHeap(h.pure, rest + (make(e1, NIL),)))
+            continue
         for w, c in enumerate(atoms):
             if w in (i, j) or isinstance(c, TrueAtom):
                 continue
             if not facts.equal(e2, atom_head(c)):
                 continue
-            rest = _without(atoms, i, j)
             if x in _evars_of(h.pure, _without(atoms, i, j, w),
                               (e1, e2, atom_head(c), atom_tail(c))):
                 continue
-            seg = ListSegAtom(e1, e2, merged)
-            return ("fold-at-witness", SymbolicHeap(h.pure, rest + (seg,)))
+            rest = _without(atoms, i, j)
+            return ("fold-at-witness",
+                    SymbolicHeap(h.pure, rest + (make(e1, e2),)))
     return None
 
 
-def _rule_fold_nil_mls(h, facts, param):
-    return _fold_unsorted(h, facts, param, mid=False, keep_contents=True,
-                          protect_heads=False)
-
-
-def _rule_fold_mid_mls(h, facts, param):
-    return _fold_unsorted(h, facts, param, mid=True, keep_contents=True,
-                          protect_heads=False)
-
-
-def _rule_fold_nil_rls(h, facts, param):
-    return _fold_unsorted(h, facts, param, mid=False, keep_contents=False,
-                          protect_heads=True)
-
-
-def _rule_fold_mid_rls(h, facts, param):
-    return _fold_unsorted(h, facts, param, mid=True, keep_contents=False,
-                          protect_heads=True)
+_rule_fold_at_nil = partial(_fold, mid=False)
+_rule_fold_at_witness = partial(_fold, mid=True)
 
 
 def _rule_cap_contents(h: SymbolicHeap, facts: Facts, param: AbstractionParam):
@@ -307,103 +339,21 @@ def _rule_cap_contents(h: SymbolicHeap, facts: Facts, param: AbstractionParam):
     mass); re-keying a multiset inside one congruence class changes
     nothing semantically and is skipped."""
     for i, a in enumerate(h.spatial):
-        if isinstance(a, ListSegAtom):
+        if isinstance(a, (ListSegAtom, SortedSegAtom)):
             capped = project_contents(a.contents, facts, param.tracked)
             if capped.total() < a.contents.total():
-                out = h.spatial[:i] + (ListSegAtom(a.src, a.dst, capped),) \
-                    + h.spatial[i + 1:]
-                return ("cap-contents", SymbolicHeap(h.pure, out))
-        elif isinstance(a, SortedSegAtom):
-            capped = project_contents(a.contents, facts, param.tracked)
-            if capped.total() < a.contents.total():
-                out = h.spatial[:i] + \
-                    (SortedSegAtom(a.src, a.dst, a.lo, a.hi, capped),) \
+                out = h.spatial[:i] + (replace(a, contents=capped),) \
                     + h.spatial[i + 1:]
                 return ("cap-contents", SymbolicHeap(h.pure, out))
     return None
 
 
-# -- sorted folding ----------------------------------------------------------
-
-def _sorted_junction(a: Spatial, b: Spatial,
-                     facts: Facts) -> Optional[tuple[Term, Term]]:
-    """Order check at a junction of sorted material.
-
-    The left operand's upper boundary (its payload for a node, its upper
-    interval bound for a segment) must provably be <= the right operand's
-    entry point (payload / lower bound).  Returns the merged interval
-    (lo, hi): the node cases contribute a degenerate [d, d+1) interval.
-    """
-    if isinstance(a, NodeAtom):
-        if a.data is None:
-            return None
-        lo, upper = a.data, a.data
-    elif isinstance(a, SortedSegAtom):
-        lo, upper = a.lo, a.hi
-    else:
-        return None
-    if isinstance(b, NodeAtom):
-        if b.data is None:
-            return None
-        entry, hi = b.data, shifted(b.data, 1)
-    elif isinstance(b, SortedSegAtom):
-        entry, hi = b.lo, b.hi
-    else:
-        return None
-    if not facts.proves_leq(upper, entry):
-        return None
-    return lo, hi
-
-
-def _fold_sorted(h: SymbolicHeap, facts: Facts, param: AbstractionParam,
-                 mid: bool):
-    atoms = h.spatial
-    for i, j, x in _junctions(h):
-        a, b = atoms[i], atoms[j]
-        span = _sorted_junction(a, b, facts)
-        if span is None:
-            continue
-        lo, hi = span
-        e1, e2 = atom_head(a), atom_tail(b)
-        merged = project_contents(atom_contents(a).msum(atom_contents(b)),
-                                  facts, param.tracked)
-        if not mid:
-            if not facts.equal(e2, NIL):
-                continue
-            rest = _without(atoms, i, j)
-            if x in _evars_of(h.pure, rest, (e1, e2)):
-                continue
-            seg = SortedSegAtom(e1, NIL, lo, hi, merged)
-            return ("fold-at-nil", SymbolicHeap(h.pure, rest + (seg,)))
-        for w, c in enumerate(atoms):
-            if w in (i, j) or isinstance(c, TrueAtom):
-                continue
-            if not facts.equal(e2, atom_head(c)):
-                continue
-            rest = _without(atoms, i, j)
-            if x in _evars_of(h.pure, _without(atoms, i, j, w),
-                              (e1, e2, atom_head(c), atom_tail(c))):
-                continue
-            seg = SortedSegAtom(e1, e2, lo, hi, merged)
-            return ("fold-at-witness", SymbolicHeap(h.pure, rest + (seg,)))
-    return None
-
-
-def _rule_fold_nil_sls(h, facts, param):
-    return _fold_sorted(h, facts, param, mid=False)
-
-
-def _rule_fold_mid_sls(h, facts, param):
-    return _fold_sorted(h, facts, param, mid=True)
-
-
+_FOLDING = (_rule_collect_garbage, _rule_collect_cycle,
+            _rule_fold_at_nil, _rule_fold_at_witness)
 _RULES: dict[str, tuple[_Rule, ...]] = {
-    "mls": (_rule_collect_garbage, _rule_collect_cycle,
-            _rule_fold_nil_mls, _rule_fold_mid_mls, _rule_cap_contents),
-    "rls": (_rule_collect_garbage, _rule_collect_cycle,
-            _rule_fold_nil_rls, _rule_fold_mid_rls),
-    "sls": (_rule_collect_garbage, _rule_collect_cycle,
-            _rule_fold_nil_sls, _rule_fold_mid_sls, _rule_cap_contents),
+    "mls": _FOLDING + (_rule_cap_contents,),
+    "rls": _FOLDING,
+    "sls": _FOLDING + (_rule_cap_contents,),
 }
 
 

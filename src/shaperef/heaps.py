@@ -23,6 +23,7 @@ makes rearrangement work (a segment head can always be materialized).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
@@ -672,32 +673,6 @@ class Disj:
 # Normalization and star
 # ---------------------------------------------------------------------------
 
-def _count_occurrences(pure, spatial) -> dict[Union[PVar, LVar], int]:
-    counts: dict[Union[PVar, LVar], int] = {}
-
-    def bump(t: Optional[Term]) -> None:
-        if t is None:
-            return
-        for v in term_vars(t):
-            counts[v] = counts.get(v, 0) + 1
-
-    for p in pure:
-        bump(p.lhs)
-        bump(p.rhs)
-    for a in spatial:
-        bump(atom_head(a))
-        bump(atom_tail(a))
-        if isinstance(a, NodeAtom):
-            bump(a.data)
-        if isinstance(a, (ListSegAtom, SortedSegAtom)):
-            for k, _n in a.contents.items:
-                bump(k)
-        if isinstance(a, SortedSegAtom):
-            bump(a.lo)
-            bump(a.hi)
-    return counts
-
-
 def normalize(h: SymbolicHeap) -> SymbolicHeap:
     """Canonical form: substitute away logical-variable equalities, drop
     trivial atoms, convert single-occurrence payload variables to wild,
@@ -758,10 +733,10 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
         spatial.append(TRUE_SPATIAL)
 
     # single-occurrence payload variables become wild
-    counts = _count_occurrences(pure, spatial)
+    counts = Counter(v for atom in pure + spatial for v in atom.vars())
     spatial = [
         NodeAtom(a.at, a.nxt, None)
-        if isinstance(a, NodeAtom) and isinstance(a.data, LVar) and counts.get(a.data, 0) == 1
+        if isinstance(a, NodeAtom) and isinstance(a.data, LVar) and counts[a.data] == 1
         else a
         for a in spatial
     ]

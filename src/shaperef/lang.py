@@ -1,7 +1,7 @@
 """Source language frontend: lexer, parser, AST, and renderer for the small
 pointer-manipulating language the analyzer consumes.
 
-Grammar (documented bit-exactly in the README):
+Grammar (this docstring is its reference):
 
     program := stmt*
     stmt    := ID "=" expr ";"
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 
-class ParseError(Exception):
-    """Raised on malformed input; carries the 1-based line and column."""
+class ParseError(ValueError):
+    """Raised on malformed input, here and by ``shaperef.syntax``; carries
+    the 1-based line and column."""
 
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {msg}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .terms import (Const, LVar, Multiset, NilTerm, Offset, PVar, PureAtom,
-                    Term, term_vars)
+                    Term, split_offset, term_vars)
 from .heaps import (
     ListSegAtom,
     NodeAtom,
@@ -276,7 +276,9 @@ class _SatSearch:
 
     def _bound_candidates(self, t: Term, env: dict, natural: int) -> Iterator[tuple[int, dict]]:
         v = _eval(t, env)
-        if v is not None:
+        # only a base the store leaves unbound may be bound here: x+1 with
+        # x an address has no value
+        if v is not None or split_offset(t)[0] in env:
             if isinstance(v, int):
                 yield v, env
             return
@@ -294,7 +296,8 @@ class _SatSearch:
 
     def _contents_check(self, ms: Multiset, env: dict, cells: list,
                         datas: list) -> Iterator[tuple[dict, list]]:
-        unassigned = [k for k, _ in ms.items if _eval(k, env) is None]
+        unassigned = [k for k, _ in ms.items
+                      if _eval(k, env) is None and split_offset(k)[0] not in env]
         cand_vals = sorted(set(d for d in datas if isinstance(d, int)))
         for combo in itertools.product(cand_vals, repeat=len(unassigned)):
             self._tick()
@@ -494,9 +497,10 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
         ends = [_eval(atom_tail(a), env1) for a in atoms]
         if None in ends or any(_eval_pure(p, env1) is not True for p in h.pure):
             continue
-        # the checker binds the base of an offset that does not evaluate,
-        # so the store it ends with may differ from env1: prune nothing then
-        prune = all(_eval(t, env1) is not None for t in seg_terms)
+        # a content key or bound that does not evaluate is an offset from
+        # an address, which no placement of its segment satisfies
+        if any(_eval(t, env1) is None for t in seg_terms):
+            continue
         payloads: list[list[tuple]] = []
         for a, cs, endv in zip(atoms, atom_cells, ends):
             if isinstance(a, NodeAtom):
@@ -506,7 +510,7 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
                     break
                 else:
                     payloads.append([(dv,)])
-            elif prune and endv not in reentry:
+            elif endv not in reentry:
                 payloads.append(_seg_payloads(a, len(cs), env1, data))
             else:
                 payloads.append(list(itertools.product(data, repeat=len(cs))))

@@ -218,50 +218,41 @@ def _unfold_sorted(atom: SortedSegAtom, facts: Facts,
 # Pure reasoning helpers
 # ---------------------------------------------------------------------------
 
+# op -> ((query, swap operands) proving ``lhs op rhs``, (query, swap)
+# refuting it); the order rows refute by the converse strict/weak order
+_PURE_QUERIES = {
+    "=": ((Facts.equal, False), (Facts.proves_neq, False)),
+    "!=": ((Facts.proves_neq, False), (Facts.equal, False)),
+    "<=": ((Facts.proves_leq, False), (Facts.proves_lt, True)),
+    "<": ((Facts.proves_lt, False), (Facts.proves_leq, True)),
+}
+
+
+def _decide_pure(facts: Facts, p: PureAtom, refute: bool) -> bool:
+    if p.op in ("true", "false"):
+        return (p.op == "true") != refute
+    if p.op not in _PURE_QUERIES:
+        raise ValueError(f"unknown pure op {p.op}")
+    query, swap = _PURE_QUERIES[p.op][refute]
+    return query(facts, p.rhs, p.lhs) if swap else query(facts, p.lhs, p.rhs)
+
+
 def proves_pure(facts: Facts, p: PureAtom) -> bool:
     """Whether the derived facts entail one pure atom."""
-    if p.op == "true":
-        return True
-    if p.op == "false":
-        return False
-    if p.op == "=":
-        return facts.equal(p.lhs, p.rhs)
-    if p.op == "!=":
-        return facts.proves_neq(p.lhs, p.rhs)
-    if p.op == "<=":
-        return facts.proves_leq(p.lhs, p.rhs)
-    if p.op == "<":
-        return facts.proves_lt(p.lhs, p.rhs)
-    raise ValueError(f"unknown pure op {p.op}")
+    return _decide_pure(facts, p, refute=False)
 
 
 def refutes_pure(facts: Facts, p: PureAtom) -> bool:
     """Whether the derived facts entail the negation of one pure atom."""
-    if p.op == "true":
-        return False
-    if p.op == "false":
-        return True
-    if p.op == "=":
-        return facts.proves_neq(p.lhs, p.rhs)
-    if p.op == "!=":
-        return facts.equal(p.lhs, p.rhs)
-    if p.op == "<=":
-        return facts.proves_lt(p.rhs, p.lhs)
-    if p.op == "<":
-        return facts.proves_leq(p.rhs, p.lhs)
-    raise ValueError(f"unknown pure op {p.op}")
+    return _decide_pure(facts, p, refute=True)
 
 
-def _proves_shifted_leq(facts: Facts, a: Term, ka: int, b: Term, kb: int) -> bool:
-    """Whether the facts prove a + ka <= b + kb."""
+def _shifted_leq(a: Term, ka: int, b: Term, kb: int) -> PureAtom:
+    """The atom a + ka <= b + kb, shifted on one side only."""
     delta = kb - ka
     if delta >= 0:
-        return facts.proves_leq(a, shifted(b, delta) if delta else b)
-    return facts.proves_leq(shifted(a, -delta), b)
-
-
-def consistent(h: SymbolicHeap) -> bool:
-    return not normalize(h).is_false
+        return leq(a, shifted(b, delta) if delta else b)
+    return leq(shifted(a, -delta), b)
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +456,9 @@ class _Search:
         rest = g.rhs[:idx] + g.rhs[idx + 1:]
 
         produced = False
-        for leaf in self._try_direct(r_atom, rest, g):
-            produced = True
-            yield leaf
-        for leaf in self._try_chain(r_atom, rest, g):
-            produced = True
-            yield leaf
-        for leaf in self._try_unfold_rhs(r_atom, rest, g):
+        for leaf in itertools.chain(self._try_direct(r_atom, rest, g),
+                                    self._try_chain(r_atom, rest, g),
+                                    self._try_unfold_rhs(r_atom, rest, g)):
             produced = True
             yield leaf
         if produced:
@@ -705,7 +692,7 @@ class _Search:
                 if p.op == "=":
                     for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
                         if self._is_unbound(a) and a not in theta and \
-                                not self._has_unbound(b, theta):
+                                not self._free(term_vars(b), theta):
                             theta[a] = b
                             changed = True
                             break
@@ -719,7 +706,7 @@ class _Search:
         deferred: list[PureAtom] = []
         for p in pending:
             p = p.subst(theta)
-            if self._has_unbound_atom(p, theta):
+            if self._free(p.vars(), theta):
                 deferred.append(p)
             elif proves_pure(facts, p):
                 continue
@@ -740,12 +727,9 @@ class _Search:
         residue = tuple(a.subst(theta) for a in g.residue)
         yield _Leaf(theta, leftover, extra_pure, tuple(hyps), residue)
 
-    def _has_unbound(self, t: Term, theta: dict) -> bool:
-        return any(self._is_unbound(v) and v not in theta
-                   for v in term_vars(t))
-
-    def _has_unbound_atom(self, p: PureAtom, theta: dict) -> bool:
-        return any(self._is_unbound(v) and v not in theta for v in p.vars())
+    def _free(self, vs, theta: dict) -> set[LVar]:
+        """The right-hand existentials among ``vs`` that theta leaves free."""
+        return {v for v in vs if self._is_unbound(v) and v not in theta}
 
     def _satisfy_deferred(self, deferred: list[PureAtom], theta: dict,
                           facts: Facts) -> Optional[list[PureAtom]]:
@@ -762,13 +746,12 @@ class _Search:
         if not deferred:
             return []
         hyps: list[PureAtom] = []
-        unbound = sorted({v for p in deferred for v in p.vars()
-                          if self._is_unbound(v) and v not in theta},
+        unbound = sorted({v for p in deferred
+                          for v in self._free(p.vars(), theta)},
                          key=lambda v: v.name)
         by_var: dict[LVar, list[PureAtom]] = {v: [] for v in unbound}
         for p in deferred:
-            vs = [v for v in set(p.vars())
-                  if self._is_unbound(v) and v not in theta]
+            vs = list(self._free(p.vars(), theta))
             if len(vs) != 1:
                 if p.op == "=" and len(vs) == 2 and p.lhs in vs and p.rhs in vs:
                     continue  # two free existentials may always coincide
@@ -802,15 +785,12 @@ class _Search:
                 b = bu if bu is not None else Const(0)
                 if isinstance(a, NilTerm) or isinstance(b, NilTerm):
                     return None  # order constraints never hold of nil
-                if _proves_shifted_leq(facts, a, kl, b, ku):
+                bound = _shifted_leq(a, kl, b, ku)
+                if proves_pure(facts, bound):
                     continue
                 if self.mode != "abduce":
                     return None
-                d = ku - kl
-                if d >= 0:
-                    hyps.append(leq(a, shifted(b, d) if d else b))
-                else:
-                    hyps.append(leq(shifted(a, -d), b))
+                hyps.append(bound)
             if has_neq and lowers and uppers:
                 return None
         return hyps
@@ -885,15 +865,14 @@ def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     st = _Search(lhs, rhs, "frame", False, config)
     lhs_vars = set(lhs.vars())
     outcomes: list[ProofOutcome] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[tuple[SymbolicHeap, frozenset]] = set()
     for leaf in st.run():
         inst, render = _invert_instantiation(leaf, st.renaming, lhs_vars)
         frame = SymbolicHeap(leaf.extra_pure, leaf.leftover).subst(render)
         if st.lhs_had_true:
             frame = SymbolicHeap(frame.pure,
                                  frame.spatial + (TRUE_SPATIAL,))
-        key = (str(frame), str(sorted((str(k), str(v))
-                                      for k, v in inst.items())))
+        key = (frame, frozenset(inst.items()))
         if key in seen:
             continue
         seen.add(key)
@@ -917,7 +896,7 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     st = _Search(lhs, rhs, "abduce", modulo_true, config)
     inverse = {v: k for k, v in st.renaming.items()}
     candidates: list[SymbolicHeap] = []
-    seen: set[str] = set()
+    seen: set[SymbolicHeap] = set()
     try:
         leaves = list(st.run())
     except BudgetExceeded:
@@ -931,9 +910,9 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
         cand = SymbolicHeap(
             tuple(sorted(set(pure), key=lambda p: p.sort_key())),
             tuple(sorted(spatial, key=spatial_sort_key)))
-        if str(cand) in seen:
+        if cand in seen:
             continue
-        seen.add(str(cand))
+        seen.add(cand)
         combined = star(lhs, cand)
         if combined.is_false:
             continue
@@ -974,28 +953,22 @@ class Prover:
         self.queries = 0
         self._memo: dict[tuple, object] = {}
 
-    def _cached(self, key: tuple, compute):
+    def _cached(self, op, lhs: SymbolicHeap, rhs: SymbolicHeap, **kw):
+        """One query through the memo, keyed by the frozen heaps."""
         self.queries += 1
+        key = (op, lhs, rhs, *kw.values())
         if key not in self._memo:
-            self._memo[key] = compute()
+            self._memo[key] = op(lhs, rhs, config=self.config, **kw)
         return self._memo[key]
 
     def entails(self, lhs: SymbolicHeap, rhs: SymbolicHeap,
                 modulo_true: bool = False) -> ProofOutcome:
-        return self._cached(
-            ("entails", str(lhs), str(rhs), modulo_true),
-            lambda: entails(lhs, rhs, modulo_true=modulo_true,
-                            config=self.config))
+        return self._cached(entails, lhs, rhs, modulo_true=modulo_true)
 
     def frame_infer(self, lhs: SymbolicHeap,
                     rhs: SymbolicHeap) -> list[ProofOutcome]:
-        return self._cached(
-            ("frame", str(lhs), str(rhs)),
-            lambda: frame_infer(lhs, rhs, config=self.config))
+        return self._cached(frame_infer, lhs, rhs)
 
     def abduce(self, lhs: SymbolicHeap, rhs: SymbolicHeap,
                modulo_true: bool = True) -> list[SymbolicHeap]:
-        return self._cached(
-            ("abduce", str(lhs), str(rhs), modulo_true),
-            lambda: abduce(lhs, rhs, modulo_true=modulo_true,
-                           config=self.config))
+        return self._cached(abduce, lhs, rhs, modulo_true=modulo_true)

@@ -25,8 +25,9 @@ Grammar (whitespace insignificant):
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
+from .lang import ParseError
 from .terms import (
     Const,
     LVar,
@@ -52,42 +53,45 @@ from .heaps import (
 )
 
 
-class ParseError(ValueError):
-    pass
-
-
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<lop>/\\|\\/|\|-)|(?P<op>!=|<=|[=<+*,:(){}\[\)\]])"
     r"|(?P<int>-?\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*'?))"
 )
 
 
-def _tokenize(s: str) -> list[str]:
-    toks: list[str] = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
-        if not m or m.end() == pos:
-            rest = s[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"cannot tokenize at: {rest[:20]!r}")
-        toks.append(m.group(m.lastgroup))
-        pos = m.end()
-    return toks
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks: list[str] = []
+        self.offsets: list[int] = []  # where each token starts in text
+        pos = 0
+        while m := _TOKEN_RE.match(text, pos):
+            self.toks.append(m.group(m.lastgroup))
+            self.offsets.append(m.start(m.lastgroup))
+            pos = m.end()
         self.i = 0
+        rest = text[pos:].strip()
+        if rest:
+            raise ParseError(f"cannot tokenize at: {rest[:20]!r}",
+                             *self._line_col(text.index(rest[0], pos)))
+
+    def _line_col(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of ``text[offset]``."""
+        return (self.text.count("\n", 0, offset) + 1,
+                offset - self.text.rfind("\n", 0, offset))
+
+    def fail(self, msg: str, at: Optional[int] = None) -> NoReturn:
+        """Raise at token ``at`` (default: the last one consumed)."""
+        i = self.i - 1 if at is None else at
+        offset = self.offsets[i] if i < len(self.toks) else len(self.text)
+        raise ParseError(msg, *self._line_col(offset))
 
     def peek(self) -> Optional[str]:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
     def next(self) -> str:
         if self.i >= len(self.toks):
-            raise ParseError("unexpected end of input")
+            self.fail("unexpected end of input", at=self.i)
         t = self.toks[self.i]
         self.i += 1
         return t
@@ -95,7 +99,7 @@ class _Parser:
     def expect(self, tok: str) -> None:
         got = self.next()
         if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}")
+            self.fail(f"expected {tok!r}, got {got!r}")
 
     def at_end(self) -> bool:
         return self.i >= len(self.toks)
@@ -113,12 +117,12 @@ class _Parser:
         elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t):
             base = PVar(t)
         else:
-            raise ParseError(f"expected term, got {t!r}")
+            self.fail(f"expected term, got {t!r}")
         if self.peek() == "+":
             self.next()
             k = self.next()
             if not re.fullmatch(r"\d+", k):
-                raise ParseError(f"expected integer offset, got {k!r}")
+                self.fail(f"expected integer offset, got {k!r}")
             base = shifted(base, int(k))
         return base
 
@@ -134,7 +138,7 @@ class _Parser:
         lhs = self.term()
         op = self.next()
         if op not in ("=", "!=", "<=", "<"):
-            raise ParseError(f"expected relation, got {op!r}")
+            self.fail(f"expected relation, got {op!r}")
         rhs = self.term()
         return PureAtom(op, lhs, rhs)
 
@@ -151,7 +155,7 @@ class _Parser:
                     self.next()
                     k = self.next()
                     if not re.fullmatch(r"\d+", k):
-                        raise ParseError(f"expected multiplicity, got {k!r}")
+                        self.fail(f"expected multiplicity, got {k!r}")
                     n = int(k)
                 pairs.append((t, n))
                 if self.peek() != ",":
@@ -211,7 +215,7 @@ class _Parser:
                 ms = self.multiset()
             self.expect(")")
             return SortedSegAtom(src, dst, lo, hi, ms)
-        raise ParseError(f"expected spatial atom, got {t!r}")
+        self.fail(f"expected spatial atom, got {t!r}")
 
     # -- heaps -----------------------------------------------------------------
 
@@ -263,7 +267,7 @@ def parse_term(text: str) -> Term:
     p = _Parser(text)
     t = p.term()
     if not p.at_end():
-        raise ParseError(f"trailing input after term: {text!r}")
+        p.fail(f"trailing input after term: {text!r}", at=p.i)
     return t
 
 
@@ -271,7 +275,7 @@ def parse_heap(text: str) -> SymbolicHeap:
     p = _Parser(text)
     h = p.heap()
     if not p.at_end():
-        raise ParseError(f"trailing input after heap: {text!r}")
+        p.fail(f"trailing input after heap: {text!r}", at=p.i)
     return h
 
 
@@ -279,7 +283,7 @@ def parse_disj(text: str) -> Union[Disj, TopState]:
     p = _Parser(text)
     d = p.disj()
     if not p.at_end():
-        raise ParseError(f"trailing input after disjunction: {text!r}")
+        p.fail(f"trailing input after disjunction: {text!r}", at=p.i)
     return d
 
 
@@ -290,5 +294,5 @@ def parse_judgment(text: str) -> tuple[SymbolicHeap, SymbolicHeap]:
     p.expect("|-")
     rhs = p.heap()
     if not p.at_end():
-        raise ParseError(f"trailing input after judgment: {text!r}")
+        p.fail(f"trailing input after judgment: {text!r}", at=p.i)
     return lhs, rhs

@@ -5,6 +5,8 @@ splitting."""
 
 from __future__ import annotations
 
+import collections
+import hashlib
 import random
 
 import pytest
@@ -229,6 +231,41 @@ def test_pinned_rewrite_examples(src, domain, tracked, expected, rules):
                                                             MS(tracked)))
     assert str(out) == expected
     assert [s.rule for s in trace.steps] == rules
+
+
+def rewrite_trace_digest(seed: int = 31, n: int = 120):
+    """sha256 over seeded heaps, their canonical forms and rewrite traces
+    in every domain, with and without a true conjunct; also returns how
+    often each (domain, rule) fired."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    fired = collections.Counter()
+    for _ in range(n):
+        for domain in DOMAINS:
+            for with_true in (False, True):
+                h = random_heap(rng, domain=domain, max_atoms=4,
+                                with_true=with_true, n_pure=2)
+                param = AbstractionParam(domain, random_param_multiset(rng))
+                alpha, trace = abstract(h, param)
+                digest.update(f"{h}\n{alpha}\n{trace.render()}\n".encode())
+                fired.update((domain, s.rule) for s in trace.steps)
+    return digest.hexdigest(), fired
+
+
+# recorded with the two per-family fold bodies and six per-domain fold rules
+# that the join table replaced
+REWRITE_TRACE_SHA256 = (
+    "8eb4f7858c1a082d5e989658d3b2bc923859557f04cacf15a1d09b73fbcf165a")
+
+
+def test_rewrite_traces_are_unchanged_on_random_heaps():
+    digest, fired = rewrite_trace_digest()
+    for domain in DOMAINS:
+        assert fired[(domain, "fold-at-nil")] > 0
+        assert fired[(domain, "fold-at-witness")] > 0
+    assert fired[("mls", "cap-contents")] > 0
+    assert fired[("sls", "cap-contents")] > 0
+    assert digest == REWRITE_TRACE_SHA256
 
 
 def test_garbage_then_cycle_leaves_only_true():

@@ -178,6 +178,18 @@ def test_satisfies_direct():
     assert not satisfies(m, H("emp"))
 
 
+def test_offset_from_an_address_has_no_value():
+    # x+1 with x an address is no data value; the checker may bind only a
+    # base that the store leaves unbound
+    a1, a2 = ("a", 1), ("a", 2)
+    m = Model({PVar("x"): a1}, {a1: (NIL_V, 5)})
+    assert not satisfies(m, H("list(x,nil,{x+1:1})"))
+    assert satisfies(m, H("list(x,nil,{y+1:1})"))
+    m2 = Model({PVar("x"): a1, PVar("y"): a2}, {a1: (NIL_V, 5)})
+    assert not satisfies(m2, H("slseg(x,nil,[y+1,9))"))
+    assert satisfies(m, H("slseg(x,nil,[y+1,9))"))
+
+
 def test_bounds_too_large():
     h = H("a'=b' /\\ c'=d' /\\ e'=f' /\\ g'=h' /\\ i'=j' /\\ emp")
     with pytest.raises(BoundsTooLarge):

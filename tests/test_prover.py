@@ -33,10 +33,13 @@ from shaperef.prover import (
     choose,
     entails,
     frame_infer,
+    proves_pure,
+    refutes_pure,
     unfold,
 )
 from shaperef.syntax import parse_heap as H
-from shaperef.terms import Const, LVar, Multiset, PVar
+from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, PVar, TRUE_ATOM,
+                             eq, leq, lt, neq)
 
 from gens import random_heap, random_param_multiset
 
@@ -405,6 +408,38 @@ def test_choose_is_deterministic_under_permutation():
     for _ in range(10):
         rng.shuffle(cands)
         assert choose(cands) == expected
+
+
+# ---------------------------------------------------------------------------
+# Pure atoms: proved, refuted, or neither
+# ---------------------------------------------------------------------------
+
+X, Y = PVar("x"), PVar("y")
+PURE_CASES = [
+    # atom, then heaps where it is proved, refuted and neither
+    (eq(X, Y), "x=y /\\ emp", "x!=y /\\ emp", "emp"),
+    (neq(X, Y), "x!=y /\\ emp", "x=y /\\ emp", "emp"),
+    (leq(X, Y), "x<y /\\ emp", "y<x /\\ emp", "x<=3 /\\ y<=3 /\\ emp"),
+    (lt(X, Y), "x<y /\\ emp", "y<=x /\\ emp", "x<=y /\\ emp"),
+]
+
+
+@pytest.mark.parametrize("atom,proved,refuted,neither", PURE_CASES,
+                         ids=[c[0].op for c in PURE_CASES])
+def test_pure_atoms_are_proved_or_refuted_by_the_facts(atom, proved, refuted,
+                                                       neither):
+    for text, want in ((proved, (True, False)), (refuted, (False, True)),
+                       (neither, (False, False))):
+        facts = H(text).facts
+        assert (proves_pure(facts, atom), refutes_pure(facts, atom)) == want, \
+            text
+
+
+def test_true_is_always_proved_and_false_always_refuted():
+    for text in ("emp", "x=y /\\ emp", "x<y /\\ emp"):
+        facts = H(text).facts
+        assert proves_pure(facts, TRUE_ATOM) and not refutes_pure(facts, TRUE_ATOM)
+        assert refutes_pure(facts, FALSE_ATOM) and not proves_pure(facts, FALSE_ATOM)
 
 
 # ---------------------------------------------------------------------------

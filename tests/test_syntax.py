@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from shaperef import lang
 from shaperef.heaps import TOP, normalize
 from shaperef.syntax import ParseError, parse_disj, parse_heap, parse_judgment, parse_term
 
@@ -76,8 +77,30 @@ def test_parse_term_forms():
     "list(x,y,{5:",         # input ends in a multiplicity
 ])
 def test_parse_errors(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_heap(bad)
+    if bad in ERROR_POSITIONS:
+        assert (info.value.line, info.value.col) == ERROR_POSITIONS[bad]
+
+
+# 1-based (line, column) of the offending token, or of the end of input
+ERROR_POSITIONS = {
+    "node(x,nil)": (1, 11),
+    "node(x,nil,_) %": (1, 15),
+    "list(x,y,{5:": (1, 13),
+}
+
+
+def test_parse_error_positions_count_lines():
+    with pytest.raises(ParseError) as info:
+        parse_heap("list(x,\n  y,{5:z})")
+    assert (info.value.line, info.value.col) == (2, 8)
+
+
+def test_parse_error_is_the_frontend_error_and_a_value_error():
+    assert ParseError is lang.ParseError
+    with pytest.raises(ValueError):
+        parse_heap("list(x)")
 
 
 def test_multiset_bare_keys_default_to_one():
