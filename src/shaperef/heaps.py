@@ -33,7 +33,6 @@ from .terms import (
     LVar,
     Multiset,
     NIL,
-    NilTerm,
     Offset,
     PVar,
     PureAtom,
@@ -208,6 +207,11 @@ class Facts:
     representatives, constants sharing one virtual node).  Sorted-segment
     invariants contribute derived order facts: lo < hi and lo <= k < hi for
     every content key k.
+
+    The closure is frozen once built: no union happens after the equality
+    atoms, so every term then points straight at its root, and the head
+    roots and nil's root that ``proves_neq`` reads are computed once.
+    Queries never change it.
     """
 
     def __init__(self, pure: tuple[PureAtom, ...], spatial: tuple[Spatial, ...]):
@@ -247,7 +251,7 @@ class Facts:
         for p in pure:
             if p.op == "false":
                 self.inconsistent = True
-                return
+                break
             if p.op == "=":
                 if isinstance(p.lhs, Offset) or isinstance(p.rhs, Offset):
                     # a+i = b+j turns into order edges both ways
@@ -265,6 +269,15 @@ class Facts:
                 order_cons.append((p.lhs, p.rhs, 1))
                 data_terms.extend((p.lhs, p.rhs))
 
+        # -- no union past this point: freeze the classes ------------------
+        for t in self._parent:  # values change in place, keys do not
+            self._parent[t] = self._root(t)
+        # a handful of heads: a tuple is smaller than a set
+        self._heads = tuple(self._find(h) for h in head_terms)
+        self._nil = self._parent.get(NIL)  # nil's root, None without nil
+        if self.inconsistent:
+            return
+
         # -- derived order facts from sorted segments ----------------------
         for a in spatial:
             if isinstance(a, SortedSegAtom):
@@ -272,9 +285,6 @@ class Facts:
                 for k in a.contents.keys():
                     order_cons.append((a.lo, k, 0))
                     order_cons.append((k, a.hi, 1))
-
-        # -- allocation facts (checked after all unions, reps computed lazily)
-        self._raw_heads = head_terms
 
         # -- sort evidence per class ---------------------------------------
         for t in addr_terms:
@@ -285,12 +295,11 @@ class Facts:
                 self._data_classes.add(self._find(b))
 
         # constants / nil inside one class
-        for t in self._parent:
-            r = self._find(t)
+        for t, r in self._parent.items():
             if isinstance(t, Const):
                 self._data_classes.add(r)
-            if isinstance(t, NilTerm):
-                self._addr_classes.add(r)
+        if self._nil is not None:
+            self._addr_classes.add(self._nil)
 
         if self._check_class_clashes():
             self.inconsistent = True
@@ -335,20 +344,21 @@ class Facts:
                 yield from atoms_of(a.hi)
 
     def _find(self, t: Term) -> Term:
-        """Representative of t; a term not in the union-find is its own,
-        and is not inserted, so queries never change the classes."""
-        if t not in self._parent:
-            return t
-        root = t
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[t] != root:
-            self._parent[t], t = root, self._parent[t]
-        return root
+        """Representative of t, once the classes are frozen; a term not in
+        the closure is its own, and is not inserted."""
+        return self._parent.get(t, t)
+
+    def _root(self, t: Term) -> Term:
+        """Root of t while unions still happen (path halving)."""
+        parent = self._parent
+        while parent[t] is not t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
 
     def _union(self, a: Term, b: Term) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
+        ra, rb = self._root(a), self._root(b)
+        if ra is rb:
             return
         # the smaller sort key becomes the representative
         # (constants first, then nil, program vars, logical vars)
@@ -360,29 +370,17 @@ class Facts:
     # -- clash detection ----------------------------------------------------
 
     def _check_class_clashes(self) -> bool:
-        consts: dict[Term, int] = {}
-        has_nil: set[Term] = set()
-        for t in list(self._parent):
-            r = self._find(t)
-            if isinstance(t, Const):
-                if r in consts and consts[r] != t.value:
-                    return True
-                consts[r] = t.value
-            if isinstance(t, NilTerm):
-                has_nil.add(r)
-        # heads must not be nil and must be pairwise distinct
-        seen: set[Term] = set()
-        for h in self._raw_heads:
-            r = self._find(h)
-            if r in has_nil or r in seen:
+        # one constant per class (constants are interned: one per value)
+        consts: dict[Term, Term] = {}
+        for t, r in self._parent.items():
+            if isinstance(t, Const) and consts.setdefault(r, t) is not t:
                 return True
-            seen.add(r)
+        # heads must not be nil and must be pairwise distinct
+        heads = self._heads
+        if len(set(heads)) < len(heads) or self._nil in heads:
+            return True
         # a class cannot be both an address and an integer
-        addr = {self._find(t) for t in self._addr_classes}
-        data = {self._find(t) for t in self._data_classes}
-        self._addr_classes = addr
-        self._data_classes = data
-        return bool(addr & data)
+        return bool(self._addr_classes & self._data_classes)
 
     def _check_neq_clashes(self) -> bool:
         for u, v in self._neq_pairs:
@@ -392,29 +390,30 @@ class Facts:
 
     # -- order closure ------------------------------------------------------
 
-    def _node(self, base: Optional[Term]) -> tuple[object, int]:
-        """Graph node and numeric shift for one offset base.
+    def _at(self, t: Term) -> tuple[object, int]:
+        """Graph node of t and t's numeric shift from it.
 
         A class whose representative is a literal constant lives on the
         shared virtual zero node, shifted by that value, so constant
         bounds reached through equalities interact with symbolic ones.
         """
-        if base is None:
-            return _ZERO, 0
-        r = self._find(base)
+        if isinstance(t, Offset):
+            r, c = self._parent.get(t.base, t.base), t.delta
+        elif isinstance(t, Const):
+            return _ZERO, t.value
+        else:
+            r, c = self._parent.get(t, t), 0
         if isinstance(r, Const):
-            return _ZERO, r.value
-        return r, 0
+            return _ZERO, r.value + c
+        return r, c
 
     def _close_order(self, cons: list[tuple[Term, Term, int]]):
         edges: dict[tuple[object, object], int] = {}
         nodes: set[object] = {_ZERO}
         for u, v, s in cons:
-            bu, cu = split_offset(u)
-            bv, cv = split_offset(v)
-            nu, ku = self._node(bu)
-            nv, kv = self._node(bv)
-            w = (cu + ku) - (cv + kv) + s
+            nu, cu = self._at(u)
+            nv, cv = self._at(v)
+            w = cu - cv + s
             nodes.add(nu)
             nodes.add(nv)
             key = (nu, nv)
@@ -447,12 +446,9 @@ class Facts:
         """Best provable w with u + w <= v, or None."""
         if self._order is None:
             return None
-        bu, cu = split_offset(u)
-        bv, cv = split_offset(v)
-        nu, ku = self._node(bu)
-        nv, kv = self._node(bv)
-        cu, cv = cu + ku, cv + kv
-        if nu == nv:
+        nu, cu = self._at(u)
+        nv, cv = self._at(v)
+        if nu is nv:
             return cv - cu  # u = base+cu, v = base+cv: u + (cv-cu) <= v
         w = self._order.get((nu, nv))
         if w is None:
@@ -468,18 +464,19 @@ class Facts:
         return self._find(t)
 
     def equal(self, u: Term, v: Term) -> bool:
-        if u == v:
+        if u is v:
             return True
-        bu, cu = split_offset(u)
-        bv, cv = split_offset(v)
-        nu, ku = self._node(bu)
-        nv, kv = self._node(bv)
-        if nu == nv:
-            return cu + ku == cv + kv
+        nu, cu = self._at(u)
+        nv, cv = self._at(v)
+        if nu is nv:
+            return cu == cv
         # antisymmetry at query time: u <= v and v <= u over the integers
-        w1 = self._order_weight(u, v)
-        w2 = self._order_weight(v, u)
-        return w1 is not None and w2 is not None and w1 >= 0 and w2 >= 0
+        if self._order is None:
+            return False
+        w1 = self._order.get((nu, nv))
+        w2 = self._order.get((nv, nu))
+        return (w1 is not None and w2 is not None
+                and w1 + cv - cu >= 0 and w2 + cu - cv >= 0)
 
     def _int_evidence(self, t: Term) -> bool:
         """Is t provably integer-sorted from these facts alone?
@@ -521,12 +518,12 @@ class Facts:
         if self.proves_lt(u, v) or self.proves_lt(v, u):
             return True
         # allocation: distinct spatial heads, and heads are never nil
-        heads = {self._find(h) for h in self._raw_heads}
+        heads = self._heads
         su, sv = self._strip(ru), self._strip(rv)
-        if su in heads and sv in heads and su != sv:
+        if su in heads and sv in heads and su is not sv:
             return True
         for a, b in ((su, sv), (sv, su)):
-            if a in heads and (isinstance(b, NilTerm) or b in self._nil_class()):
+            if a in heads and (b is NIL or b is self._nil):
                 return True
         # sort separation: address vs integer
         au = self._class_is_addr(u)
@@ -540,15 +537,12 @@ class Facts:
     def _strip(self, t: Term) -> Term:
         return t.base if isinstance(t, Offset) else t
 
-    def _nil_class(self) -> set[Term]:
-        return {self._find(t) for t in self._parent if isinstance(t, NilTerm)}
-
     def _class_is_addr(self, t: Term) -> bool:
         b, _ = split_offset(t)
         if b is None:
             return False
         r = self._find(b)
-        return r in self._addr_classes or isinstance(r, NilTerm)
+        return r in self._addr_classes or r is NIL
 
     def _class_is_data(self, t: Term) -> bool:
         b, c = split_offset(t)
@@ -589,6 +583,13 @@ class SymbolicHeap:
     @cached_property
     def facts(self) -> Facts:
         return Facts(self.pure, self.spatial)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.pure, self.spatial))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_false(self) -> bool:
@@ -647,14 +648,6 @@ class Disj:
     """A finite disjunction of symbolic heaps (false when empty)."""
 
     heaps: tuple[SymbolicHeap, ...] = ()
-
-    @staticmethod
-    def of(heaps) -> "Disj":
-        out: list[SymbolicHeap] = []
-        for h in heaps:
-            if not h.is_false and h not in out:
-                out.append(h)
-        return Disj(tuple(out))
 
     @property
     def is_false(self) -> bool:

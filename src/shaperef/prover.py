@@ -945,21 +945,30 @@ def _candidate_key(h: SymbolicHeap) -> tuple:
 # Stateful wrapper with query counting and memoisation
 # ---------------------------------------------------------------------------
 
+_MISSING = object()
+
+
 class Prover:
-    """Caches query results and counts every query issued."""
+    """Caches query results; counts every query issued and every query the
+    memo answers."""
 
     def __init__(self, config: Optional[ProverConfig] = None):
         self.config = config or ProverConfig()
         self.queries = 0
+        self.memo_hits = 0
         self._memo: dict[tuple, object] = {}
 
     def _cached(self, op, lhs: SymbolicHeap, rhs: SymbolicHeap, **kw):
-        """One query through the memo, keyed by the frozen heaps."""
+        """One query through the memo, keyed by the frozen heaps: one probe
+        on a hit, one more to store a miss."""
         self.queries += 1
         key = (op, lhs, rhs, *kw.values())
-        if key not in self._memo:
-            self._memo[key] = op(lhs, rhs, config=self.config, **kw)
-        return self._memo[key]
+        out = self._memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = self._memo[key] = op(lhs, rhs, config=self.config, **kw)
+        else:
+            self.memo_hits += 1
+        return out
 
     def entails(self, lhs: SymbolicHeap, rhs: SymbolicHeap,
                 modulo_true: bool = False) -> ProofOutcome:

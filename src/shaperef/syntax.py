@@ -57,6 +57,7 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<lop>/\\|\\/|\|-)|(?P<op>!=|<=|[=<+*,:(){}\[\)\]])"
     r"|(?P<int>-?\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*'?))"
 )
+_RELATIONS = ("=", "!=", "<=", "<")
 
 
 class _Parser:
@@ -137,10 +138,21 @@ class _Parser:
             return FALSE_ATOM
         lhs = self.term()
         op = self.next()
-        if op not in ("=", "!=", "<=", "<"):
+        if op not in _RELATIONS:
             self.fail(f"expected relation, got {op!r}")
         rhs = self.term()
         return PureAtom(op, lhs, rhs)
+
+    def comparison_ahead(self) -> bool:
+        """Does the next part start with a term and a relation?"""
+        save = self.i
+        try:
+            self.term()
+            return self.peek() in _RELATIONS
+        except ParseError:
+            return False
+        finally:
+            self.i = save
 
     # -- spatial ---------------------------------------------------------------
 
@@ -224,7 +236,9 @@ class _Parser:
         spatial: list[Spatial] = []
         while True:
             save = self.i
-            # a part is pure if it parses as a pure atom followed by /\
+            # a part is pure if it parses as a pure atom followed by /\;
+            # past a term and a relation, its errors are the pure atom's
+            committed = self.comparison_ahead()
             try:
                 p = self.pure_atom()
                 if self.peek() == "/\\":
@@ -239,7 +253,8 @@ class _Parser:
                     pure.append(p)
                     return SymbolicHeap(tuple(pure), ())
             except ParseError:
-                pass
+                if committed:
+                    raise
             self.i = save
             break
         while True:

@@ -5,11 +5,19 @@ variables, integer constants and nil -- plus an integer-offset form ``t+k``
 used only for data-valued bounds of sorted segments.  Program and logical
 variables live in disjoint namespaces: ``PVar("x")`` and ``LVar("x")`` are
 unrelated, and logical variables render with a trailing prime (``x'``).
+
+Terms are interned: constructing a term looks its field values up in a
+per-class table, so there is one object per value, ``NIL`` is the one
+``NilTerm()``, and equality and hashing are object identity.  Copies and
+pickles come back as the interned object.  Only terms are interned, not
+atoms or heaps; the tables hold every term ever built, about 170 after a
+pass of each benchmark workload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import total_ordering
 from typing import Iterable, Iterator, Union
 
 
@@ -17,39 +25,86 @@ from typing import Iterable, Iterator, Union
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class PVar:
+@total_ordering
+class _Interned:
+    """Base of the term classes: one object per value.
+
+    Each subclass keeps a table from field values to its one object and
+    builds new objects only through :meth:`_add`; ``__eq__`` and
+    ``__hash__`` stay ``object``'s.  Terms order like ``order=True``
+    dataclasses: by their field tuple, within one class only (equal
+    values being one object, identity completes the order).
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+
+    @classmethod
+    def _add(cls, key, *values):
+        t = object.__new__(cls)
+        for f, v in zip(fields(cls), values):
+            object.__setattr__(t, f.name, v)
+        cls._table[key] = t
+        return t
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()
+        return NotImplemented
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class PVar(_Interned):
     """A program variable."""
 
     name: str
+
+    def __new__(cls, name: str) -> "PVar":
+        return cls._table.get(name) or cls._add(name, name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class LVar:
+@dataclass(frozen=True, eq=False, init=False)
+class LVar(_Interned):
     """A logical (existential) variable; renders with a trailing prime."""
 
     name: str
+
+    def __new__(cls, name: str) -> "LVar":
+        return cls._table.get(name) or cls._add(name, name)
 
     def __str__(self) -> str:
         return self.name + "'"
 
 
-@dataclass(frozen=True, order=True)
-class Const:
+@dataclass(frozen=True, eq=False, init=False)
+class Const(_Interned):
     """An integer constant."""
 
     value: int
+
+    def __new__(cls, value: int) -> "Const":
+        return cls._table.get(value) or cls._add(value, value)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True, order=True)
-class NilTerm:
-    """The nil address constant (singleton; use the module-level NIL)."""
+@dataclass(frozen=True, eq=False, init=False)
+class NilTerm(_Interned):
+    """The nil address constant (one object: the module-level NIL)."""
+
+    def __new__(cls) -> "NilTerm":
+        return cls._table.get(()) or cls._add(())
 
     def __str__(self) -> str:
         return "nil"
@@ -58,8 +113,8 @@ class NilTerm:
 NIL = NilTerm()
 
 
-@dataclass(frozen=True, order=True)
-class Offset:
+@dataclass(frozen=True, eq=False, init=False)
+class Offset(_Interned):
     """A data term plus a positive integer offset, e.g. ``d+1``.
 
     Only needed for interval bounds of sorted segments.  ``Offset`` never
@@ -69,6 +124,10 @@ class Offset:
 
     base: Union[PVar, LVar]
     delta: int
+
+    def __new__(cls, base: Union[PVar, LVar], delta: int) -> "Offset":
+        key = (base, delta)
+        return cls._table.get(key) or cls._add(key, base, delta)
 
     def __str__(self) -> str:
         return f"{self.base}+{self.delta}"

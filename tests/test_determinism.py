@@ -1,0 +1,63 @@
+"""Outputs do not depend on the process: terms hash by identity, so sets
+of terms iterate in an order set by object addresses, and no answer may
+follow that order."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+# argv[1]: how many throwaway objects to allocate before the import, so
+# that the terms the run builds land at other addresses
+_DIGEST_SCRIPT = """
+import hashlib, random, sys
+junk = [(object(), str(i)) for i in range(int(sys.argv[1]))]
+from shaperef.domains import AbstractionParam, abstract
+from shaperef.heaps import SymbolicHeap, normalize
+from shaperef.prover import abduce, choose, entails, frame_infer
+from gens import random_heap, random_param_multiset
+
+def inst(outcome):
+    return sorted(f"{k}:{v}" for k, v in outcome.instantiation.items())
+
+rng = random.Random(5)
+digest = hashlib.sha256()
+for _ in range(20):
+    for domain in ("mls", "rls", "sls"):
+        for with_true in (False, True):
+            h = random_heap(rng, domain=domain, max_atoms=4,
+                            with_true=with_true, n_pure=2)
+            param = AbstractionParam(domain, random_param_multiset(rng))
+            alpha, trace = abstract(h, param)
+            out = [str(h), str(alpha), trace.render(),
+                   str(inst(entails(h, alpha)))]
+            for o in frame_infer(h, SymbolicHeap((), h.spatial[:1])):
+                out.append(f"{o.frame} {inst(o)}")
+            cands = abduce(normalize(SymbolicHeap(h.pure, h.spatial[1:])),
+                           alpha)
+            out.append(" | ".join(map(str, cands)) + " => "
+                       + str(choose(cands)))
+            digest.update(("\\n".join(out) + "\\n").encode())
+print(digest.hexdigest())
+"""
+
+
+def _digest(hash_seed: str, junk: int) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    done = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, str(junk)],
+                          env=env, capture_output=True, text=True,
+                          check=True, timeout=300)
+    return done.stdout.strip()
+
+
+def test_outputs_are_the_same_in_differently_laid_out_processes():
+    first = _digest("1", 0)
+    second = _digest("2", 5000)
+    assert len(first) == 64
+    assert first == second

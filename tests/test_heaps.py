@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from shaperef.terms import Const, LVar, Multiset, NIL, PVar, eq, leq, lt, neq
+from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, NIL, PVar,
+                            PureAtom, eq, leq, lt, neq, shifted, term_sort_key)
 from shaperef.heaps import (
     FALSE_HEAP,
+    Facts,
     ListSegAtom,
     NodeAtom,
     SortedSegAtom,
@@ -19,7 +22,7 @@ from shaperef.heaps import (
 )
 from shaperef.syntax import parse_heap as H
 
-from gens import random_heap
+from gens import ADDR_PVARS, DATA_TERMS, _random_atom, random_heap
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +198,94 @@ def test_value_class_sums():
     sums = h.facts.value_class_sums(ms)
     assert sums[h.facts.rep(PVar("a"))] == 2
     assert sums[Const(1)] == 2
+
+
+def _raw_facts_case(rng: random.Random):
+    """Unnormalized pure and spatial atoms: a chain of atoms and up to
+    three comparisons over data and address terms, sorted as normalize
+    sorts them; a quarter also hold false, which sorts after any "="."""
+    domain = rng.choice(("mls", "rls", "sls"))
+    n = rng.randint(1, 4)
+    cur = rng.choice(ADDR_PVARS)
+    spatial = []
+    for i in range(n):
+        end = NIL if i == n - 1 and rng.random() < 0.6 else LVar(f"j{i}")
+        spatial.append(_random_atom(rng, domain, cur, end, i))
+        cur = end
+    pool = DATA_TERMS + ADDR_PVARS + [NIL, LVar("j0"), LVar("j1"),
+                                      shifted(PVar("x"), 1)]
+    pure = [PureAtom(rng.choice(("=", "=", "!=", "<=", "<")),
+                     rng.choice(pool), rng.choice(pool))
+            for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.25:
+        pure.append(FALSE_ATOM)
+    pure.sort(key=lambda p: p.sort_key())
+    return tuple(pure), tuple(spatial)
+
+
+# terms every closure is also asked about: some occur in no heap
+_EXTRA_TERMS = [NIL, Const(0), Const(2), PVar("z"), LVar("w"),
+                shifted(PVar("x"), 1), shifted(LVar("j0"), 2)]
+
+
+def _ask(query, *args) -> str:
+    try:
+        return str(query(*args))
+    except ValueError as exc:  # e.g. the rep of x+1 where x = nil
+        return type(exc).__name__
+
+
+def facts_answers_digest(seed: int = 11, n: int = 300) -> tuple[str, int, int]:
+    """sha256 over the classes, reps and pairwise answers of n seeded
+    closures; also returns how many were inconsistent and how many met
+    false after an equality.  proves_neq is left out where a closure met
+    false: when this digest was recorded it raised AttributeError there."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    inconsistent = false_after_eq = 0
+    for _ in range(n):
+        pure, spatial = _raw_facts_case(rng)
+        f = Facts(pure, spatial)
+        met_false = FALSE_ATOM in pure
+        inconsistent += f.inconsistent
+        false_after_eq += met_false and any(p.op == "=" for p in pure)
+        classes = f.classes()
+        terms = sorted({t for c in classes for t in c} | set(_EXTRA_TERMS),
+                       key=term_sort_key)
+        lines = [" /\\ ".join(map(str, pure)), "*".join(map(str, spatial)),
+                 str(f.inconsistent),
+                 ";".join(",".join(map(str, c)) for c in classes),
+                 " ".join(f"{t}:{_ask(f.rep, t)}" for t in terms)]
+        queries = [f.equal, f.proves_leq, f.proves_lt]
+        if not met_false:
+            queries.append(f.proves_neq)
+        for u in terms:
+            for v in terms:
+                lines.append(" ".join(_ask(q, u, v) for q in queries))
+        digest.update(("\n".join(lines) + "\n").encode())
+    return digest.hexdigest(), inconsistent, false_after_eq
+
+
+# recorded with the walking union-find and the per-query head and nil sets
+# that the frozen closure replaced
+FACTS_ANSWERS_SHA256 = (
+    "72f43971d08a5dc7b5c0a2cd1986ea3d0335690472e5d082717bcd5d91b67049")
+
+
+def test_facts_answers_are_unchanged_on_random_heaps():
+    digest, inconsistent, false_after_eq = facts_answers_digest()
+    assert 0 < inconsistent < 300
+    assert false_after_eq >= 10
+    assert digest == FACTS_ANSWERS_SHA256
+
+
+def test_closure_that_met_false_keeps_its_classes_and_answers():
+    x, y, z = PVar("x"), PVar("y"), PVar("z")
+    f = Facts((eq(x, y), eq(y, z), FALSE_ATOM), (ListSegAtom(x, NIL),))
+    assert f.inconsistent
+    assert f.classes() == [[NIL], [x, y, z]]
+    assert f.rep(z) is x and f.equal(y, z)
+    assert f.proves_neq(z, NIL)  # z's class holds a segment head
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,20 @@ def test_prover_counts_queries_and_memoizes():
     assert p.queries == 6
 
 
+def test_prover_counts_memo_hits():
+    p = Prover()
+    lhs, rhs = H("node(x,nil,{d})"), H("list(x,nil)")
+    p.entails(lhs, rhs)
+    assert (p.queries, p.memo_hits) == (1, 0)
+    p.entails(lhs, rhs)
+    assert (p.queries, p.memo_hits) == (2, 1)
+    # an equal heap built afresh hits too; another op or flag does not
+    p.entails(H("node(x,nil,{d})"), H("list(x,nil)"))
+    p.entails(lhs, rhs, modulo_true=True)
+    p.abduce(lhs, rhs)
+    assert (p.queries, p.memo_hits) == (5, 2)
+
+
 # ---------------------------------------------------------------------------
 # Differential testing against the bounded-model oracle
 # ---------------------------------------------------------------------------

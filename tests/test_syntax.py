@@ -69,6 +69,8 @@ def test_parse_term_forms():
     "node(x,nil)",          # missing payload
     "list(x)",              # missing dst
     "x=",                   # missing rhs
+    "x!=",                  # missing rhs at the end of input
+    "x= /\\ list(x,nil)",   # missing rhs before /\
     "node(x,nil,_) %",      # trailing garbage
     "slseg(a,b,[0,10],{})", # wrong interval bracket
     "list(x,y,{5:y})",      # multiplicity not an integer
@@ -86,6 +88,9 @@ def test_parse_errors(bad):
 # 1-based (line, column) of the offending token, or of the end of input
 ERROR_POSITIONS = {
     "node(x,nil)": (1, 11),
+    "x=": (1, 3),
+    "x!=": (1, 4),
+    "x= /\\ list(x,nil)": (1, 4),
     "node(x,nil,_) %": (1, 15),
     "list(x,y,{5:": (1, 13),
 }

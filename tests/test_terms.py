@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from shaperef.terms import (
@@ -11,6 +15,8 @@ from shaperef.terms import (
     LVar,
     Multiset,
     NIL,
+    NilTerm,
+    Offset,
     PVar,
     shifted,
     term_sort_key,
@@ -21,6 +27,51 @@ def test_namespaces_disjoint():
     assert PVar("x") != LVar("x")
     assert str(PVar("x")) == "x"
     assert str(LVar("x")) == "x'"
+
+
+def test_terms_are_interned():
+    assert PVar("x") is PVar("x")
+    assert LVar("x") is LVar("x")
+    assert Const(3) is Const(3)
+    assert PVar("x") != LVar("x")
+    assert PVar("x") is not LVar("x")
+    assert NilTerm() is NIL
+
+
+def test_offsets_are_interned_however_built():
+    d1 = shifted(PVar("d"), 1)
+    assert d1 is Offset(PVar("d"), 1)
+    assert shifted(d1, 2) is shifted(PVar("d"), 3)
+    assert dataclasses.replace(d1, delta=3) is shifted(PVar("d"), 3)
+    assert dataclasses.replace(d1, base=LVar("e")) is shifted(LVar("e"), 1)
+
+
+def test_copies_and_pickles_are_the_interned_term():
+    terms = [PVar("x"), LVar("x"), Const(-2), NIL, shifted(LVar("d"), 2)]
+    for t in terms:
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.deepcopy(terms) == terms
+
+
+def test_term_orders_are_unchanged():
+    # sorted() orders terms of one class by their fields, as the frozen
+    # dataclasses with order=True did; term_sort_key orders across classes
+    assert sorted([PVar("b"), PVar("a"), PVar("c")]) == [
+        PVar("a"), PVar("b"), PVar("c")]
+    assert sorted([Const(3), Const(-1), Const(2)]) == [
+        Const(-1), Const(2), Const(3)]
+    assert sorted([shifted(PVar("d"), 2), shifted(PVar("c"), 5),
+                   shifted(PVar("d"), 1)]) == [
+        shifted(PVar("c"), 5), shifted(PVar("d"), 1), shifted(PVar("d"), 2)]
+    assert Const(1) <= Const(1) and Const(2) > Const(1) >= Const(1)
+    with pytest.raises(TypeError):
+        PVar("a") < LVar("a")
+    mixed = [shifted(PVar("a"), 1), LVar("a"), PVar("b"), NIL, Const(4),
+             PVar("a"), Const(-1)]
+    assert [str(t) for t in sorted(mixed, key=term_sort_key)] == [
+        "-1", "4", "nil", "a", "b", "a'", "a+1"]
 
 
 def test_shifted_folds_constants():
