@@ -575,10 +575,27 @@ class Facts:
 
 @dataclass(frozen=True)
 class SymbolicHeap:
-    """Pure conjunction + spatial *-conjunction; logical vars existential."""
+    """Pure conjunction + spatial *-conjunction; logical vars existential.
+
+    A heap never changes, so it keeps what is derived from it in its own
+    instance dict, computed at most once:
+
+      * ``facts``      -- the consistency closure;
+      * ``_hash``      -- the hash of the fields;
+      * ``_canonical`` -- set by :func:`normalize` on a heap it returns,
+                          so normalizing it again returns it at once;
+      * ``_vars``      -- the variables, in order of first occurrence.
+
+    Each is computed from ``pure`` and ``spatial`` alone and refers to no
+    other heap.  None is pickled or copied: terms hash by identity, so a
+    hash or closure from another process would be stale, and a copy is
+    rebuilt from the two fields.
+    """
 
     pure: tuple[PureAtom, ...] = ()
     spatial: tuple[Spatial, ...] = ()
+
+    _canonical = False  # not a field: normalize sets it per instance
 
     @cached_property
     def facts(self) -> Facts:
@@ -591,6 +608,9 @@ class SymbolicHeap:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return SymbolicHeap, (self.pure, self.spatial)
+
     @property
     def is_false(self) -> bool:
         return any(p.op == "false" for p in self.pure)
@@ -599,15 +619,14 @@ class SymbolicHeap:
         return SymbolicHeap(tuple(p.subst(m) for p in self.pure),
                             tuple(a.subst(m) for a in self.spatial))
 
-    def vars(self) -> list[Union[PVar, LVar]]:
-        seen: dict[Union[PVar, LVar], None] = {}
-        for p in self.pure:
-            for v in p.vars():
-                seen.setdefault(v, None)
-        for a in self.spatial:
-            for v in a.vars():
-                seen.setdefault(v, None)
-        return list(seen)
+    @cached_property
+    def _vars(self) -> tuple[Union[PVar, LVar], ...]:
+        return tuple(dict.fromkeys(
+            v for atom in self.pure + self.spatial for v in atom.vars()))
+
+    def vars(self) -> tuple[Union[PVar, LVar], ...]:
+        """The variables, in order of first occurrence (pure part first)."""
+        return self._vars
 
     def evars(self) -> list[LVar]:
         return [v for v in self.vars() if isinstance(v, LVar)]
@@ -673,8 +692,12 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
     the false heap.
 
     A heap already in canonical form comes back as the same object, so the
-    ``facts`` closure it holds is built once however often it is
-    normalized."""
+    caches it holds (see :class:`SymbolicHeap`) are built once however
+    often it is normalized.  The heap returned is marked canonical, and a
+    marked heap returns at once.  Nothing is stored on an input that does
+    not come back, so no heap links to its normal form."""
+    if h._canonical:
+        return h
     pure = [p for p in h.pure if p.op != "true"]
     spatial = list(h.spatial)
     if any(p.op == "false" for p in pure):
@@ -698,8 +721,11 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
             if victim is None or victim in set(term_vars(repl)):
                 continue
             m = {victim: repl}
-            pure = [q.subst(m) for j, q in enumerate(pure) if j != i]
-            spatial = [s.subst(m) for s in spatial]
+            try:
+                pure = [q.subst(m) for j, q in enumerate(pure) if j != i]
+                spatial = [s.subst(m) for s in spatial]
+            except ValueError:  # victim+k with victim = nil has no value
+                return FALSE_HEAP
             changed = True
             break
 
@@ -738,8 +764,11 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
                        tuple(sorted(spatial, key=spatial_sort_key)))
     if out == h:
         out = h
-    if out.facts.inconsistent:
+    # an inconsistent input does not come back: build its closure uncached
+    facts = out.__dict__.get("facts") or Facts(out.pure, out.spatial)
+    if facts.inconsistent:
         return FALSE_HEAP
+    out.__dict__.update(facts=facts, _canonical=True)
     return out
 
 

@@ -828,6 +828,12 @@ def _invert_instantiation(leaf: _Leaf, renaming: dict[LVar, LVar],
     return out, render
 
 
+# A search raises ValueError when it needs the value of an offset of nil,
+# such as ``rep(x+1)`` where the left side has x = nil: ``shifted`` builds
+# no such term.  An offset of an address has no value, so no proof can use
+# it, and the query answers "no" as the oracle does: entails does not
+# hold, frame_infer finds no frame and abduce gives [false].
+
 def entails(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
             modulo_true: bool = False,
             config: Optional[ProverConfig] = None) -> ProofOutcome:
@@ -843,11 +849,14 @@ def entails(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     if lhs == normalize(rhs):
         return ProofOutcome(True)
     st = _Search(lhs, rhs, "entails", modulo_true, config)
-    lhs_vars = set(lhs.vars())
-    for leaf in st.run():
-        inst, _ = _invert_instantiation(leaf, st.renaming, lhs_vars)
-        return ProofOutcome(True, instantiation=inst)
-    return ProofOutcome(False)
+    try:
+        leaf = next(st.run(), None)
+    except ValueError:  # a term it needs has no value
+        leaf = None
+    if leaf is None:
+        return ProofOutcome(False)
+    inst, _ = _invert_instantiation(leaf, st.renaming, set(lhs.vars()))
+    return ProofOutcome(True, instantiation=inst)
 
 
 def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
@@ -863,10 +872,14 @@ def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     if lhs.is_false:
         return [ProofOutcome(True, frame=FALSE_HEAP)]
     st = _Search(lhs, rhs, "frame", False, config)
+    try:  # every leaf, or none: the outcomes must cover the left side
+        leaves = list(st.run())
+    except ValueError:  # a term it needs has no value
+        return []
     lhs_vars = set(lhs.vars())
     outcomes: list[ProofOutcome] = []
     seen: set[tuple[SymbolicHeap, frozenset]] = set()
-    for leaf in st.run():
+    for leaf in leaves:
         inst, render = _invert_instantiation(leaf, st.renaming, lhs_vars)
         frame = SymbolicHeap(leaf.extra_pure, leaf.leftover).subst(render)
         if st.lhs_had_true:
@@ -899,7 +912,7 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     seen: set[SymbolicHeap] = set()
     try:
         leaves = list(st.run())
-    except BudgetExceeded:
+    except (BudgetExceeded, ValueError):  # ValueError: see above entails
         leaves = []
     for leaf in leaves:
         # unbound existentials keep their original right-hand names

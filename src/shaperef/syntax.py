@@ -252,6 +252,9 @@ class _Parser:
                     # heap made of pure atoms only (lenient: implicit emp)
                     pure.append(p)
                     return SymbolicHeap(tuple(pure), ())
+                if committed:
+                    self.fail(f"expected '/\\' or end of heap, got "
+                              f"{self.peek()!r}", at=self.i)
             except ParseError:
                 if committed:
                     raise

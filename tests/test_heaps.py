@@ -16,13 +16,19 @@ from shaperef.heaps import (
     NodeAtom,
     SortedSegAtom,
     SymbolicHeap,
+    TrueAtom,
     congruence_classes,
     normalize,
     star,
 )
+from shaperef import domains, heaps, prover
+from shaperef.domains import AbstractionParam, abstract
+from shaperef.oracle import OracleBounds, models
 from shaperef.syntax import parse_heap as H
 
-from gens import ADDR_PVARS, DATA_TERMS, _random_atom, random_heap
+import gens
+from gens import (ADDR_PVARS, DATA_TERMS, _random_atom, random_heap,
+                  random_param_multiset)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +117,17 @@ def test_normalize_is_idempotent_on_random_heaps():
     rng = random.Random(7)
     for _ in range(300):
         for dom in ("mls", "rls", "sls"):
-            h = random_heap(rng, dom)
-            assert normalize(h) == h  # random_heap already normalizes
-            assert normalize(h) is h  # and keeps the closure h holds
+            h = random_heap(rng, dom)  # already normalized, so marked
+            fresh = SymbolicHeap(h.pure, h.spatial)  # an unmarked copy
+            assert normalize(fresh) == h
+            assert normalize(fresh) is fresh  # it keeps its own closure
+
+
+def test_nil_under_an_offset_makes_the_heap_false():
+    # x' = nil leaves x'+1 without a value, so no model has such a payload
+    h = H("x'=nil /\\ node(r,nil,{x'+1})")
+    assert normalize(h) == FALSE_HEAP
+    assert not list(models(h, OracleBounds(max_cells=2)))
 
 
 def test_offset_reasoning():
@@ -122,6 +136,91 @@ def test_offset_reasoning():
     assert normalize(H("d+1<=e /\\ emp")) != FALSE_HEAP
     h = normalize(H("d=4 /\\ d+1<=e /\\ e<=4 /\\ emp"))
     assert h == FALSE_HEAP
+
+
+# ---------------------------------------------------------------------------
+# the canonical mark
+# ---------------------------------------------------------------------------
+
+# heaps normalize changes: logical equalities, order, wild payloads, a
+# duplicate true, and a shape that is already sorted but inconsistent
+RAW_HEAPS = [
+    "x'=t /\\ node(r,x',_)",
+    "list(b,nil) * node(a,b,{3})",
+    "node(r,nil,{d'})",
+    "true * node(x,nil,_) * true",
+    "node(x,nil,_) * node(x,nil,_)",
+]
+
+
+def _record_marked(monkeypatch) -> list[SymbolicHeap]:
+    """Every heap, input or result, that carries the mark after a call to
+    normalize from any module."""
+    real = heaps.normalize
+    marked: list[SymbolicHeap] = []
+
+    def recording(h: SymbolicHeap) -> SymbolicHeap:
+        out = real(h)
+        marked.extend(x for x in (h, out) if x._canonical)
+        return out
+
+    for module in (heaps, domains, prover, gens):
+        monkeypatch.setattr(module, "normalize", recording)
+    return marked
+
+
+@pytest.mark.parametrize("domain", ["mls", "rls", "sls"])
+def test_every_marked_heap_is_canonical(domain, monkeypatch):
+    marked = _record_marked(monkeypatch)
+    rng = random.Random(17)
+    param = AbstractionParam(domain, random_param_multiset(rng))
+    steps = cases = 0
+    for _ in range(40):
+        h = random_heap(rng, domain, max_atoms=3, with_true=True)
+        g = random_heap(rng, domain, max_atoms=2)
+        alpha, trace = abstract(h, param)  # normalizes every step's after
+        steps += len(trace.steps)
+        star(h, g)
+        star(h, alpha)
+        for i, atom in enumerate(h.spatial):
+            if isinstance(atom, TrueAtom):
+                continue
+            rest = SymbolicHeap(h.pure, h.spatial[:i] + h.spatial[i + 1:])
+            for case in prover.unfold(atom, h):
+                cases += 1
+                star(rest, case)
+    for text in RAW_HEAPS:
+        heaps.normalize(H(text))
+    assert steps > 10 and cases > 40
+    for m in marked:
+        assert normalize(SymbolicHeap(m.pure, m.spatial)) == m, str(m)
+
+
+@pytest.mark.parametrize("text", RAW_HEAPS)
+def test_normalizing_stores_nothing_on_a_heap_it_does_not_return(text):
+    raw = H(text)
+    before = dict(raw.__dict__)
+    n = normalize(raw)
+    assert n is not raw
+    assert raw.__dict__ == before
+    assert normalize(raw) == n  # and the raw heap is normalized again
+
+
+@pytest.mark.parametrize("text", RAW_HEAPS)
+def test_normalizing_a_marked_heap_builds_nothing(text, monkeypatch):
+    raw = H(text)
+    n = normalize(raw)
+    assert n._canonical or n is FALSE_HEAP  # unmarked, but returned at once
+    built: list[object] = []
+    for cls in (SymbolicHeap, Facts):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *a, init=init, **k:
+                            built.append(self) or init(self, *a, **k))
+    assert normalize(n) is n
+    assert built == []
+    assert normalize(raw) == n  # the raw heap is still normalized anew
+    assert built
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,22 @@ def test_abduce_candidates_all_pass_recheck():
             assert entails(combined, rhs, modulo_true=True).holds
 
 
+@pytest.mark.parametrize("rhs", ["list(r,nil,{x+1:1})", "node(r,nil,{x+1})"])
+def test_offset_of_nil_gives_no_answer_but_no(rhs):
+    # x+1 has no value where x = nil, so nothing proves the right side
+    lhs, rhs = H("x=nil /\\ node(r,nil,{1})"), H(rhs)
+    for modulo in (False, True):
+        assert not oracle_entails(lhs, rhs, modulo_true=modulo,
+                                  bounds=TIGHT).holds
+        assert not entails(lhs, rhs, modulo_true=modulo).holds
+        assert abduce(lhs, rhs, modulo_true=modulo) == [FALSE_HEAP]
+    assert frame_infer(lhs, rhs) == []
+    prover = Prover()
+    assert not prover.entails(lhs, rhs).holds
+    assert prover.frame_infer(lhs, rhs) == []
+    assert prover.abduce(lhs, rhs) == [FALSE_HEAP]
+
+
 def test_choose_prefers_consistent_then_small():
     a = H("node(x,y,_)")
     b = FALSE_HEAP

@@ -72,6 +72,7 @@ def test_parse_term_forms():
     "x!=",                  # missing rhs at the end of input
     "x= /\\ list(x,nil)",   # missing rhs before /\
     "node(x,nil,_) %",      # trailing garbage
+    "x=1 * node(x,nil,_)",  # a pure atom joined by *
     "slseg(a,b,[0,10],{})", # wrong interval bracket
     "list(x,y,{5:y})",      # multiplicity not an integer
     "list(x,y,{5:})",       # missing multiplicity
@@ -92,6 +93,7 @@ ERROR_POSITIONS = {
     "x!=": (1, 4),
     "x= /\\ list(x,nil)": (1, 4),
     "node(x,nil,_) %": (1, 15),
+    "x=1 * node(x,nil,_)": (1, 5),
     "list(x,y,{5:": (1, 13),
 }
 
