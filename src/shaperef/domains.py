@@ -52,8 +52,6 @@ from .heaps import (
     TRUE_SPATIAL,
     TrueAtom,
     atom_contents,
-    atom_head,
-    atom_tail,
     normalize,
 )
 
@@ -190,13 +188,11 @@ def _junctions(h: SymbolicHeap) -> Iterator[tuple[int, int, LVar]]:
     that is atom j's head — the only places folding may happen."""
     atoms = h.spatial
     for i, a in enumerate(atoms):
-        if isinstance(a, TrueAtom):
-            continue
-        x = atom_tail(a)
+        x = a.tail
         if not isinstance(x, LVar):
             continue
         for j, b in enumerate(atoms):
-            if j != i and not isinstance(b, TrueAtom) and atom_head(b) == x:
+            if j != i and b.head == x:
                 yield i, j, x
 
 
@@ -205,7 +201,7 @@ def _rule_collect_garbage(h: SymbolicHeap, facts: Facts,
     """An atom headed by a logical variable no other part of the heap
     mentions is unreachable; trade it for spatial true."""
     for i, a in enumerate(h.spatial):
-        head = atom_head(a)
+        head = a.head
         if not isinstance(head, LVar):
             continue
         rest = _without(h.spatial, i)
@@ -221,13 +217,11 @@ def _rule_collect_cycle(h: SymbolicHeap, facts: Facts,
     nowhere else are unreachable; trade both for spatial true."""
     atoms = h.spatial
     for i, a in enumerate(atoms):
-        ha, ta = atom_head(a), atom_tail(a)
+        ha, ta = a.head, a.tail
         if not (isinstance(ha, LVar) and isinstance(ta, LVar)):
             continue
         for j, b in enumerate(atoms):
-            if j == i or isinstance(b, TrueAtom):
-                continue
-            if atom_head(b) != ta or atom_tail(b) != ha:
+            if j == i or b.head != ta or b.tail != ha:
                 continue
             rest = _without(atoms, i, j)
             if {ha, ta} & _evars_of(h.pure, rest):
@@ -260,7 +254,7 @@ def _join_rls(a: Spatial, b: Spatial, facts: Facts,
     """Unsorted material folds into a list unless its head is tracked."""
     if not (isinstance(a, _LIST_LIKE) and isinstance(b, _LIST_LIKE)):
         return None
-    if any(facts.equal(atom_head(a), t) for t in param.tracked.keys()):
+    if any(facts.equal(a.head, t) for t in param.tracked.keys()):
         return None
     return ListSegAtom
 
@@ -306,7 +300,7 @@ def _fold(h: SymbolicHeap, facts: Facts, param: AbstractionParam, mid: bool):
         make = join(a, b, facts, param)
         if make is None:
             continue
-        e1, e2 = atom_head(a), atom_tail(b)
+        e1, e2 = a.head, b.tail
         if not mid:
             if not facts.equal(e2, NIL):
                 continue
@@ -318,10 +312,10 @@ def _fold(h: SymbolicHeap, facts: Facts, param: AbstractionParam, mid: bool):
         for w, c in enumerate(atoms):
             if w in (i, j) or isinstance(c, TrueAtom):
                 continue
-            if not facts.equal(e2, atom_head(c)):
+            if not facts.equal(e2, c.head):
                 continue
             if x in _evars_of(h.pure, _without(atoms, i, j, w),
-                              (e1, e2, atom_head(c), atom_tail(c))):
+                              (e1, e2, c.head, c.tail)):
                 continue
             rest = _without(atoms, i, j)
             return ("fold-at-witness",

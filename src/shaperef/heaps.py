@@ -19,6 +19,17 @@ Spatial atoms:
 
 Segments are nonempty: their source address is allocated.  This is what
 makes rearrangement work (a segment head can always be materialized).
+
+Each atom states once which of its terms sit in which position, and every
+walk over an atom's terms reads these positions rather than its kind:
+
+  * ``head``       -- the allocated address: a of node, list and slseg;
+  * ``tail``       -- the outgoing address: n of node, b of list and slseg;
+  * ``data_terms`` -- the integer-sorted terms: p of node (none when wild),
+                      the keys of S of list, and lo, hi, then the keys of S
+                      of slseg.
+
+``true`` has no positions: its head and tail are None, its data terms none.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 from .terms import (
@@ -50,23 +62,38 @@ from .terms import (
 # Spatial atoms
 # ---------------------------------------------------------------------------
 
+class _Positions:
+    """The term positions of a spatial atom (see the module docstring);
+    the defaults are those of ``true``."""
+
+    head: Optional[Term] = None
+    tail: Optional[Term] = None
+    data_terms: tuple[Term, ...] = ()
+
+    def vars(self) -> Iterator[Union[PVar, LVar]]:
+        """The variables of the positions, in field order."""
+        for t in (self.head, self.tail, *self.data_terms):
+            yield from term_vars(t)
+
+
 @dataclass(frozen=True)
-class NodeAtom:
+class NodeAtom(_Positions):
     """A single cell: ``node(at, nxt, data)``; ``data is None`` means wild."""
 
     at: Term
     nxt: Term
     data: Optional[Term] = None
 
+    head = property(attrgetter("at"))
+    tail = property(attrgetter("nxt"))
+
+    @property
+    def data_terms(self) -> tuple[Term, ...]:
+        return () if self.data is None else (self.data,)
+
     def subst(self, m: dict[Term, Term]) -> "NodeAtom":
         d = None if self.data is None else subst_term(self.data, m)
         return NodeAtom(subst_term(self.at, m), subst_term(self.nxt, m), d)
-
-    def vars(self) -> Iterator[Union[PVar, LVar]]:
-        yield from term_vars(self.at)
-        yield from term_vars(self.nxt)
-        if self.data is not None:
-            yield from term_vars(self.data)
 
     def __str__(self) -> str:
         p = "_" if self.data is None else "{%s}" % self.data
@@ -74,21 +101,23 @@ class NodeAtom:
 
 
 @dataclass(frozen=True)
-class ListSegAtom:
+class ListSegAtom(_Positions):
     """A nonempty unsorted segment ``list(src, dst, contents)``."""
 
     src: Term
     dst: Term
     contents: Multiset = Multiset()
 
+    head = property(attrgetter("src"))
+    tail = property(attrgetter("dst"))
+
+    @property
+    def data_terms(self) -> tuple[Term, ...]:
+        return self.contents.keys()
+
     def subst(self, m: dict[Term, Term]) -> "ListSegAtom":
         return ListSegAtom(subst_term(self.src, m), subst_term(self.dst, m),
                            self.contents.subst(m))
-
-    def vars(self) -> Iterator[Union[PVar, LVar]]:
-        yield from term_vars(self.src)
-        yield from term_vars(self.dst)
-        yield from self.contents.vars()
 
     def __str__(self) -> str:
         if self.contents.is_empty():
@@ -97,7 +126,7 @@ class ListSegAtom:
 
 
 @dataclass(frozen=True)
-class SortedSegAtom:
+class SortedSegAtom(_Positions):
     """A nonempty sorted segment ``slseg(src, dst, [lo,hi), contents)``.
 
     Data values are nondecreasing from src to dst and lie in [lo, hi);
@@ -111,17 +140,17 @@ class SortedSegAtom:
     hi: Term
     contents: Multiset = Multiset()
 
+    head = property(attrgetter("src"))
+    tail = property(attrgetter("dst"))
+
+    @property
+    def data_terms(self) -> tuple[Term, ...]:
+        return (self.lo, self.hi) + self.contents.keys()
+
     def subst(self, m: dict[Term, Term]) -> "SortedSegAtom":
         return SortedSegAtom(subst_term(self.src, m), subst_term(self.dst, m),
                              subst_term(self.lo, m), subst_term(self.hi, m),
                              self.contents.subst(m))
-
-    def vars(self) -> Iterator[Union[PVar, LVar]]:
-        yield from term_vars(self.src)
-        yield from term_vars(self.dst)
-        yield from term_vars(self.lo)
-        yield from term_vars(self.hi)
-        yield from self.contents.vars()
 
     def __str__(self) -> str:
         core = f"slseg({self.src},{self.dst},[{self.lo},{self.hi})"
@@ -131,14 +160,11 @@ class SortedSegAtom:
 
 
 @dataclass(frozen=True)
-class TrueAtom:
+class TrueAtom(_Positions):
     """Spatial true: an arbitrary, possibly empty subheap."""
 
     def subst(self, m: dict[Term, Term]) -> "TrueAtom":
         return self
-
-    def vars(self) -> Iterator[Union[PVar, LVar]]:
-        return iter(())
 
     def __str__(self) -> str:
         return "true"
@@ -152,24 +178,6 @@ _KIND_RANK = {NodeAtom: 0, ListSegAtom: 1, SortedSegAtom: 2, TrueAtom: 3}
 
 def spatial_sort_key(a: Spatial) -> tuple:
     return (_KIND_RANK[type(a)], str(a))
-
-
-def atom_head(a: Spatial) -> Optional[Term]:
-    """The allocated source address of a spatial atom (None for true)."""
-    if isinstance(a, NodeAtom):
-        return a.at
-    if isinstance(a, (ListSegAtom, SortedSegAtom)):
-        return a.src
-    return None
-
-
-def atom_tail(a: Spatial) -> Optional[Term]:
-    """The outgoing address (next / dst) of a spatial atom."""
-    if isinstance(a, NodeAtom):
-        return a.nxt
-    if isinstance(a, (ListSegAtom, SortedSegAtom)):
-        return a.dst
-    return None
 
 
 def atom_contents(a: Spatial) -> Multiset:
@@ -186,6 +194,11 @@ def atom_contents(a: Spatial) -> Multiset:
 # ---------------------------------------------------------------------------
 # Consistency closure over pure + allocation facts
 # ---------------------------------------------------------------------------
+
+def _base(t: Term) -> Term:
+    """The term t offsets, or t itself."""
+    return t.base if isinstance(t, Offset) else t
+
 
 class _Zero:
     """Virtual difference-bound node shared by all integer constants."""
@@ -224,28 +237,21 @@ class Facts:
         self._data_classes: set[Term] = set()
 
         # -- gather terms with sort evidence ------------------------------
+        head_terms: list[Term] = []
         addr_terms: list[Term] = []
         data_terms: list[Term] = []
-        head_terms: list[Term] = []
         for a in spatial:
-            h = atom_head(a)
-            if h is not None:
-                head_terms.append(h)
-                addr_terms.append(h)
-            t = atom_tail(a)
-            if t is not None:
-                addr_terms.append(t)
-            if isinstance(a, NodeAtom) and a.data is not None:
-                data_terms.append(a.data)
-            if isinstance(a, (ListSegAtom, SortedSegAtom)):
-                data_terms.extend(a.contents.keys())
-            if isinstance(a, SortedSegAtom):
-                data_terms.extend((a.lo, a.hi))
-
-        for t in self._all_atomic(pure, spatial):
-            self._parent.setdefault(t, t)
+            if a.head is not None:
+                head_terms.append(a.head)
+                addr_terms += (a.head, a.tail)
+            data_terms += a.data_terms
+        parent = self._parent
         for t in addr_terms:  # an offset address is its own class
-            self._parent.setdefault(t, t)
+            parent.setdefault(t, t)
+        for t in (*addr_terms, *data_terms,
+                  *(t for p in pure for t in (p.lhs, p.rhs) if t is not None)):
+            b = _base(t)
+            parent.setdefault(b, b)
 
         # -- equalities ----------------------------------------------------
         for p in pure:
@@ -317,31 +323,6 @@ class Facts:
             return
 
     # -- union-find -------------------------------------------------------
-
-    @staticmethod
-    def _all_atomic(pure: tuple[PureAtom, ...], spatial: tuple[Spatial, ...]) -> Iterator[Term]:
-        def atoms_of(t: Optional[Term]) -> Iterator[Term]:
-            if t is None:
-                return
-            if isinstance(t, Offset):
-                yield t.base
-            else:
-                yield t
-
-        for p in pure:
-            yield from atoms_of(p.lhs)
-            yield from atoms_of(p.rhs)
-        for a in spatial:
-            yield from atoms_of(atom_head(a))
-            yield from atoms_of(atom_tail(a))
-            if isinstance(a, NodeAtom):
-                yield from atoms_of(a.data)
-            if isinstance(a, (ListSegAtom, SortedSegAtom)):
-                for k in a.contents.keys():
-                    yield from atoms_of(k)
-            if isinstance(a, SortedSegAtom):
-                yield from atoms_of(a.lo)
-                yield from atoms_of(a.hi)
 
     def _find(self, t: Term) -> Term:
         """Representative of t, once the classes are frozen; a term not in
@@ -511,15 +492,15 @@ class Facts:
         ru, rv = self.rep(u), self.rep(v)
         if isinstance(ru, Const) and isinstance(rv, Const):
             return ru.value != rv.value
-        pair = {self._strip(ru), self._strip(rv)}
+        pair = {_base(ru), _base(rv)}
         for a, b in self._neq_pairs:
-            if {self._strip(self.rep(a)), self._strip(self.rep(b))} == pair:
+            if {_base(self.rep(a)), _base(self.rep(b))} == pair:
                 return True
         if self.proves_lt(u, v) or self.proves_lt(v, u):
             return True
         # allocation: distinct spatial heads, and heads are never nil
         heads = self._heads
-        su, sv = self._strip(ru), self._strip(rv)
+        su, sv = _base(ru), _base(rv)
         if su in heads and sv in heads and su is not sv:
             return True
         for a, b in ((su, sv), (sv, su)):
@@ -533,9 +514,6 @@ class Facts:
         if (au and dv) or (av and du):
             return True
         return False
-
-    def _strip(self, t: Term) -> Term:
-        return t.base if isinstance(t, Offset) else t
 
     def _class_is_addr(self, t: Term) -> bool:
         b, _ = split_offset(t)

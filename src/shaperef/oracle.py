@@ -29,15 +29,7 @@ from typing import Iterator, Optional
 
 from .terms import (Const, LVar, Multiset, NilTerm, Offset, PVar, PureAtom,
                     Term, split_offset, term_vars)
-from .heaps import (
-    ListSegAtom,
-    NodeAtom,
-    SortedSegAtom,
-    Spatial,
-    SymbolicHeap,
-    atom_head,
-    atom_tail,
-)
+from .heaps import ListSegAtom, NodeAtom, SortedSegAtom, Spatial, SymbolicHeap
 
 NIL_V = ("a", 0)
 
@@ -406,24 +398,10 @@ def models(h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
 
 
 def _data_position_vars(h: SymbolicHeap) -> set:
-    """Variables that occur where only integer data values can live.
-
-    Cell payloads, multiset content keys, and sorted-interval bounds are
-    all data-sorted, so a variable appearing there may only range over
-    ints when models are generated.
-    """
-    out: set = set()
-    for a in h.spatial:
-        if isinstance(a, NodeAtom):
-            if a.data is not None:
-                out.update(term_vars(a.data))
-        elif isinstance(a, ListSegAtom):
-            out.update(a.contents.vars())
-        elif isinstance(a, SortedSegAtom):
-            out.update(term_vars(a.lo))
-            out.update(term_vars(a.hi))
-            out.update(a.contents.vars())
-    return out
+    """Variables that occur where only integer data values can live: an
+    atom's data terms are integer-sorted, so a variable there may only
+    range over ints when models are generated."""
+    return {v for a in h.spatial for t in a.data_terms for v in term_vars(t)}
 
 
 def _seg_payloads(a, n: int, env: dict, data: list[int]) -> list[tuple]:
@@ -461,10 +439,9 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
     # head variables are forced to their atom's first cell
     env: dict[Term, object] = {}
     for a, cs in zip(atoms, atom_cells):
-        head = atom_head(a)
-        if not isinstance(head, (PVar, LVar)):
+        if not isinstance(a.head, (PVar, LVar)):
             return  # nil/const heads are inconsistent
-        if env.setdefault(head, cs[0]) != cs[0]:
+        if env.setdefault(a.head, cs[0]) != cs[0]:
             return
     # A segment's walk can stop again after its own cells only where it
     # re-enters a cell that is allocated but no atom's head.
@@ -476,7 +453,7 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
     addr_universe = all_cells + [NIL_V, _addr(990)]  # one dangling address
     choice_vars: list[Term] = []
     choice_cands: list[list] = []
-    for t in map(atom_tail, atoms):
+    for t in (a.tail for a in atoms):
         if isinstance(t, (PVar, LVar)) and t not in env and t not in choice_vars:
             choice_vars.append(t)
             choice_cands.append(addr_universe)
@@ -486,15 +463,14 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
             choice_cands.append(data if v in data_vars else data + addr_universe)
 
     seg_terms = [t for a in atoms if not isinstance(a, NodeAtom)
-                 for t in ((a.lo, a.hi) if isinstance(a, SortedSegAtom) else ())
-                 + a.contents.keys()]
+                 for t in a.data_terms]
     wild = [(d,) for d in data]
     ext_space = [all_cells + [NIL_V]] * ext + [data] * ext
 
     for var_combo in itertools.product(*choice_cands):
         env1 = dict(env)
         env1.update(zip(choice_vars, var_combo))
-        ends = [_eval(atom_tail(a), env1) for a in atoms]
+        ends = [_eval(a.tail, env1) for a in atoms]
         if None in ends or any(_eval_pure(p, env1) is not True for p in h.pure):
             continue
         # a content key or bound that does not evaluate is an offset from

@@ -58,7 +58,6 @@ from .heaps import (
     SymbolicHeap,
     TRUE_SPATIAL,
     TrueAtom,
-    atom_head,
     normalize,
     spatial_sort_key,
     star,
@@ -448,7 +447,7 @@ class _Search:
         # prefer an obligation whose head is already determined
         idx = 0
         for i, a in enumerate(g.rhs):
-            h = atom_head(a)
+            h = a.head
             if h is not None and not self._is_unbound(self._ap(h, g.theta)):
                 idx = i
                 break
@@ -493,19 +492,15 @@ class _Search:
                     ) -> Iterator[tuple[tuple, tuple, Optional[LVar]]]:
         """All ways one left atom can discharge one right atom of the
         same kind: (theta, hyps, payload-witness)."""
-        states = self._unify(atom_head(l_atom), atom_head(r_atom),
-                             g.theta, g.hyps, facts)
+        states = [s for th, hy in self._unify(l_atom.head, r_atom.head,
+                                              g.theta, g.hyps, facts)
+                  for s in self._unify(l_atom.tail, r_atom.tail, th, hy, facts)]
         if isinstance(l_atom, NodeAtom):
-            states = [s for th, hy in states
-                      for s in self._unify(l_atom.nxt, r_atom.nxt,
-                                           th, hy, facts)]
             for th, hy in states:
                 yield from self._match_payload(l_atom.data, r_atom.data,
                                                th, hy, facts)
             return
-        # segments: destinations, then intervals, then contents
-        states = [s for th, hy in states
-                  for s in self._unify(l_atom.dst, r_atom.dst, th, hy, facts)]
+        # segments: intervals, then contents
         if isinstance(l_atom, SortedSegAtom):
             states = [s for th, hy in states
                       for s in self._match_bound(l_atom.lo, r_atom.lo,
@@ -536,10 +531,10 @@ class _Search:
             # appending behind the prefix is only sound when the final
             # target is nil or still allocated elsewhere
             anchored = facts.equal(tgt, NIL) or any(
-                facts.equal(atom_head(a), tgt) for a in rem_after)
+                facts.equal(a.head, tgt) for a in rem_after)
             if not anchored:
                 continue
-            for th, hy in self._unify(atom_head(l_atom), atom_head(r_atom),
+            for th, hy in self._unify(l_atom.head, r_atom.head,
                                       g.theta, g.hyps, facts):
                 if facts.equal(l_atom.dst, self._ap(r_atom.dst, th)):
                     continue  # a direct match, not a strict prefix
@@ -609,7 +604,7 @@ class _Search:
             return
         ctx = self._context(g.pure, g.full)
         facts = ctx.facts
-        src = self._ap(atom_head(r_atom), g.theta)
+        src = self._ap(r_atom.head, g.theta)
         if self._is_unbound(src):
             return
         nodes = [(i, a) for i, a in enumerate(g.rem)
@@ -647,7 +642,7 @@ class _Search:
     def _try_case_split(self, r_atom: Spatial, g: _Goal) -> Iterator[_Leaf]:
         if g.ubud <= 0:
             return
-        want = atom_head(r_atom)
+        want = r_atom.head
         if want is None:
             return
         want = self._ap(want, g.theta)
@@ -657,7 +652,7 @@ class _Search:
         facts = ctx.facts
         seg = next((a for a in g.rem
                     if isinstance(a, (ListSegAtom, SortedSegAtom))
-                    and facts.equal(atom_head(a), want)), None)
+                    and facts.equal(a.head, want)), None)
         if seg is None:
             return
         collected: list[_Leaf] = []

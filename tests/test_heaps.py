@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import fields
 
 import pytest
 
 from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, NIL, PVar,
-                            PureAtom, eq, leq, lt, neq, shifted, term_sort_key)
+                            PureAtom, eq, leq, lt, neq, shifted, term_sort_key,
+                            term_vars)
 from shaperef.heaps import (
     FALSE_HEAP,
     Facts,
@@ -16,6 +18,7 @@ from shaperef.heaps import (
     NodeAtom,
     SortedSegAtom,
     SymbolicHeap,
+    TRUE_SPATIAL,
     TrueAtom,
     congruence_classes,
     normalize,
@@ -221,6 +224,51 @@ def test_normalizing_a_marked_heap_builds_nothing(text, monkeypatch):
     assert built == []
     assert normalize(raw) == n  # the raw heap is still normalized anew
     assert built
+
+
+# ---------------------------------------------------------------------------
+# term positions
+# ---------------------------------------------------------------------------
+
+_POSITION_TERMS = [PVar("x"), LVar("y"), LVar("z"), Const(2), NIL,
+                   shifted(PVar("x"), 1)]
+
+_ATOM_BUILDERS = {
+    "node": lambda pick, ms: NodeAtom(pick(), pick(), pick()),
+    "wild node": lambda pick, ms: NodeAtom(pick(), pick(), None),
+    "list": lambda pick, ms: ListSegAtom(pick(), pick(), ms),
+    "slseg": lambda pick, ms: SortedSegAtom(pick(), pick(), pick(), pick(), ms),
+    "true": lambda pick, ms: TRUE_SPATIAL,
+}
+
+
+def _field_terms(a) -> list:
+    """An atom's terms in field order, contents as their keys and a wild
+    payload as none: the walk each kind's own vars() used to spell out."""
+    out = []
+    for f in fields(a):
+        v = getattr(a, f.name)
+        if isinstance(v, Multiset):
+            out.extend(v.keys())
+        elif v is not None:
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(_ATOM_BUILDERS))
+def test_positions_follow_field_order(kind):
+    rng = random.Random(kind)
+    for _ in range(40):
+        ms = Multiset.of((rng.choice(_POSITION_TERMS), rng.randint(1, 2))
+                         for _ in range(rng.randint(0, 3)))
+        a = _ATOM_BUILDERS[kind](lambda: rng.choice(_POSITION_TERMS), ms)
+        terms = _field_terms(a)
+        if kind == "true":
+            assert terms == []
+            assert (a.head, a.tail, a.data_terms) == (None, None, ())
+        else:
+            assert (a.head, a.tail, *a.data_terms) == tuple(terms)
+        assert list(a.vars()) == [v for t in terms for v in term_vars(t)]
 
 
 # ---------------------------------------------------------------------------
