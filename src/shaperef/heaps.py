@@ -221,6 +221,12 @@ class Facts:
     invariants contribute derived order facts: lo < hi and lo <= k < hi for
     every content key k.
 
+    Sort evidence: an atom's head and tail, and nil, are addresses; an
+    atom's data terms, the operands of an order atom or of an equality
+    with an offset side, the base of an offset operand of a disequality,
+    and every constant are integers.  A class with evidence of both sorts
+    makes the heap inconsistent.
+
     The closure is frozen once built: no union happens after the equality
     atoms, so every term then points straight at its root, and the head
     roots and nil's root that ``proves_neq`` reads are computed once.
@@ -268,6 +274,8 @@ class Facts:
                     self._union(p.lhs, p.rhs)
             elif p.op == "!=":
                 self._neq_pairs.append((p.lhs, p.rhs))
+                data_terms += [t for t in (p.lhs, p.rhs)
+                               if isinstance(t, Offset)]
             elif p.op == "<=":
                 order_cons.append((p.lhs, p.rhs, 0))
                 data_terms.extend((p.lhs, p.rhs))
@@ -465,8 +473,8 @@ class Facts:
         Order atoms denote integer comparisons, so order conclusions are
         only sound for terms these facts pin to the integer sort: ``t <=
         t`` is not valid for an address-valued t.  Evidence is an integer
-        constant or a congruence class with a data-position occurrence
-        (payload, content key, sorted bound, or an order-atom operand).
+        constant or a congruence class with integer evidence (see the
+        class docstring).
         """
         b, _ = split_offset(t)
         if b is None:

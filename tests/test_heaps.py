@@ -126,9 +126,12 @@ def test_normalize_is_idempotent_on_random_heaps():
             assert normalize(fresh) is fresh  # it keeps its own closure
 
 
-def test_nil_under_an_offset_makes_the_heap_false():
-    # x' = nil leaves x'+1 without a value, so no model has such a payload
-    h = H("x'=nil /\\ node(r,nil,{x'+1})")
+# x = nil leaves x+1 without a value, so no model has such a payload, and
+# x+1 under != makes x an integer, which nil is not
+@pytest.mark.parametrize("text", ["x'=nil /\\ node(r,nil,{x'+1})",
+                                  "x=nil /\\ x+1!=y /\\ node(r,nil,_)"])
+def test_nil_under_an_offset_makes_the_heap_false(text):
+    h = H(text)
     assert normalize(h) == FALSE_HEAP
     assert not list(models(h, OracleBounds(max_cells=2)))
 
@@ -413,10 +416,9 @@ def facts_answers_digest(seed: int = 11, n: int = 300) -> tuple[str, int, int]:
     return digest.hexdigest(), inconsistent, false_after_eq
 
 
-# recorded with the walking union-find and the per-query head and nil sets
-# that the frozen closure replaced
+# recorded once the base of an offset operand of != became integer-sorted
 FACTS_ANSWERS_SHA256 = (
-    "72f43971d08a5dc7b5c0a2cd1986ea3d0335690472e5d082717bcd5d91b67049")
+    "80668e5a5fc25ded0dcf09c31b65cf0d58e12e41898f621f5616f8c9bb8bbdc6")
 
 
 def test_facts_answers_are_unchanged_on_random_heaps():
