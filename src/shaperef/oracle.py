@@ -371,7 +371,7 @@ def models(h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
     confined to the size bounds.
     """
     bounds = bounds or OracleBounds()
-    if h.is_false or h.facts.inconsistent:
+    if h.is_false:
         return
     data = data_universe if data_universe is not None else _data_universe(
         h, n_spare=bounds.n_spare_data)

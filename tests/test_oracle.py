@@ -8,6 +8,7 @@ footprint exactness, and the modulo-true mode.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import random
 
@@ -23,6 +24,7 @@ from shaperef.oracle import (
     oracle_entails,
     satisfies,
 )
+from shaperef.heaps import Facts
 from shaperef.syntax import parse_heap as H
 from shaperef.terms import PVar
 
@@ -188,6 +190,38 @@ def test_offset_from_an_address_has_no_value():
     m2 = Model({PVar("x"): a1, PVar("y"): a2}, {a1: (NIL_V, 5)})
     assert not satisfies(m2, H("slseg(x,nil,[y+1,9))"))
     assert satisfies(m, H("slseg(x,nil,[y+1,9))"))
+
+
+# (left heap, whether it has models, whether the one-cell model with r=a1,
+# x=1 satisfies it): one consistent heap, then aliased cells and a sort clash
+@pytest.mark.parametrize("text, has_models, sat", [
+    ("x=1 /\\ node(r,nil,{x})", True, True),
+    ("node(r,nil,_) * node(r,nil,_)", False, False),
+    ("x=nil /\\ x+1!=y /\\ node(r,nil,_)", False, False),
+])
+def test_oracle_builds_no_closure(monkeypatch, text, has_models, sat):
+    """The oracle decides from the atoms alone: a wrong closure must not
+    make it answer "holds" vacuously."""
+    lhs, rhs = H(text), H("list(r,nil,{1:1})")  # fresh: no closure cached
+
+    def refuse(*args):
+        raise AssertionError("the oracle built a Facts closure")
+
+    monkeypatch.setattr(Facts, "__init__", refuse)
+    a1 = ("a", 1)
+    m = Model({PVar("r"): a1, PVar("x"): 1}, {a1: (NIL_V, 1)})
+    assert bool(list(models(lhs, OracleBounds(max_cells=2)))) == has_models
+    assert satisfies(m, lhs) == sat
+    assert oracle_entails(lhs, rhs, bounds=OracleBounds(max_cells=2)).holds
+
+
+def test_oracle_imports_nothing_from_the_prover():
+    tree = ast.parse(open(oracle.__file__).read())
+    imported = [n.module or "" for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom)]
+    imported += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                 for a in n.names]
+    assert imported and not any("prover" in name for name in imported)
 
 
 def test_bounds_too_large():
