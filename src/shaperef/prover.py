@@ -67,7 +67,6 @@ __all__ = [
     "BudgetExceeded",
     "ProofOutcome",
     "Prover",
-    "ProverConfig",
     "abduce",
     "choose",
     "entails",
@@ -76,17 +75,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProverConfig:
-    """Search budgets.
-
-    ``max_unfold_depth`` bounds how many segment unfoldings (of either side)
-    a single matching chain may perform; ``max_steps`` bounds the total
-    number of search states across one query.
-    """
-
-    max_unfold_depth: int = 3
-    max_steps: int = 200_000
+# Search budgets: how many segment unfoldings (of either side) one matching
+# chain may perform, and how many search states one query may visit.
+MAX_UNFOLD_DEPTH = 3
+MAX_STEPS = 200_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -284,9 +276,8 @@ class _Search:
     """One subtraction query (mode: "entails", "frame" or "abduce")."""
 
     def __init__(self, lhs: SymbolicHeap, rhs: SymbolicHeap, mode: str,
-                 modulo_true: bool, config: ProverConfig):
+                 modulo_true: bool):
         self.mode = mode
-        self.config = config
         self._steps = 0
 
         lhs_spatial = tuple(a for a in lhs.spatial
@@ -323,16 +314,15 @@ class _Search:
             theta=(),
             hyps=(),
             residue=(),
-            ubud=config.max_unfold_depth,
+            ubud=MAX_UNFOLD_DEPTH,
         )
 
     # -- bookkeeping -------------------------------------------------------
 
     def _tick(self) -> None:
         self._steps += 1
-        if self._steps > self.config.max_steps:
-            raise BudgetExceeded(
-                f"prover exceeded {self.config.max_steps} search steps")
+        if self._steps > MAX_STEPS:
+            raise BudgetExceeded(f"prover exceeded {MAX_STEPS} search steps")
 
     def _context(self, pure: tuple[PureAtom, ...],
                  full: tuple[Spatial, ...]) -> SymbolicHeap:
@@ -830,20 +820,18 @@ def _invert_instantiation(leaf: _Leaf, renaming: dict[LVar, LVar],
 # hold, frame_infer finds no frame and abduce gives [false].
 
 def entails(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
-            modulo_true: bool = False,
-            config: Optional[ProverConfig] = None) -> ProofOutcome:
+            modulo_true: bool = False) -> ProofOutcome:
     """Decide lhs |- rhs (sound, incomplete).
 
     With ``modulo_true`` the right side is weakened by an arbitrary-heap
     atom, so left-over left material is acceptable.
     """
-    config = config or ProverConfig()
     lhs = normalize(lhs)
     if lhs.is_false:
         return ProofOutcome(True)
     if lhs == normalize(rhs):
         return ProofOutcome(True)
-    st = _Search(lhs, rhs, "entails", modulo_true, config)
+    st = _Search(lhs, rhs, "entails", modulo_true)
     try:
         leaf = next(st.run(), None)
     except ValueError:  # a term it needs has no value
@@ -854,19 +842,17 @@ def entails(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     return ProofOutcome(True, instantiation=inst)
 
 
-def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
-                config: Optional[ProverConfig] = None) -> list[ProofOutcome]:
+def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[ProofOutcome]:
     """Solve lhs |- rhs * F, case-splitting the left side as needed.
 
     Returns one outcome per discovered case: together the outcomes cover
     every model of ``lhs`` (each case's models satisfy rhs * frame under
     the reported instantiation).  An empty list means failure.
     """
-    config = config or ProverConfig()
     lhs = normalize(lhs)
     if lhs.is_false:
         return [ProofOutcome(True, frame=FALSE_HEAP)]
-    st = _Search(lhs, rhs, "frame", False, config)
+    st = _Search(lhs, rhs, "frame", False)
     try:  # every leaf, or none: the outcomes must cover the left side
         leaves = list(st.run())
     except ValueError:  # a term it needs has no value
@@ -889,19 +875,17 @@ def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
 
 
 def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
-           modulo_true: bool = True,
-           config: Optional[ProverConfig] = None) -> list[SymbolicHeap]:
+           modulo_true: bool = True) -> list[SymbolicHeap]:
     """Find anti-frames A with lhs * A |- rhs (* true) and lhs * A
     consistent.  Falls back to [false] when nothing consistent works.
 
     Every returned candidate has been re-checked against the entailment;
     the list is deterministic and duplicate-free.
     """
-    config = config or ProverConfig()
     lhs = normalize(lhs)
     if lhs.is_false:
         return [FALSE_HEAP]
-    st = _Search(lhs, rhs, "abduce", modulo_true, config)
+    st = _Search(lhs, rhs, "abduce", modulo_true)
     inverse = {v: k for k, v in st.renaming.items()}
     candidates: list[SymbolicHeap] = []
     seen: set[SymbolicHeap] = set()
@@ -924,8 +908,7 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
         combined = star(lhs, cand)
         if combined.is_false:
             continue
-        if not entails(combined, rhs, modulo_true=modulo_true,
-                       config=config).holds:
+        if not entails(combined, rhs, modulo_true=modulo_true).holds:
             continue
         candidates.append(cand)
     if not candidates:
@@ -960,8 +943,7 @@ class Prover:
     """Caches query results; counts every query issued and every query the
     memo answers."""
 
-    def __init__(self, config: Optional[ProverConfig] = None):
-        self.config = config or ProverConfig()
+    def __init__(self):
         self.queries = 0
         self.memo_hits = 0
         self._memo: dict[tuple, object] = {}
@@ -973,7 +955,7 @@ class Prover:
         key = (op, lhs, rhs, *kw.values())
         out = self._memo.get(key, _MISSING)
         if out is _MISSING:
-            out = self._memo[key] = op(lhs, rhs, config=self.config, **kw)
+            out = self._memo[key] = op(lhs, rhs, **kw)
         else:
             self.memo_hits += 1
         return out

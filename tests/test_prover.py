@@ -28,7 +28,6 @@ from shaperef.oracle import (
 from shaperef.prover import (
     BudgetExceeded,
     Prover,
-    ProverConfig,
     abduce,
     choose,
     entails,
@@ -144,13 +143,13 @@ def test_entails_arbitrary_heap_atom():
     assert not entails(H("node(x,y,_) * true"), H("node(x,y,_)")).holds
 
 
-def test_budget_exceeded_raises():
+def test_budget_exceeded_raises(monkeypatch):
+    monkeypatch.setattr("shaperef.prover.MAX_STEPS", 5)
     lhs = H("list(a,b,{1:1,2:1}) * list(b,c,{1:1,2:1}) * list(c,d,{1:1,2:1})"
             " * list(d,e,{1:1,2:1}) * node(e,nil,_)")
     rhs = H("list(a,nil,{1:4,2:4})")
     with pytest.raises(BudgetExceeded):
-        entails(lhs, rhs, config=ProverConfig(max_unfold_depth=3,
-                                              max_steps=5))
+        entails(lhs, rhs)
 
 
 @pytest.mark.parametrize("domain", ["mls", "rls", "sls"])
