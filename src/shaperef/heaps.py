@@ -761,7 +761,3 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
 def star(h1: SymbolicHeap, h2: SymbolicHeap) -> SymbolicHeap:
     """*-conjoin two heaps (caller manages logical-variable scoping)."""
     return normalize(SymbolicHeap(h1.pure + h2.pure, h1.spatial + h2.spatial))
-
-
-def congruence_classes(h: SymbolicHeap) -> list[list[Term]]:
-    return h.facts.classes()

@@ -166,17 +166,6 @@ class Ast:
             return n
         return walk(self.stmts)
 
-    def count_loops(self) -> int:
-        def walk(stmts) -> int:
-            n = 0
-            for s in stmts:
-                if isinstance(s, While):
-                    n += 1 + walk(s.body)
-                elif isinstance(s, If):
-                    n += walk(s.then) + walk(s.els)
-            return n
-        return walk(self.stmts)
-
     def variables(self) -> tuple[str, ...]:
         """Program variables in order of first occurrence."""
         seen: dict[str, None] = {}

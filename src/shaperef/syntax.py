@@ -54,7 +54,7 @@ from .heaps import (
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lop>/\\|\\/|\|-)|(?P<op>!=|<=|[=<+*,:(){}\[\)\]])"
+    r"\s*(?:(?P<lop>/\\|\\/)|(?P<op>!=|<=|[=<+*,:(){}\[\)\]])"
     r"|(?P<int>-?\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*'?))"
 )
 _RELATIONS = ("=", "!=", "<=", "<")
@@ -245,7 +245,7 @@ class _Parser:
                     self.next()
                     pure.append(p)
                     continue
-                if self.peek() in (None, "\\/", "|-"):
+                if self.peek() in (None, "\\/"):
                     if p == TRUE_ATOM:
                         # a trailing bare "true" is the arbitrary-heap atom
                         return SymbolicHeap(tuple(pure), (TRUE_SPATIAL,))
@@ -304,13 +304,3 @@ def parse_disj(text: str) -> Union[Disj, TopState]:
         p.fail(f"trailing input after disjunction: {text!r}", at=p.i)
     return d
 
-
-def parse_judgment(text: str) -> tuple[SymbolicHeap, SymbolicHeap]:
-    """Parse ``lhs |- rhs`` (a single entailment query)."""
-    p = _Parser(text)
-    lhs = p.heap()
-    p.expect("|-")
-    rhs = p.heap()
-    if not p.at_end():
-        p.fail(f"trailing input after judgment: {text!r}", at=p.i)
-    return lhs, rhs

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from shaperef.cfg import build_cfg
 from shaperef.lang import (AllocNode, AndC, Assert, Assign, Ast, If, IntE,
                            Load, NilE, NondetC, NondetE, NotC, OrC, ParseError,
                            RelC, Store, VarE, While, parse, render)
@@ -19,7 +20,7 @@ RUNNING_EXAMPLE = (Path(__file__).resolve().parent.parent / "benchmarks"
 def test_running_example_statement_and_loop_counts():
     ast = parse(RUNNING_EXAMPLE)
     assert ast.count_statements() == 15
-    assert ast.count_loops() == 3
+    assert len(build_cfg(ast).loop_heads) == 3
 
 
 def test_running_example_variables_in_first_use_order():
@@ -96,7 +97,7 @@ def test_if_else_and_chaining():
 def test_nested_loops_and_statement_count():
     ast = parse("while (*) { while (*) { x = 1; } y = 2; }")
     assert ast.count_statements() == 4
-    assert ast.count_loops() == 2
+    assert len(build_cfg(ast).loop_heads) == 2
 
 
 # ---------------------------------------------------------------------------

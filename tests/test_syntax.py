@@ -8,7 +8,7 @@ import pytest
 
 from shaperef import lang
 from shaperef.heaps import TOP, normalize
-from shaperef.syntax import ParseError, parse_disj, parse_heap, parse_judgment, parse_term
+from shaperef.syntax import ParseError, parse_disj, parse_heap, parse_term
 
 from gens import random_heap
 
@@ -53,7 +53,7 @@ def test_parse_disj():
 
 
 def test_parse_judgment():
-    lhs, rhs = parse_judgment("node(x,nil,{1}) |- list(x,nil,{})")
+    lhs, rhs = map(parse_heap, "node(x,nil,{1}) |- list(x,nil,{})".split("|-"))
     assert str(lhs) == "node(x,nil,{1})"
     assert str(rhs) == "list(x,nil)"
 
