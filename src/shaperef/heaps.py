@@ -243,21 +243,19 @@ class Facts:
         self._data_classes: set[Term] = set()
 
         # -- gather terms with sort evidence ------------------------------
-        head_terms: list[Term] = []
         addr_terms: list[Term] = []
         data_terms: list[Term] = []
+        head_terms: list[Term] = []
         for a in spatial:
             if a.head is not None:
                 head_terms.append(a.head)
                 addr_terms += (a.head, a.tail)
             data_terms += a.data_terms
-        parent = self._parent
         for t in addr_terms:  # an offset address is its own class
-            parent.setdefault(t, t)
-        for t in (*addr_terms, *data_terms,
-                  *(t for p in pure for t in (p.lhs, p.rhs) if t is not None)):
-            b = _base(t)
-            parent.setdefault(b, b)
+            self._parent.setdefault(t, t)
+        operands = [t for p in pure if p.lhs is not None for t in (p.lhs, p.rhs)]
+        for t in map(_base, addr_terms + data_terms + operands):
+            self._parent.setdefault(t, t)
 
         # -- equalities ----------------------------------------------------
         for p in pure:
@@ -274,8 +272,8 @@ class Facts:
                     self._union(p.lhs, p.rhs)
             elif p.op == "!=":
                 self._neq_pairs.append((p.lhs, p.rhs))
-                data_terms += [t for t in (p.lhs, p.rhs)
-                               if isinstance(t, Offset)]
+                data_terms.extend(t for t in (p.lhs, p.rhs)
+                                  if isinstance(t, Offset))
             elif p.op == "<=":
                 order_cons.append((p.lhs, p.rhs, 0))
                 data_terms.extend((p.lhs, p.rhs))
