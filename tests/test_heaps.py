@@ -125,12 +125,16 @@ def test_normalize_is_idempotent_on_random_heaps():
             assert normalize(fresh) is fresh  # it keeps its own closure
 
 
-# x = nil leaves x+1 without a value, so no model has such a payload, and
-# x+1 under != makes x an integer, which nil is not
-@pytest.mark.parametrize("text", ["x'=nil /\\ node(r,nil,{x'+1})",
-                                  "x=nil /\\ x+1!=y /\\ node(r,nil,_)"])
-def test_nil_under_an_offset_makes_the_heap_false(text):
-    h = H(text)
+def test_nil_under_an_offset_makes_the_heap_false():
+    # x' = nil leaves x'+1 without a value, so no model has such a payload
+    h = H("x'=nil /\\ node(r,nil,{x'+1})")
+    assert normalize(h) == FALSE_HEAP
+    assert not list(models(h, OracleBounds(max_cells=2)))
+
+
+def test_offset_under_a_disequality_makes_its_base_an_integer():
+    # x+1 != y makes x an integer, which nil is not
+    h = H("x=nil /\\ x+1!=y /\\ node(r,nil,_)")
     assert normalize(h) == FALSE_HEAP
     assert not list(models(h, OracleBounds(max_cells=2)))
 
