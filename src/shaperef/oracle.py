@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import partial
+from typing import Iterable, Iterator, Optional
 
-from .terms import (Const, LVar, Multiset, NilTerm, Offset, PVar, PureAtom,
+from .terms import (Const, LVar, NilTerm, Offset, PVar, PureAtom,
                     Term, split_offset, term_vars)
-from .heaps import ListSegAtom, NodeAtom, SortedSegAtom, Spatial, SymbolicHeap
+from .heaps import ListSegAtom, NodeAtom, SortedSegAtom, SymbolicHeap
 
 NIL_V = ("a", 0)
 
@@ -146,12 +147,30 @@ def _data_universe(*heaps: SymbolicHeap, n_spare: int = 2) -> list[int]:
 class _SatSearch:
     """Satisfaction of one formula, checked against one model at a time.
 
-    What depends on the formula alone (its cells, spatial true, variables
-    and data universe) is computed once; ``run`` does the per-model search.
+    What depends on the formula alone (its cells and the placement routine
+    of each, spatial true, variables and data universe) is computed once;
+    ``run`` does the per-model search.
+
+    Stores are shared, never written: a routine copies a store before it
+    binds a variable into it, and never writes to a store it received.  So
+    the store of the model ``run`` is handed stays as it was, and a
+    placement that binds nothing passes its store on as it is.
+
+    The search ticks the step budget at fixed points: each atom placed (and
+    the pure part reached), each head candidate, each cell a segment walks
+    over, each assignment of contents keys and each assignment of the
+    variables left free.  Those points are part of what ``max_steps``
+    means: moving one changes which queries raise ``BoundsTooLarge``.
     """
 
     def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
-        self.atoms = h.cells()
+        # the placement routine of each cell, picked once per formula: a
+        # segment's also gets the check of its payloads
+        self.placers = tuple(
+            partial(self._place_node, a) if isinstance(a, NodeAtom)
+            else partial(self._place_seg, a, self._sorted_check
+                         if isinstance(a, SortedSegAtom) else self._contents_check)
+            for a in h.cells())
         self.has_true = h.has_true()
         self.vars = h.vars()
         self.pure = h.pure
@@ -168,103 +187,95 @@ class _SatSearch:
         self.heap = model.heap
         self.steps = self.max_steps
         cover_all = not (allow_leftover or self.has_true)
-        return self._place(0, dict(model.env), frozenset(), cover_all)
+        return self._place(0, model.env, frozenset(), cover_all)
 
     # -- atom placement (footprint search) --------------------------------
 
     def _place(self, i: int, env: dict, used: frozenset, cover_all: bool) -> bool:
         self._tick()
-        if i == len(self.atoms):
+        if i == len(self.placers):
             return self._finish_pure(env, used, cover_all)
-        for env2, cells in self._placements(self.atoms[i], env):
-            cs = frozenset(cells)
-            if cs & used:
-                continue
-            if self._place(i + 1, env2, used | cs, cover_all):
+        for env2, cells in self.placers[i](env):
+            if used.isdisjoint(cells) and self._place(
+                    i + 1, env2, used.union(cells), cover_all):
                 return True
         return False
 
-    def _placements(self, a: Spatial, env: dict) -> Iterator[tuple[dict, list]]:
-        if isinstance(a, NodeAtom):
-            yield from self._place_node(a, env)
-        elif isinstance(a, ListSegAtom):
-            yield from self._place_seg(a, env, sorted_seg=False)
-        elif isinstance(a, SortedSegAtom):
-            yield from self._place_seg(a, env, sorted_seg=True)
-
-    def _head_candidates(self, t: Term, env: dict) -> Iterator[tuple[object, dict]]:
+    def _head_candidates(self, t: Term, env: dict) -> Iterable[tuple[object, dict]]:
         v = _eval(t, env)
         if v is not None:
-            yield v, env
-            return
+            return ((v, env),)
         # unassigned head variable: try every allocated address
-        for c in self.heap:
-            e2 = dict(env)
-            e2[t] = c
-            yield c, e2
+        return ((c, {**env, t: c}) for c in self.heap)
 
-    def _place_node(self, a: NodeAtom, env: dict) -> Iterator[tuple[dict, list]]:
+    def _place_node(self, a: NodeAtom, env: dict) -> Iterator[tuple[dict, tuple]]:
         for v, env0 in self._head_candidates(a.at, env):
             self._tick()
             if v not in self.heap:
                 continue
             nx, d = self.heap[v]
-            env2 = dict(env0)
-            tv = _eval(a.nxt, env2)
+            env2 = env0
+            tv = _eval(a.nxt, env0)
             if tv is None and isinstance(a.nxt, (PVar, LVar)):
+                env2 = dict(env0)
                 env2[a.nxt] = nx
             elif tv != nx:
                 continue
             if a.data is not None:
                 dv = _eval(a.data, env2)
                 if dv is None and isinstance(a.data, (PVar, LVar)):
+                    if env2 is env0:
+                        env2 = dict(env0)
                     env2[a.data] = d
                 elif dv != d:
                     continue
-            yield env2, [v]
+            yield env2, (v,)
 
-    def _place_seg(self, a, env: dict, sorted_seg: bool) -> Iterator[tuple[dict, list]]:
+    def _place_seg(self, a, check, env: dict) -> Iterator[tuple[dict, list]]:
         for v, env0 in self._head_candidates(a.src, env):
             self._tick()
             if v not in self.heap:
                 continue
             dst_v = _eval(a.dst, env0)
-            # walk the chain, proposing each stop point
+            bind_dst = dst_v is None and isinstance(a.dst, (PVar, LVar))
+            # walk the chain, proposing each stop point.  The cells, their
+            # payloads and the payloads' frequencies grow in place once every
+            # placement of the shorter segment was tried.
             cells: list = []
             datas: list = []
+            freq: dict[object, int] = {}
             cur = v
             while True:
                 if cells and cur == dst_v:
-                    yield from self._seg_constraints(a, dict(env0), cells, datas, sorted_seg)
+                    yield from check(a, env0, cells, datas, freq)
                     # keep walking: the chain may pass through dst and
                     # lasso back to it with more cells
-                if cells and dst_v is None and isinstance(a.dst, (PVar, LVar)):
+                if cells and bind_dst:
                     env2 = dict(env0)
                     env2[a.dst] = cur
-                    yield from self._seg_constraints(a, env2, cells, datas, sorted_seg)
+                    yield from check(a, env2, cells, datas, freq)
                 if cur not in self.heap or cur in cells:
                     break
-                cells = cells + [cur]
-                datas = datas + [self.heap[cur][1]]
-                cur = self.heap[cur][0]
+                cells.append(cur)
+                cur, d = self.heap[cur]
+                datas.append(d)
+                freq[d] = freq.get(d, 0) + 1
                 self._tick()
 
-    def _seg_constraints(self, a, env: dict, cells: list, datas: list,
-                         sorted_seg: bool) -> Iterator[tuple[dict, list]]:
-        if sorted_seg:
-            if any(not isinstance(d, int) for d in datas):
-                return
-            if any(datas[i] > datas[i + 1] for i in range(len(datas) - 1)):
-                return
-            for lo_v, env1 in self._bound_candidates(a.lo, env, min(datas)):
-                if not all(isinstance(d, int) and lo_v <= d for d in datas):
+    def _sorted_check(self, a: SortedSegAtom, env: dict, cells: list,
+                      datas: list, freq: dict) -> Iterator[tuple[dict, list]]:
+        if any(not isinstance(d, int) for d in datas):
+            return
+        if any(datas[i] > datas[i + 1] for i in range(len(datas) - 1)):
+            return
+        # the payloads ascend: the first is the least, the last the greatest
+        for lo_v, env1 in self._bound_candidates(a.lo, env, datas[0]):
+            if lo_v > datas[0]:
+                continue
+            for hi_v, env2 in self._bound_candidates(a.hi, env1, datas[-1] + 1):
+                if hi_v <= datas[-1]:
                     continue
-                for hi_v, env2 in self._bound_candidates(a.hi, env1, max(datas) + 1):
-                    if not all(d < hi_v for d in datas):
-                        continue
-                    yield from self._contents_check(a.contents, env2, cells, datas)
-        else:
-            yield from self._contents_check(a.contents, env, cells, datas)
+                yield from self._contents_check(a, env2, cells, datas, freq)
 
     def _bound_candidates(self, t: Term, env: dict, natural: int) -> Iterator[tuple[int, dict]]:
         v = _eval(t, env)
@@ -286,14 +297,15 @@ class _SatSearch:
                 e2[t.base] = c - t.delta
                 yield c, e2
 
-    def _contents_check(self, ms: Multiset, env: dict, cells: list,
-                        datas: list) -> Iterator[tuple[dict, list]]:
+    def _contents_check(self, a, env: dict, cells: list, datas: list,
+                        freq: dict) -> Iterator[tuple[dict, list]]:
+        ms = a.contents
         unassigned = [k for k, _ in ms.items
                       if _eval(k, env) is None and split_offset(k)[0] not in env]
-        cand_vals = sorted(set(d for d in datas if isinstance(d, int)))
+        cand_vals = sorted(d for d in freq if isinstance(d, int)) if unassigned else ()
         for combo in itertools.product(cand_vals, repeat=len(unassigned)):
             self._tick()
-            env2 = dict(env)
+            env2 = dict(env) if unassigned else env
             for k, val in zip(unassigned, combo):
                 if isinstance(k, (PVar, LVar)):
                     env2[k] = val
@@ -309,7 +321,7 @@ class _SatSearch:
                 need[kv] = need.get(kv, 0) + n
             if not ok:
                 continue
-            if all(sum(1 for d in datas if d == val) >= n for val, n in need.items()):
+            if all(freq.get(val, 0) >= n for val, n in need.items()):
                 yield env2, cells
                 # distinct contents assignments can matter for the pure part,
                 # so keep enumerating
@@ -530,8 +542,10 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
     checked = 0
     for m in models(lhs, bounds, data_universe=data):
         base_env = {v: val for v, val in m.env.items() if isinstance(v, PVar)}
-        values = sorted(m.heap.keys()) + [NIL_V, _addr(97)] + list(data)
-        for combo in itertools.product(values, repeat=len(univ)):
+        combos = itertools.product(
+            sorted(m.heap) + [NIL_V, _addr(97)] + data,
+            repeat=len(univ)) if univ else [()]
+        for combo in combos:
             checked += 1
             env2 = dict(base_env)
             env2.update(zip(univ, combo))

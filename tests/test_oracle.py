@@ -243,15 +243,21 @@ WITH_TRUE = OracleBounds(max_cells=3, max_extension=1, n_spare_data=1,
                          max_models=4000, max_steps=200000)
 
 
-def model_sequence_digest(seed: int = 29, n: int = 60) -> str:
-    """sha256 over each seeded heap and its models, (env, heap) in order."""
+def seeded_heaps(seed: int = 29, n: int = 60):
+    """n seeded heaps of all three domains, every other one with a true
+    conjunct."""
     rng = random.Random(seed)
-    digest = hashlib.sha256()
     for i in range(n):
         with_true = i % 2 == 1
-        h = random_heap(rng, domain=("mls", "rls", "sls")[i % 3],
-                        max_atoms=2 if with_true else 3,
-                        with_true=with_true, n_pure=2)
+        yield random_heap(rng, domain=("mls", "rls", "sls")[i % 3],
+                          max_atoms=2 if with_true else 3,
+                          with_true=with_true, n_pure=2)
+
+
+def model_sequence_digest(seed: int = 29, n: int = 60) -> str:
+    """sha256 over each seeded heap and its models, (env, heap) in order."""
+    digest = hashlib.sha256()
+    for h in seeded_heaps(seed, n):
         digest.update(f"{h}\n".encode())
         try:
             for m in models(h, WITH_TRUE if h.has_true() else PLAIN):
@@ -298,3 +304,92 @@ def test_forced_footprints_check_only_models(monkeypatch, text):
     monkeypatch.setattr(oracle._SatSearch, "run", counting_run)
     ms = list(models(H(text), OracleBounds(max_cells=4)))
     assert ms and len(runs) == len(ms)
+
+
+# ---------------------------------------------------------------------------
+# the checker's step accounting and stores
+# ---------------------------------------------------------------------------
+
+def _record_runs(monkeypatch, record):
+    """Patch the checker so that record(search, model, before) runs after
+    each run, before being a copy of the store the run was handed."""
+    run = oracle._SatSearch.run
+
+    def recording_run(self, model, allow_leftover):
+        before = dict(model.env)
+        try:
+            return run(self, model, allow_leftover)
+        finally:
+            record(self, model, before)
+
+    monkeypatch.setattr(oracle._SatSearch, "run", recording_run)
+
+
+def checker_steps_digest(monkeypatch) -> str:
+    """sha256 over the steps each checker run spends: first on the models
+    of the seeded heaps, then on the reflexive entailment modulo true of
+    the first 30 heaps within 3 cells, whose right side leaves the logical
+    variables free."""
+    spent: list[int] = []
+    _record_runs(monkeypatch,
+                 lambda search, model, before:
+                 spent.append(search.max_steps - search.steps))
+    model_sequence_digest()
+    for h in seeded_heaps(n=30):
+        try:
+            oracle_entails(h, h, modulo_true=True, bounds=WITH_TRUE)
+        except BoundsTooLarge:
+            spent.append(-1)
+    return hashlib.sha256(" ".join(map(str, spent)).encode()).hexdigest()
+
+
+# recorded with the checker that copied the store at every placement and
+# dispatched on each atom's class per placement
+CHECKER_STEPS_SHA256 = (
+    "2d707c0a12161baf1e79b062a65f54c929e7a800bd16373bd04eadc5992a2a77")
+
+
+def test_checker_step_counts_are_unchanged_on_random_heaps(monkeypatch):
+    """Ticks are part of what max_steps means: each run spends as many
+    steps as it did when this digest was recorded."""
+    assert checker_steps_digest(monkeypatch) == CHECKER_STEPS_SHA256
+
+
+def test_small_step_budget_raises_from_the_checker():
+    a1, a2 = ("a", 1), ("a", 2)
+    m = Model({PVar("x"): a1}, {a1: (a2, 5), a2: (NIL_V, 5)})
+    h = H("list(x,nil,{5:2})")
+    assert satisfies(m, h, OracleBounds(max_steps=10))
+    with pytest.raises(BoundsTooLarge, match="satisfaction search"):
+        satisfies(m, h, OracleBounds(max_steps=3))
+    with pytest.raises(BoundsTooLarge, match="satisfaction search"):
+        oracle_entails(H("list(x,nil)"), h, bounds=OracleBounds(max_steps=3))
+
+
+# stores the checker must leave as they are: heads, next values, payloads,
+# segment ends and contents keys bound by the placement, and logical
+# variables left to the pure part
+_STORE_CASES = [
+    ("node(x,y',_)", "node(x,y',d')"),
+    ("node(x,nil,{d})", "node(x,e',{v'})"),
+    ("list(x,y)", "list(x,y',{k':1})"),
+    ("list(x,nil,{5:1})", "list(x,nil,{k':1})"),
+    ("slseg(x,nil,[0,9),{5:1})", "slseg(x,nil,[lo',hi'),{k':1})"),
+    ("node(x,y,_) * list(y,nil)", "n'!=v' /\\ list(x,n') * true"),
+]
+
+
+@pytest.mark.parametrize("lhs, rhs", _STORE_CASES)
+def test_checker_leaves_the_stores_it_is_handed_unchanged(monkeypatch, lhs, rhs):
+    changed = []
+    _record_runs(monkeypatch,
+                 lambda search, model, before:
+                 model.env != before and changed.append((model.env, before)))
+    bounds = OracleBounds(max_cells=3)
+    ms = list(models(H(lhs), bounds))
+    for m in ms:
+        env = dict(m.env)
+        satisfies(m, H(rhs), allow_leftover=True)
+        assert m.env == env
+    oracle_entails(H(lhs), H(rhs), modulo_true=True, bounds=bounds)
+    assert ms and not changed
