@@ -687,22 +687,24 @@ class _Search:
                 nxt.append(p)
             pending = nxt
 
-        facts = self._facts(g.pure, g.full)
-        deferred: list[PureAtom] = []
-        for p in pending:
-            p = p.subst(theta)
-            if self._free(p.vars(), theta):
-                deferred.append(p)
-            elif proves_pure(facts, p):
-                continue
-            elif self.mode == "abduce" and not refutes_pure(facts, p):
-                hyps.append(p)
-            else:
+        # the leaf's closure is built only when an obligation reads it
+        if pending:
+            facts = self._facts(g.pure, g.full)
+            deferred: list[PureAtom] = []
+            for p in pending:
+                p = p.subst(theta)
+                if self._free(p.vars(), theta):
+                    deferred.append(p)
+                elif proves_pure(facts, p):
+                    continue
+                elif self.mode == "abduce" and not refutes_pure(facts, p):
+                    hyps.append(p)
+                else:
+                    return
+            extra = self._satisfy_deferred(deferred, theta, facts)
+            if extra is None:
                 return
-        extra = self._satisfy_deferred(deferred, theta, facts)
-        if extra is None:
-            return
-        hyps.extend(extra)
+            hyps.extend(extra)
 
         if self.mode != "frame" and not self.modulo and g.rem:
             return  # strict entailment must consume the whole left heap

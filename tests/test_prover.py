@@ -307,6 +307,23 @@ def test_frame_infer_failure_is_empty():
     assert frame_infer(H("list(r,nil)"), H("node(q,n',_)")) == []
 
 
+def test_witness_leaf_without_obligations_builds_no_closure(monkeypatch):
+    """A leaf with no pure obligation left reads no closure, so the search
+    builds none for it; the root reuses the normalized left side's."""
+    lhs = normalize(H("node(x,nil,_) * list(y,nil)"))
+    built: list[tuple] = []
+    init = Facts.__init__
+
+    def counting_init(self, pure, spatial):
+        built.append((pure, spatial))
+        init(self, pure, spatial)
+
+    monkeypatch.setattr(Facts, "__init__", counting_init)
+    outs = frame_infer(lhs, H("node(x,nil,d')"))
+    assert [str(o.frame) for o in outs] == ["list(y,nil)"]
+    assert built == []
+
+
 def test_frame_infer_keeps_arbitrary_heap_atom():
     outs = frame_infer(H("node(a,nil,{1}) * true"), H("node(a,nil,_)"))
     assert outs and all(o.frame.has_true for o in outs)
