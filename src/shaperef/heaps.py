@@ -496,6 +496,10 @@ class Facts:
         if self.equal(u, v):
             return False
         ru, rv = self.rep(u), self.rep(v)
+        # an offset of an address has no value, so no atom over it holds
+        if (isinstance(u, Offset) and self._class_is_addr(u)
+                or isinstance(v, Offset) and self._class_is_addr(v)):
+            return False
         if isinstance(ru, Const) and isinstance(rv, Const):
             return ru.value != rv.value
         pair = {_base(ru), _base(rv)}

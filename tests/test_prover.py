@@ -37,8 +37,8 @@ from shaperef.prover import (
     unfold,
 )
 from shaperef.syntax import parse_heap as H
-from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, PVar, TRUE_ATOM,
-                             eq, leq, lt, neq)
+from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, NIL, PVar,
+                             TRUE_ATOM, eq, leq, lt, neq, shifted)
 
 from gens import random_heap, random_param_multiset
 
@@ -419,6 +419,17 @@ def test_offset_of_nil_gives_no_answer_but_no(rhs):
     assert not prover.entails(lhs, rhs).holds
     assert prover.frame_infer(lhs, rhs) == []
     assert prover.abduce(lhs, rhs) == [FALSE_HEAP]
+
+
+def test_offset_of_an_address_proves_no_disequality():
+    # r+2 has no value where r is a cell address, so 2 != r+2 is false
+    lhs, rhs = H("node(r,nil,_)"), H("2!=r+2 /\\ node(r,nil,_)")
+    assert not oracle_entails(lhs, rhs, bounds=TIGHT).holds
+    assert not entails(lhs, rhs).holds
+    assert not Prover().entails(lhs, rhs).holds
+    r2 = shifted(PVar("r"), 2)
+    assert not lhs.facts.proves_neq(Const(2), r2)
+    assert not lhs.facts.proves_neq(r2, NIL)
 
 
 def test_choose_prefers_consistent_then_small():
