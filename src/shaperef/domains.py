@@ -25,6 +25,7 @@ terminates.  The step sequence is recorded in a :class:`RewriteTrace`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Optional
@@ -36,11 +37,10 @@ from .terms import (
     Multiset,
     NIL,
     PVar,
-    PureAtom,
     Term,
     shifted,
     term_sort_key,
-    term_vars,
+    var_of,
 )
 from .heaps import (
     Facts,
@@ -53,6 +53,7 @@ from .heaps import (
     TrueAtom,
     atom_contents,
     normalize,
+    var_counts,
 )
 
 DOMAINS = ("mls", "rls", "sls")
@@ -150,32 +151,42 @@ def project_contents(contents: Multiset, facts: Facts, tracked: Multiset) -> Mul
 # Rule plumbing
 # ---------------------------------------------------------------------------
 #
-# A rule takes (heap, facts, param) and returns (rule-name, rewritten heap)
-# for the first redex in canonical atom order, or None.  The engine tries
-# the rules of a domain in a fixed listing order, so the whole rewrite is
-# deterministic on normalized input.
+# A rule takes (heap, facts, param, occurrences) and returns (rule-name,
+# rewritten heap) for the first redex in canonical atom order, or None.  The
+# engine tries the rules of a domain in a fixed listing order, so the whole
+# rewrite is deterministic on normalized input.
 #
 # The domains differ only in how two chained atoms fold, and rls has no
 # contents to cap.  ``_JOINS`` maps a domain to join(a, b, facts, param),
 # which returns the folded segment's constructor (src, dst) -> atom, or
 # None; the one fold rule scans the junctions and targets nil or a witness.
 
-_Rule = Callable[[SymbolicHeap, Facts, AbstractionParam],
-                 Optional[tuple[str, SymbolicHeap]]]
 _Make = Callable[[Term, Term], Spatial]
 
 
-def _evars_of(pure: tuple[PureAtom, ...], atoms: tuple[Spatial, ...],
-              extra: tuple[Optional[Term], ...] = ()) -> set[LVar]:
-    out: set[LVar] = set()
-    for p in pure:
-        out.update(v for v in p.vars() if isinstance(v, LVar))
-    for a in atoms:
-        out.update(v for v in a.vars() if isinstance(v, LVar))
-    for t in extra:
-        if t is not None:
-            out.update(v for v in term_vars(t) if isinstance(v, LVar))
-    return out
+class _Occurrences:
+    """How often each variable occurs in one heap, for the rules' test that
+    a logical variable occurs nowhere else.  The heap is walked once, at
+    the first test; the counts live as long as the rule pass that asks."""
+
+    def __init__(self, h: SymbolicHeap):
+        self._h = h
+        self._counts: Optional[Counter] = None
+
+    def beyond(self, x: LVar, atoms: tuple[Spatial, ...],
+               terms: tuple[Term, ...] = ()) -> bool:
+        """Whether x occurs in the heap outside ``atoms`` (spatial atoms of
+        the heap, at distinct positions), or in one of ``terms``."""
+        if self._counts is None:
+            self._counts = var_counts(self._h.pure, self._h.spatial)
+        inside = sum(var_of(t) is x for a in atoms
+                     for t in (a.head, a.tail, *a.data_terms))
+        return (self._counts[x] > inside
+                or any(var_of(t) is x for t in terms))
+
+
+_Rule = Callable[[SymbolicHeap, Facts, AbstractionParam, _Occurrences],
+                 Optional[tuple[str, SymbolicHeap]]]
 
 
 def _without(atoms: tuple[Spatial, ...], *idx: int) -> tuple[Spatial, ...]:
@@ -197,22 +208,20 @@ def _junctions(h: SymbolicHeap) -> Iterator[tuple[int, int, LVar]]:
 
 
 def _rule_collect_garbage(h: SymbolicHeap, facts: Facts,
-                          param: AbstractionParam):
+                          param: AbstractionParam, occ: _Occurrences):
     """An atom headed by a logical variable no other part of the heap
     mentions is unreachable; trade it for spatial true."""
     for i, a in enumerate(h.spatial):
         head = a.head
-        if not isinstance(head, LVar):
+        if not isinstance(head, LVar) or occ.beyond(head, (a,)):
             continue
         rest = _without(h.spatial, i)
-        if head in _evars_of(h.pure, rest):
-            continue
         return ("collect-garbage", SymbolicHeap(h.pure, rest + (TRUE_SPATIAL,)))
     return None
 
 
 def _rule_collect_cycle(h: SymbolicHeap, facts: Facts,
-                        param: AbstractionParam):
+                        param: AbstractionParam, occ: _Occurrences):
     """Two atoms chained into a cycle over logical variables mentioned
     nowhere else are unreachable; trade both for spatial true."""
     atoms = h.spatial
@@ -223,9 +232,9 @@ def _rule_collect_cycle(h: SymbolicHeap, facts: Facts,
         for j, b in enumerate(atoms):
             if j == i or b.head != ta or b.tail != ha:
                 continue
-            rest = _without(atoms, i, j)
-            if {ha, ta} & _evars_of(h.pure, rest):
+            if occ.beyond(ha, (a, b)) or occ.beyond(ta, (a, b)):
                 continue
+            rest = _without(atoms, i, j)
             return ("collect-cycle", SymbolicHeap(h.pure, rest + (TRUE_SPATIAL,)))
     return None
 
@@ -285,7 +294,8 @@ def _join_sls(a: Spatial, b: Spatial, facts: Facts,
 _JOINS = {"mls": _join_mls, "rls": _join_rls, "sls": _join_sls}
 
 
-def _fold(h: SymbolicHeap, facts: Facts, param: AbstractionParam, mid: bool):
+def _fold(h: SymbolicHeap, facts: Facts, param: AbstractionParam,
+          occ: _Occurrences, mid: bool):
     """Fold the first junction the domain's join accepts.
 
     The folded segment runs from the left operand's head to the right
@@ -304,18 +314,17 @@ def _fold(h: SymbolicHeap, facts: Facts, param: AbstractionParam, mid: bool):
         if not mid:
             if not facts.equal(e2, NIL):
                 continue
-            rest = _without(atoms, i, j)
-            if x not in _evars_of(h.pure, rest, (e1, e2)):
+            if not occ.beyond(x, (a, b), (e1, e2)):
                 return ("fold-at-nil",
-                        SymbolicHeap(h.pure, rest + (make(e1, NIL),)))
+                        SymbolicHeap(h.pure,
+                                     _without(atoms, i, j) + (make(e1, NIL),)))
             continue
         for w, c in enumerate(atoms):
             if w in (i, j) or isinstance(c, TrueAtom):
                 continue
             if not facts.equal(e2, c.head):
                 continue
-            if x in _evars_of(h.pure, _without(atoms, i, j, w),
-                              (e1, e2, c.head, c.tail)):
+            if occ.beyond(x, (a, b, c), (e1, e2, c.head, c.tail)):
                 continue
             rest = _without(atoms, i, j)
             return ("fold-at-witness",
@@ -327,7 +336,8 @@ _rule_fold_at_nil = partial(_fold, mid=False)
 _rule_fold_at_witness = partial(_fold, mid=True)
 
 
-def _rule_cap_contents(h: SymbolicHeap, facts: Facts, param: AbstractionParam):
+def _rule_cap_contents(h: SymbolicHeap, facts: Facts, param: AbstractionParam,
+                       occ: _Occurrences):
     """Project a segment's contents down to the tracked budget.  Fires only
     when the projection actually forgets occurrences (strictly smaller
     mass); re-keying a multiset inside one congruence class changes
@@ -365,23 +375,25 @@ def abstract(h: SymbolicHeap,
     domain applies to it.
     """
     cur = normalize(h)
+    size = measure(cur)
     steps: list[RewriteStep] = []
     while not cur.is_false:
-        facts = cur.facts
+        facts, occ = cur.facts, _Occurrences(cur)
         hit = None
         for rule in _RULES[param.domain]:
-            hit = rule(cur, facts, param)
+            hit = rule(cur, facts, param, occ)
             if hit is not None:
                 break
         if hit is None:
             break
         name, raw = hit
         after = normalize(raw)
-        if not measure(after) < measure(cur):
+        after_size = measure(after)
+        if not after_size < size:
             raise RuntimeError(f"rewrite rule {name} did not decrease the "
                                f"termination measure on {cur}")
         steps.append(RewriteStep(name, cur, after))
-        cur = after
+        cur, size = after, after_size
     return cur, RewriteTrace(tuple(steps))
 
 

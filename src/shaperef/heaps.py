@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .terms import (
     Const,
@@ -55,6 +55,7 @@ from .terms import (
     subst_term,
     term_sort_key,
     term_vars,
+    var_of,
 )
 
 
@@ -180,6 +181,27 @@ def spatial_sort_key(a: Spatial) -> tuple:
     return (_KIND_RANK[type(a)], str(a))
 
 
+def _term_positions(pure: Sequence[PureAtom],
+                    spatial: Sequence[Spatial]) -> Iterator[Optional[Term]]:
+    """The atoms' terms in field order, pure atoms first; the operands of
+    true and false, and the head and tail of spatial true, are None."""
+    for p in pure:
+        yield p.lhs
+        yield p.rhs
+    for a in spatial:
+        yield a.head
+        yield a.tail
+        yield from a.data_terms
+
+
+def var_counts(pure: Sequence[PureAtom],
+               spatial: Sequence[Spatial]) -> Counter:
+    """How often each variable occurs in the atoms, in one walk."""
+    counts = Counter(map(var_of, _term_positions(pure, spatial)))
+    del counts[None]  # the positions without a variable
+    return counts
+
+
 def atom_contents(a: Spatial) -> Multiset:
     """The value-frequency lower bounds an atom carries."""
     if isinstance(a, NodeAtom):
@@ -225,7 +247,9 @@ class Facts:
     atom's data terms, the operands of an order atom or of an equality
     with an offset side, the base of an offset operand of a disequality,
     and every constant are integers.  A class with evidence of both sorts
-    makes the heap inconsistent.
+    makes the heap inconsistent.  An offset has a value only where its base
+    is an integer, so no atom over an offset is proved, ``t = t`` included,
+    unless the evidence makes its base an integer.
 
     The closure is frozen once built: no union happens after the equality
     atoms, so every term then points straight at its root, and the head
@@ -451,6 +475,10 @@ class Facts:
         return self._find(t)
 
     def equal(self, u: Term, v: Term) -> bool:
+        # _has_value, inlined: equal is the hottest query
+        if (isinstance(u, Offset) and not self._int_evidence(u)
+                or isinstance(v, Offset) and not self._int_evidence(v)):
+            return False
         if u is v:
             return True
         nu, cu = self._at(u)
@@ -480,6 +508,12 @@ class Facts:
         r = self._find(b)
         return isinstance(r, Const) or r in self._data_classes
 
+    def _has_value(self, t: Term) -> bool:
+        """Does t have a value wherever these facts hold?  An offset has
+        one only where its base is an integer, and no atom over a term
+        without a value holds."""
+        return not isinstance(t, Offset) or self._int_evidence(t)
+
     def proves_leq(self, u: Term, v: Term) -> bool:
         if not (self._int_evidence(u) and self._int_evidence(v)):
             return False
@@ -496,9 +530,7 @@ class Facts:
         if self.equal(u, v):
             return False
         ru, rv = self.rep(u), self.rep(v)
-        # an offset of an address has no value, so no atom over it holds
-        if (isinstance(u, Offset) and self._class_is_addr(u)
-                or isinstance(v, Offset) and self._class_is_addr(v)):
+        if not (self._has_value(u) and self._has_value(v)):
             return False
         if isinstance(ru, Const) and isinstance(rv, Const):
             return ru.value != rv.value
@@ -609,8 +641,10 @@ class SymbolicHeap:
 
     @cached_property
     def _vars(self) -> tuple[Union[PVar, LVar], ...]:
-        return tuple(dict.fromkeys(
-            v for atom in self.pure + self.spatial for v in atom.vars()))
+        found = dict.fromkeys(
+            map(var_of, _term_positions(self.pure, self.spatial)))
+        found.pop(None, None)  # the positions without a variable
+        return tuple(found)
 
     def vars(self) -> tuple[Union[PVar, LVar], ...]:
         """The variables, in order of first occurrence (pure part first)."""
@@ -717,12 +751,12 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
             changed = True
             break
 
-    # trivial equalities and duplicates
+    # trivial equalities and duplicates; t=t over an offset t waits for the
+    # closure, as it holds only where t's base is an integer
     kept: list[PureAtom] = []
+    offset_self_eqs: list[PureAtom] = []
     seen: set[tuple] = set()
     for p in pure:
-        if p.op == "=" and p.lhs == p.rhs:
-            continue
         if p.op in ("=", "!="):
             key = (p.op, frozenset((p.lhs, p.rhs)))
         else:
@@ -730,6 +764,10 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
         if key in seen:
             continue
         seen.add(key)
+        if p.op == "=" and p.lhs == p.rhs:
+            if isinstance(p.lhs, Offset):
+                offset_self_eqs.append(p)
+            continue
         kept.append(p)
     pure = kept
 
@@ -739,25 +777,46 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
         spatial = [a for a in spatial if not isinstance(a, TrueAtom)]
         spatial.append(TRUE_SPATIAL)
 
-    # single-occurrence payload variables become wild
-    counts = Counter(v for atom in pure + spatial for v in atom.vars())
-    spatial = [
-        NodeAtom(a.at, a.nxt, None)
-        if isinstance(a, NodeAtom) and isinstance(a.data, LVar) and counts[a.data] == 1
-        else a
-        for a in spatial
-    ]
+    # single-occurrence payload variables become wild; only a logical
+    # payload is counted for
+    if any(isinstance(a, NodeAtom) and isinstance(a.data, LVar)
+           for a in spatial):
+        counts = var_counts(pure, spatial)
+        spatial = [
+            NodeAtom(a.at, a.nxt, None)
+            if isinstance(a, NodeAtom) and isinstance(a.data, LVar)
+            and counts[a.data] == 1
+            else a
+            for a in spatial
+        ]
 
-    out = SymbolicHeap(tuple(sorted(pure, key=lambda p: p.sort_key())),
-                       tuple(sorted(spatial, key=spatial_sort_key)))
-    if out == h:
-        out = h
-    # an inconsistent input does not come back: build its closure uncached
-    facts = out.__dict__.get("facts") or Facts(out.pure, out.spatial)
+    spatial.sort(key=spatial_sort_key)
+    out, facts = _canonical_form(h, pure, spatial)
     if facts.inconsistent:
         return FALSE_HEAP
+    # where the rest gives t a value, t=t is redundant; otherwise it stays,
+    # and the closure finds it false where t's base is an address
+    offset_self_eqs = [p for p in offset_self_eqs
+                       if not facts._has_value(p.lhs)]
+    if offset_self_eqs:
+        out, facts = _canonical_form(h, pure + offset_self_eqs, spatial)
+        if facts.inconsistent:
+            return FALSE_HEAP
     out.__dict__.update(facts=facts, _canonical=True)
     return out
+
+
+def _canonical_form(h: SymbolicHeap, pure: list[PureAtom],
+                    spatial: list[Spatial]) -> tuple[SymbolicHeap, Facts]:
+    """The heap of the given atoms, pure ones sorted, and its closure: h
+    itself when the atoms are h's, so a heap already canonical keeps its
+    caches.  An inconsistent input does not come back, so its closure is
+    built uncached."""
+    out = SymbolicHeap(tuple(sorted(pure, key=lambda p: p.sort_key())),
+                       tuple(spatial))
+    if out == h:
+        out = h
+    return out, out.__dict__.get("facts") or Facts(out.pure, out.spatial)
 
 
 def star(h1: SymbolicHeap, h2: SymbolicHeap) -> SymbolicHeap:

@@ -104,25 +104,28 @@ class ProofOutcome:
 # ---------------------------------------------------------------------------
 
 class _FreshNames:
-    """Generates primed logical variables distinct from every used name."""
+    """Generates primed logical variables distinct from every used name;
+    ``made`` lists them in the order they were made.  The set of used
+    names it is given becomes its own."""
 
     def __init__(self, used: set[str]):
-        self._used = set(used)
+        self._used = used
         self._counter = itertools.count(1)
+        self.made: list[LVar] = []
 
     def make(self, prefix: str) -> LVar:
         while True:
             name = f"{prefix}{next(self._counter)}'"
             if name not in self._used:
                 self._used.add(name)
-                return LVar(name)
+                v = LVar(name)
+                self.made.append(v)
+                return v
 
 
 def _used_names(*heaps: SymbolicHeap) -> set[str]:
-    out: set[str] = set()
-    for h in heaps:
-        out.update(v.name for v in h.vars())
-    return out
+    """The names of the heaps' variables, read from each heap's cache."""
+    return {v.name for h in heaps for v in h.vars()}
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +299,14 @@ class _Search:
         self.fresh = _FreshNames(used)
 
         # rename the right side's existentials apart from everything
-        self.renaming: dict[LVar, LVar] = {}
-        for v in sorted(set(rhs.evars()), key=lambda v: v.name):
-            self.renaming[v] = self.fresh.make("v")
+        self.renaming: dict[LVar, LVar] = {
+            v: self.fresh.make("v")
+            for v in sorted(rhs.evars(), key=lambda v: v.name)}
         self.rhs_evars: set[LVar] = set(self.renaming.values())
-        ren = dict(self.renaming)
-        rhs_spatial = tuple(a.subst(ren) for a in rhs_spatial)
-        rhs_pure = tuple(p.subst(ren) for p in rhs.pure
-                         if p.op != "true")
+        rhs_pure = tuple(p for p in rhs.pure if p.op != "true")
+        if self.renaming:
+            rhs_spatial = tuple(a.subst(self.renaming) for a in rhs_spatial)
+            rhs_pure = tuple(p.subst(self.renaming) for p in rhs_pure)
 
         self.root = _Goal(
             pure=lhs.pure,
@@ -339,10 +342,13 @@ class _Search:
     def _is_unbound(self, t: Term) -> bool:
         return isinstance(t, LVar) and t in self.rhs_evars
 
-    def _register_evars(self, h: SymbolicHeap, known: set[str]) -> None:
-        for v in h.vars():
-            if isinstance(v, LVar) and v.name not in known:
-                self.rhs_evars.add(v)
+    def _unfold_rhs(self, atom: Spatial, ctx: SymbolicHeap) -> Disj:
+        """Unfold a right-hand segment; the variables the unfolding makes
+        are existentials of the right side."""
+        made = len(self.fresh.made)
+        cases = unfold(atom, ctx, fresh=self.fresh)
+        self.rhs_evars.update(self.fresh.made[made:])
+        return cases
 
     @staticmethod
     def _ap(t: Term, theta: tuple[tuple[LVar, Term], ...]) -> Term:
@@ -601,13 +607,7 @@ class _Search:
                  if isinstance(a, NodeAtom) and facts.equal(a.at, src)]
         if not nodes:
             return
-        r2 = r_atom.subst(dict(g.theta))
-        known = {v.name for v in ctx.vars()}
-        known.update(v.name for v in r2.vars())
-        known.update(v.name for v in self.rhs_evars)
-        for case in unfold(r2, ctx, fresh=self.fresh):
-            # fresh unfold variables are existentials of the right side
-            self._register_evars(case, known)
+        for case in self._unfold_rhs(r_atom.subst(dict(g.theta)), ctx):
             head = case.spatial[0]
             tail = case.spatial[1:]
             for li, l_atom in nodes:

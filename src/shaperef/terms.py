@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import total_ordering
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,18 @@ def subst_term(t: Term, mapping: dict[Term, Term]) -> Term:
     return mapping.get(t, t)
 
 
+def var_of(t: Optional[Term]) -> Optional[Union[PVar, LVar]]:
+    """The variable a term mentions: the term itself or an offset's base;
+    None for a constant, nil or no term."""
+    if isinstance(t, Offset):
+        return t.base
+    return t if isinstance(t, (PVar, LVar)) else None
+
+
 def term_vars(t: Term) -> Iterator[Union[PVar, LVar]]:
-    if isinstance(t, (PVar, LVar)):
-        yield t
-    elif isinstance(t, Offset):
-        yield t.base
+    v = var_of(t)
+    if v is not None:
+        yield v
 
 
 # ---------------------------------------------------------------------------

@@ -243,3 +243,26 @@ def _random_atom(rng, domain, src, dst, idx):
     if rng.random() < 0.45:
         return NodeAtom(src, dst, _payload(rng))
     return ListSegAtom(src, dst, random_multiset(rng))
+
+
+# ---------------------------------------------------------------------------
+# Counting walks over variables
+# ---------------------------------------------------------------------------
+
+def count_variable_lookups(monkeypatch) -> list[int]:
+    """Count calls of ``terms.var_of`` from here on; the one-element list
+    holds the count.  Every walk over terms' variables asks ``var_of`` once
+    per term, ``term_vars`` included, so the count measures how many term
+    positions the program walked for their variables."""
+    from shaperef import domains, heaps, oracle, prover, terms
+    real = terms.var_of
+    calls = [0]
+
+    def counting(t):
+        calls[0] += 1
+        return real(t)
+
+    for module in (terms, heaps, domains, prover, oracle):
+        if hasattr(module, "var_of"):
+            monkeypatch.setattr(module, "var_of", counting)
+    return calls

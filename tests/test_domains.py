@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shaperef import domains
 from shaperef.domains import (
     AbstractionParam,
     DOMAINS,
@@ -20,14 +22,17 @@ from shaperef.domains import (
     project_contents,
     split_sorted_segment,
 )
-from shaperef.heaps import SortedSegAtom, SymbolicHeap, normalize
+from shaperef.heaps import NodeAtom, SortedSegAtom, SymbolicHeap, normalize
 from shaperef.oracle import OracleBounds, models, oracle_entails
 from shaperef.syntax import parse_heap
-from shaperef.terms import Const, LVar, Multiset, NIL, PVar, PureAtom, eq
+from shaperef.prover import entails
+from shaperef.terms import (Const, LVar, Multiset, NIL, PVar, PureAtom, eq,
+                            shifted, term_vars)
 
 from gens import (
     DATA_TERMS,
     canonical_chain_forms,
+    count_variable_lookups,
     monotonicity_trial,
     random_heap,
     random_param_multiset,
@@ -283,6 +288,95 @@ def test_trace_steps_decrease_measure_and_render():
         assert measure(step.after) < measure(step.before)
     text = trace.render()
     assert "collect-garbage" in text and "~>" in text
+
+
+def test_abstract_measures_each_heap_once(monkeypatch):
+    # the measure of each step's result is carried into the next step
+    calls = []
+    real = domains.measure
+    monkeypatch.setattr(domains, "measure",
+                        lambda h: calls.append(h) or real(h))
+    h = parse_heap("node(g0',g1',_)*node(c0',c1',_)*node(c1',c0',_)")
+    _, trace = abstract(h, AbstractionParam("mls", MS()))
+    assert len(trace.steps) == 2
+    assert calls == [trace.steps[0].before] + [s.after for s in trace.steps]
+
+
+def _lvars_beyond(h: SymbolicHeap, idx: tuple[int, ...],
+                  terms: tuple) -> set[LVar]:
+    """The logical variables of h outside the atoms at ``idx``, and of the
+    extra terms, by a walk over every other atom."""
+    rest = [a for i, a in enumerate(h.spatial) if i not in idx]
+    vs = {v for atom in h.pure + tuple(rest) for v in atom.vars()}
+    vs.update(v for t in terms for v in term_vars(t))
+    return {v for v in vs if isinstance(v, LVar)}
+
+
+def _occurrence_cases(rng: random.Random, domain: str) -> SymbolicHeap:
+    """A seeded heap whose logical variables also occur in pure atoms,
+    payloads and offsets, not only at junctions."""
+    h = random_heap(rng, domain=domain, max_atoms=4,
+                    with_true=rng.random() < 0.3, n_pure=2)
+    lvars = [v for v in h.vars() if isinstance(v, LVar)]
+    if not lvars:
+        return h
+    v = rng.choice(lvars)
+    extra = rng.choice([eq(v, X), PureAtom("<=", shifted(v, 1), Y),
+                        PureAtom("!=", v, NIL)])
+    pure = h.pure + (extra,) if rng.random() < 0.5 else h.pure
+    spatial = h.spatial
+    if rng.random() < 0.3:
+        spatial += (NodeAtom(PVar("q"), NIL, rng.choice(lvars)),)
+    return SymbolicHeap(pure, spatial)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_occurrence_counts_agree_with_a_walk_of_the_rest(domain):
+    rng = random.Random(43)
+    answers = collections.Counter()
+    for _ in range(60):
+        h = _occurrence_cases(rng, domain)
+        occ = domains._Occurrences(h)
+        n = len(h.spatial)
+        for k in (1, 2, 3):
+            for idx in itertools.combinations(range(n), k):
+                atoms = tuple(h.spatial[i] for i in idx)
+                ends = tuple(t for a in atoms for t in (a.head, a.tail)
+                             if t is not None)
+                for terms in ((), ends):
+                    beyond = _lvars_beyond(h, idx, terms)
+                    for x in h.vars():
+                        if isinstance(x, LVar):
+                            got = occ.beyond(x, atoms, terms)
+                            assert got == (x in beyond), (h, idx, terms, x)
+                            answers[got] += 1
+    assert answers[True] > 100 and answers[False] > 100
+
+
+def test_abstract_corpus_stays_within_its_variable_walk_budget(monkeypatch):
+    # 120 seeded heaps per domain, abstracted and checked against their
+    # abstraction as the benchmark's abstract workload does.  The budget is
+    # the count recorded when the rules first counted each heap's variable
+    # occurrences once; before that, this corpus made 27,563 term_vars
+    # calls, one per term position walked
+    rng = random.Random(29)
+    corpus = []
+    for _ in range(120):
+        for domain in DOMAINS:
+            h = random_heap(rng, domain=domain, max_atoms=4,
+                            with_true=rng.random() < 0.15, n_pure=2)
+            corpus.append((h, AbstractionParam(domain,
+                                               random_param_multiset(rng))))
+    calls = count_variable_lookups(monkeypatch)
+    for h, param in corpus:
+        alpha, trace = abstract(h, param)
+        for lhs, rhs in [(h, alpha)] + [(s.before, s.after)
+                                        for s in trace.steps]:
+            entails(lhs, rhs)
+    assert 0 < calls[0] <= VARIABLE_WALK_BUDGET
+
+
+VARIABLE_WALK_BUDGET = 17_364
 
 
 def test_tracked_head_keeps_removal_precondition_canonical():

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from shaperef.domains import AbstractionParam, abstract
+from shaperef import prover
+from shaperef.domains import DOMAINS, AbstractionParam, abstract
 from shaperef.heaps import (
     Disj,
     FALSE_HEAP,
@@ -38,7 +40,7 @@ from shaperef.prover import (
 )
 from shaperef.syntax import parse_heap as H
 from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, NIL, PVar,
-                             TRUE_ATOM, eq, leq, lt, neq, shifted)
+                             PureAtom, TRUE_ATOM, eq, leq, lt, neq, shifted)
 
 from gens import random_heap, random_param_multiset
 
@@ -430,6 +432,67 @@ def test_offset_of_an_address_proves_no_disequality():
     r2 = shifted(PVar("r"), 2)
     assert not lhs.facts.proves_neq(Const(2), r2)
     assert not lhs.facts.proves_neq(r2, NIL)
+
+
+@pytest.mark.parametrize("op", ["=", "!=", "<=", "<"])
+def test_offsets_of_an_address_satisfy_no_atom(op):
+    # r+1 and r+2 have no value where r is a cell address, so every atom
+    # over them is false, r+2=r+2 included
+    lhs = H("node(r,nil,_)")
+    r1, r2 = shifted(PVar("r"), 1), shifted(PVar("r"), 2)
+    for u, v in itertools.product((r1, r2), repeat=2):
+        rhs = SymbolicHeap((PureAtom(op, u, v),), lhs.spatial)
+        assert not oracle_entails(lhs, rhs, bounds=TIGHT).holds
+        assert not entails(lhs, rhs).holds, str(rhs)
+        assert not Prover().entails(lhs, rhs).holds, str(rhs)
+        assert not lhs.facts.equal(u, v)
+
+
+def test_atoms_over_an_offset_need_an_integer_base():
+    # x may be an address where nothing says otherwise, and then x+1 has
+    # no value
+    for lhs, rhs, holds in [("emp", "x+1=x+1 /\\ emp", False),
+                            ("x<=3 /\\ emp", "x+1=x+1 /\\ emp", True),
+                            ("node(r,nil,{x})", "x+1=x+1 /\\ node(r,nil,{x})",
+                             True),
+                            ("node(r,nil,_)", "x+1!=r /\\ node(r,nil,_)",
+                             False),
+                            ("x<=2 /\\ node(r,nil,_)",
+                             "x+1!=r /\\ node(r,nil,_)", True)]:
+        assert oracle_entails(H(lhs), H(rhs), bounds=TIGHT).holds == holds
+        assert entails(H(lhs), H(rhs)).holds == holds, (lhs, rhs)
+
+
+def test_unfolding_registers_the_variables_it_makes(monkeypatch):
+    # the right side's existentials gained by unfolding one of its segments
+    # are exactly the case variables the context and the segment lack
+    registered = []
+    real = prover._Search._unfold_rhs
+
+    def checked(self, atom, ctx):
+        before = set(self.rhs_evars)
+        cases = real(self, atom, ctx)
+        known = {v.name for v in ctx.vars()}
+        known.update(v.name for v in atom.vars())
+        known.update(v.name for v in before)
+        new = {v for case in cases for v in case.vars()
+               if isinstance(v, LVar) and v.name not in known}
+        assert self.rhs_evars - before == new, (atom, ctx)
+        registered.append(len(new))
+        return cases
+
+    monkeypatch.setattr(prover._Search, "_unfold_rhs", checked)
+    rng = random.Random(17)
+    for _ in range(30):
+        for domain in DOMAINS:
+            h = random_heap(rng, domain=domain, max_atoms=4, n_pure=2)
+            param = AbstractionParam(domain, random_param_multiset(rng))
+            alpha, trace = abstract(h, param)
+            for lhs, rhs in [(h, alpha)] + [(s.before, s.after)
+                                            for s in trace.steps]:
+                entails(lhs, rhs)
+                abduce(lhs, rhs)
+    assert len(registered) > 100 and all(registered)
 
 
 def test_choose_prefers_consistent_then_small():
