@@ -51,7 +51,6 @@ from .terms import (
     Term,
     FALSE_ATOM,
     shifted,
-    split_offset,
     subst_term,
     term_sort_key,
     term_vars,
@@ -231,6 +230,9 @@ class _Zero:
 
 _ZERO = _Zero()
 
+# the sorts of Facts.sort
+ADDR, INT = "addr", "int"
+
 
 class Facts:
     """Derived equalities, disequalities and order facts of one heap.
@@ -243,13 +245,18 @@ class Facts:
     invariants contribute derived order facts: lo < hi and lo <= k < hi for
     every content key k.
 
-    Sort evidence: an atom's head and tail, and nil, are addresses; an
-    atom's data terms, the operands of an order atom or of an equality
-    with an offset side, the base of an offset operand of a disequality,
-    and every constant are integers.  A class with evidence of both sorts
-    makes the heap inconsistent.  An offset has a value only where its base
-    is an integer, so no atom over an offset is proved, ``t = t`` included,
-    unless the evidence makes its base an integer.
+    Sorts: each class gets one sort, ``ADDR`` or ``INT``, from its
+    evidence.  An atom's head and tail, and nil, are addresses; an atom's
+    data terms, the operands of an order atom or of an equality with an
+    offset side, the base of an offset operand of a disequality, and every
+    constant are integers.  A class that gets both sorts makes the heap
+    inconsistent.  Every query reads sorts through :meth:`sort`: a constant
+    is ``INT`` and nil ``ADDR``; an offset is ``INT`` where its base is,
+    and otherwise None, as it has no value; any other term has its class's
+    sort, or None.  No atom over a term without a value is proved,
+    ``t = t`` included.  A disequality fact ``a != b`` proves ``u != v``
+    only where ``a`` equals ``u`` and ``b`` equals ``v``, or the other way
+    round.
 
     The closure is frozen once built: no union happens after the equality
     atoms, so every term then points straight at its root, and the head
@@ -263,8 +270,7 @@ class Facts:
         self._parent: dict[Term, Term] = {}
         self._neq_pairs: list[tuple[Term, Term]] = []
         order_cons: list[tuple[Term, Term, int]] = []  # (u, v, s): u + s <= v
-        self._addr_classes: set[Term] = set()
-        self._data_classes: set[Term] = set()
+        self._sorts: dict[Term, str] = {}  # class root -> ADDR or INT
 
         # -- gather terms with sort evidence ------------------------------
         addr_terms: list[Term] = []
@@ -322,20 +328,17 @@ class Facts:
                     order_cons.append((a.lo, k, 0))
                     order_cons.append((k, a.hi, 1))
 
-        # -- sort evidence per class ---------------------------------------
-        for t in addr_terms:
-            self._addr_classes.add(self._find(t))
-        for t in data_terms:
-            b, _ = split_offset(t)
-            if b is not None:
-                self._data_classes.add(self._find(b))
-
-        # constants / nil inside one class
-        for t, r in self._parent.items():
-            if isinstance(t, Const):
-                self._data_classes.add(r)
+        # -- one sort per class --------------------------------------------
         if self._nil is not None:
-            self._addr_classes.add(self._nil)
+            addr_terms.append(NIL)
+        int_terms = [_base(t) for t in data_terms]
+        int_terms += [t for t in self._parent if isinstance(t, Const)]
+        sorts = self._sorts
+        for terms, s in ((addr_terms, ADDR), (int_terms, INT)):
+            for t in terms:
+                if sorts.setdefault(self._find(t), s) is not s:
+                    self.inconsistent = True
+                    return
 
         if self._check_class_clashes():
             self.inconsistent = True
@@ -388,10 +391,7 @@ class Facts:
                 return True
         # heads must not be nil and must be pairwise distinct
         heads = self._heads
-        if len(set(heads)) < len(heads) or self._nil in heads:
-            return True
-        # a class cannot be both an address and an integer
-        return bool(self._addr_classes & self._data_classes)
+        return len(set(heads)) < len(heads) or self._nil in heads
 
     def _check_neq_clashes(self) -> bool:
         for u, v in self._neq_pairs:
@@ -474,10 +474,24 @@ class Facts:
             return shifted(self._find(t.base), t.delta)
         return self._find(t)
 
+    def sort(self, t: Term) -> Optional[str]:
+        """``INT``, ``ADDR`` or None (see the class docstring)."""
+        if isinstance(t, Offset):
+            return INT if self._sorts.get(self._find(t.base)) is INT else None
+        if isinstance(t, Const):
+            return INT
+        if t is NIL:
+            return ADDR
+        return self._sorts.get(self._find(t))
+
+    def _has_value(self, t: Term) -> bool:
+        """Does t have a value wherever these facts hold?"""
+        return not isinstance(t, Offset) or self.sort(t) is INT
+
     def equal(self, u: Term, v: Term) -> bool:
         # _has_value, inlined: equal is the hottest query
-        if (isinstance(u, Offset) and not self._int_evidence(u)
-                or isinstance(v, Offset) and not self._int_evidence(v)):
+        if (isinstance(u, Offset) and self.sort(u) is not INT
+                or isinstance(v, Offset) and self.sort(v) is not INT):
             return False
         if u is v:
             return True
@@ -493,83 +507,37 @@ class Facts:
         return (w1 is not None and w2 is not None
                 and w1 + cv - cu >= 0 and w2 + cu - cv >= 0)
 
-    def _int_evidence(self, t: Term) -> bool:
-        """Is t provably integer-sorted from these facts alone?
-
-        Order atoms denote integer comparisons, so order conclusions are
-        only sound for terms these facts pin to the integer sort: ``t <=
-        t`` is not valid for an address-valued t.  Evidence is an integer
-        constant or a congruence class with integer evidence (see the
-        class docstring).
-        """
-        b, _ = split_offset(t)
-        if b is None:
-            return True
-        r = self._find(b)
-        return isinstance(r, Const) or r in self._data_classes
-
-    def _has_value(self, t: Term) -> bool:
-        """Does t have a value wherever these facts hold?  An offset has
-        one only where its base is an integer, and no atom over a term
-        without a value holds."""
-        return not isinstance(t, Offset) or self._int_evidence(t)
-
     def proves_leq(self, u: Term, v: Term) -> bool:
-        if not (self._int_evidence(u) and self._int_evidence(v)):
+        if not (self.sort(u) is INT and self.sort(v) is INT):
             return False
         w = self._order_weight(u, v)
         return w is not None and w >= 0
 
     def proves_lt(self, u: Term, v: Term) -> bool:
-        if not (self._int_evidence(u) and self._int_evidence(v)):
+        if not (self.sort(u) is INT and self.sort(v) is INT):
             return False
         w = self._order_weight(u, v)
         return w is not None and w >= 1
 
     def proves_neq(self, u: Term, v: Term) -> bool:
-        if self.equal(u, v):
+        if not (self._has_value(u) and self._has_value(v)) or self.equal(u, v):
             return False
-        ru, rv = self.rep(u), self.rep(v)
-        if not (self._has_value(u) and self._has_value(v)):
-            return False
-        if isinstance(ru, Const) and isinstance(rv, Const):
-            return ru.value != rv.value
-        pair = {_base(ru), _base(rv)}
+        equal = self.equal
         for a, b in self._neq_pairs:
-            if {_base(self.rep(a)), _base(self.rep(b))} == pair:
+            if equal(a, u) and equal(b, v) or equal(a, v) and equal(b, u):
                 return True
         if self.proves_lt(u, v) or self.proves_lt(v, u):
             return True
         # allocation: distinct spatial heads, and heads are never nil
         heads = self._heads
-        su, sv = _base(ru), _base(rv)
+        su, sv = _base(self.rep(u)), _base(self.rep(v))
         if su in heads and sv in heads and su is not sv:
             return True
         for a, b in ((su, sv), (sv, su)):
             if a in heads and (b is NIL or b is self._nil):
                 return True
         # sort separation: address vs integer
-        au = self._class_is_addr(u)
-        av = self._class_is_addr(v)
-        du = self._class_is_data(u)
-        dv = self._class_is_data(v)
-        if (au and dv) or (av and du):
-            return True
-        return False
-
-    def _class_is_addr(self, t: Term) -> bool:
-        b, _ = split_offset(t)
-        if b is None:
-            return False
-        r = self._find(b)
-        return r in self._addr_classes or r is NIL
-
-    def _class_is_data(self, t: Term) -> bool:
-        b, c = split_offset(t)
-        if b is None:
-            return True  # integer constant
-        r = self._find(b)
-        return r in self._data_classes or isinstance(r, Const) or c != 0
+        return {self.sort(u), self.sort(v)} == {ADDR, INT}
 
     def classes(self) -> list[list[Term]]:
         """Partition of the occurring atomic terms, each class sorted."""

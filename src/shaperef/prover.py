@@ -57,7 +57,6 @@ from .heaps import (
     Spatial,
     SymbolicHeap,
     TRUE_SPATIAL,
-    TrueAtom,
     normalize,
     spatial_sort_key,
     star,
@@ -275,6 +274,16 @@ class _Leaf:
     residue: tuple[Spatial, ...]
 
 
+def _name_payload(full: tuple[Spatial, ...], l_atom: Spatial,
+                  witness: Optional[LVar]) -> tuple[Spatial, ...]:
+    """The left atoms with the payload of node l_atom named by witness,
+    where matching had to name it."""
+    if witness is None:
+        return full
+    repl = NodeAtom(l_atom.at, l_atom.nxt, witness)
+    return tuple(repl if a is l_atom else a for a in full)
+
+
 class _Search:
     """One subtraction query (mode: "entails", "frame" or "abduce")."""
 
@@ -283,16 +292,13 @@ class _Search:
         self.mode = mode
         self._steps = 0
 
-        lhs_spatial = tuple(a for a in lhs.spatial
-                            if not isinstance(a, TrueAtom))
+        lhs_spatial = lhs.cells()
         # heaps by left context, so each closure is built once per search;
         # the root reuses the normalized left side's (true adds no facts)
         self._contexts = {(lhs.pure, lhs_spatial): lhs}
-        self.lhs_had_true = len(lhs_spatial) != len(lhs.spatial)
-        rhs_spatial = tuple(a for a in rhs.spatial
-                            if not isinstance(a, TrueAtom))
-        rhs_had_true = len(rhs_spatial) != len(rhs.spatial)
-        self.modulo = modulo_true or rhs_had_true
+        self.lhs_had_true = lhs.has_true()
+        rhs_spatial = rhs.cells()
+        self.modulo = modulo_true or rhs.has_true()
 
         self.base_pure = lhs.pure
         used = _used_names(lhs, rhs)
@@ -475,10 +481,7 @@ class _Search:
             if type(l_atom) is not type(r_atom):
                 continue
             for th, hy, witness in self._match_pair(l_atom, r_atom, g, facts):
-                full = g.full
-                if witness is not None:
-                    repl = NodeAtom(l_atom.at, l_atom.nxt, witness)
-                    full = tuple(repl if a is l_atom else a for a in full)
+                full = _name_payload(g.full, l_atom, witness)
                 g2 = _Goal(g.pure, full, g.rem[:li] + g.rem[li + 1:],
                            rest, g.rhs_pure, th, hy, g.residue, g.ubud)
                 yield from self._solve(g2)
@@ -615,11 +618,7 @@ class _Search:
                                           g.hyps, facts):
                     for th2, hy2, witness in self._match_payload(
                             l_atom.data, head.data, th, hy, facts):
-                        full = g.full
-                        if witness is not None:
-                            repl = NodeAtom(l_atom.at, l_atom.nxt, witness)
-                            full = tuple(repl if a is l_atom else a
-                                         for a in full)
+                        full = _name_payload(g.full, l_atom, witness)
                         g2 = _Goal(g.pure, full,
                                    g.rem[:li] + g.rem[li + 1:],
                                    tail + rest,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import fields
@@ -25,7 +26,7 @@ from shaperef.heaps import (
 )
 from shaperef import domains, heaps, prover
 from shaperef.domains import AbstractionParam, abstract
-from shaperef.oracle import OracleBounds, models
+from shaperef.oracle import OracleBounds, models, satisfies
 from shaperef.syntax import parse_heap as H
 
 import gens
@@ -419,17 +420,15 @@ def _ask(query, *args) -> str:
 def facts_answers_digest(seed: int = 11, n: int = 300) -> tuple[str, int, int]:
     """sha256 over the classes, reps and pairwise answers of n seeded
     closures; also returns how many were inconsistent and how many met
-    false after an equality.  proves_neq is left out where a closure met
-    false: when this digest was recorded it raised AttributeError there."""
+    false after an equality."""
     rng = random.Random(seed)
     digest = hashlib.sha256()
     inconsistent = false_after_eq = 0
     for _ in range(n):
         pure, spatial = _raw_facts_case(rng)
         f = Facts(pure, spatial)
-        met_false = FALSE_ATOM in pure
         inconsistent += f.inconsistent
-        false_after_eq += met_false and any(p.op == "=" for p in pure)
+        false_after_eq += FALSE_ATOM in pure and any(p.op == "=" for p in pure)
         classes = f.classes()
         terms = sorted({t for c in classes for t in c} | set(_EXTRA_TERMS),
                        key=term_sort_key)
@@ -437,9 +436,7 @@ def facts_answers_digest(seed: int = 11, n: int = 300) -> tuple[str, int, int]:
                  str(f.inconsistent),
                  ";".join(",".join(map(str, c)) for c in classes),
                  " ".join(f"{t}:{_ask(f.rep, t)}" for t in terms)]
-        queries = [f.equal, f.proves_leq, f.proves_lt]
-        if not met_false:
-            queries.append(f.proves_neq)
+        queries = [f.equal, f.proves_leq, f.proves_lt, f.proves_neq]
         for u in terms:
             for v in terms:
                 lines.append(" ".join(_ask(q, u, v) for q in queries))
@@ -447,10 +444,10 @@ def facts_answers_digest(seed: int = 11, n: int = 300) -> tuple[str, int, int]:
     return digest.hexdigest(), inconsistent, false_after_eq
 
 
-# recorded once equal and proves_neq stopped proving atoms over an offset
-# whose base is not proved an integer
+# recorded once proves_neq was asked on every closure and read a
+# disequality fact only where its operands are equal to the query's
 FACTS_ANSWERS_SHA256 = (
-    "8e139fb293aba150bbe81a93374502562b97e681e770843e89716169e7e92c6f")
+    "73a8d0137e8beb7aad435d9a4788add3eb1b8e70330872dfcaba1e15a1ba3cb9")
 
 
 def test_facts_answers_are_unchanged_on_random_heaps():
@@ -458,6 +455,58 @@ def test_facts_answers_are_unchanged_on_random_heaps():
     assert 0 < inconsistent < 300
     assert false_after_eq >= 10
     assert digest == FACTS_ANSWERS_SHA256
+
+
+@functools.cache
+def _consistent_closures() -> tuple:
+    """The consistent closures of the digest's corpus: each case's index,
+    heap, closure, the terms the digest asks about, and the heap's models
+    at 2-cell bounds."""
+    rng = random.Random(11)
+    out = []
+    for i in range(300):
+        h = SymbolicHeap(*_raw_facts_case(rng))
+        f = Facts(h.pure, h.spatial)
+        if f.inconsistent:
+            continue
+        terms = sorted({t for c in f.classes() for t in c} | set(_EXTRA_TERMS),
+                       key=term_sort_key)
+        out.append((i, h, f, terms, list(models(h, OracleBounds(max_cells=2)))))
+    return tuple(out)
+
+
+def _holds_in(ms, op: str, u, v) -> bool:
+    atom = SymbolicHeap((PureAtom(op, u, v),), ())
+    return all(satisfies(m, atom, allow_leftover=True) for m in ms)
+
+
+def test_facts_answers_hold_in_every_model():
+    # a "yes" from a consistent closure is an atom every model satisfies;
+    # a model that satisfies all of them at once satisfies each
+    for i, h, f, terms, ms in _consistent_closures():
+        conj = SymbolicHeap(tuple(dict.fromkeys(
+            PureAtom(op, u, v) for u in terms for v in terms
+            for op, query in (("=", f.equal), ("!=", f.proves_neq),
+                              ("<=", f.proves_leq), ("<", f.proves_lt))
+            if query(u, v))), ())
+        for m in ms:
+            if not satisfies(m, conj, allow_leftover=True):
+                for p in conj.pure:
+                    assert _holds_in([m], p.op, p.lhs, p.rhs), (
+                        i, str(h), str(p), m.render())
+
+
+def test_facts_sorts_agree_with_every_model():
+    # an integer t satisfies t<=t; an address satisfies t=t but not t<=t
+    for i, h, f, terms, ms in _consistent_closures():
+        ints = [t for t in terms if f.sort(t) is heaps.INT]
+        addrs = [t for t in terms if f.sort(t) is heaps.ADDR]
+        held = SymbolicHeap(tuple(leq(t, t) for t in ints)
+                            + tuple(eq(t, t) for t in addrs), ())
+        for m in ms:
+            assert satisfies(m, held, allow_leftover=True), (i, str(h))
+            for t in addrs:
+                assert not _holds_in([m], "<=", t, t), (i, str(h), str(t))
 
 
 def test_closure_that_met_false_keeps_its_classes_and_answers():

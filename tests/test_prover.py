@@ -458,7 +458,11 @@ def test_atoms_over_an_offset_need_an_integer_base():
                             ("node(r,nil,_)", "x+1!=r /\\ node(r,nil,_)",
                              False),
                             ("x<=2 /\\ node(r,nil,_)",
-                             "x+1!=r /\\ node(r,nil,_)", True)]:
+                             "x+1!=r /\\ node(r,nil,_)", True),
+                            # a disequality fact is about its own operands
+                            ("x+1!=y /\\ emp", "x!=y /\\ emp", False),
+                            ("x+1!=y /\\ emp", "x+2!=y /\\ emp", False),
+                            ("x+1!=y /\\ emp", "y!=x+1 /\\ emp", True)]:
         assert oracle_entails(H(lhs), H(rhs), bounds=TIGHT).holds == holds
         assert entails(H(lhs), H(rhs)).holds == holds, (lhs, rhs)
 
