@@ -16,6 +16,13 @@ cell of an atom: a walk from its head can then stop only at its own cells.
 The pruning reads nothing but the store and the atoms, and every candidate
 left still goes through the checker, so a model is what the checker accepts.
 
+What the checker reads of a model is its store, its cells in order, their
+next values and, where the formula has a data position (a payload, a
+contents key or an interval bound), their payloads.  A formula without one
+never reads a payload, so its checker remembers the verdict and the step
+spend of each store and pointer shape it has searched, and answers a model
+of the same shape from that memo.
+
 Values are sorted: addresses are tagged tuples ``('a', k)`` with nil =
 ``('a', 0)``; data values are plain ints.  Sharing an int between the two
 sorts is therefore impossible by construction.
@@ -161,6 +168,18 @@ class _SatSearch:
     over, each assignment of contents keys and each assignment of the
     variables left free.  Those points are part of what ``max_steps``
     means: moving one changes which queries raise ``BoundsTooLarge``.
+
+    A formula with no data position (no cell has ``data_terms``) gets a
+    memo, ``verdicts``, from (store, cells in order, their next values,
+    ``allow_leftover``) to the verdict and the steps left after the search.
+    It is exact: such a search reads the heap's cells in order (head
+    candidates), their next values (node placement, segment walks, the
+    address universe of the pure part), the store and the data universe,
+    which is fixed per formula; with no contents, a segment's contents
+    check succeeds once with one tick whatever its payloads are.  So a hit
+    returns the verdict the search would return and leaves ``steps`` where
+    the search would leave it.  A ``BoundsTooLarge`` is not remembered.
+    The memo lives and dies with the search object.
     """
 
     def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
@@ -176,6 +195,8 @@ class _SatSearch:
         self.pure = h.pure
         self.data = universe_data
         self.max_steps = max_steps
+        self.verdicts: Optional[dict] = (
+            None if any(a.data_terms for a in h.cells()) else {})
 
     def _tick(self) -> None:
         self.steps -= 1
@@ -183,11 +204,20 @@ class _SatSearch:
             raise BoundsTooLarge("satisfaction search budget exhausted")
 
     def run(self, model: Model, allow_leftover: bool) -> bool:
+        if self.verdicts is not None:
+            key = (tuple(model.env.items()), tuple(model.heap),
+                   tuple(nx for nx, _ in model.heap.values()), allow_leftover)
+            if key in self.verdicts:
+                verdict, self.steps = self.verdicts[key]
+                return verdict
         self.model = model
         self.heap = model.heap
         self.steps = self.max_steps
         cover_all = not (allow_leftover or self.has_true)
-        return self._place(0, model.env, frozenset(), cover_all)
+        verdict = self._place(0, model.env, frozenset(), cover_all)
+        if self.verdicts is not None:
+            self.verdicts[key] = verdict, self.steps
+        return verdict
 
     # -- atom placement (footprint search) --------------------------------
 
@@ -205,6 +235,8 @@ class _SatSearch:
         v = _eval(t, env)
         if v is not None:
             return ((v, env),)
+        if not isinstance(t, (PVar, LVar)):
+            return ()  # an offset is never an address
         # unassigned head variable: try every allocated address
         return ((c, {**env, t: c}) for c in self.heap)
 

@@ -192,6 +192,16 @@ def test_offset_from_an_address_has_no_value():
     assert satisfies(m, H("slseg(x,nil,[y+1,9))"))
 
 
+@pytest.mark.parametrize("lhs, rhs", [
+    ("node(y,nil,_)", "node(x'+1,nil,_)"),
+    ("node(y,nil,_)", "list(x'+1,nil)"),
+    ("x=1 /\\ node(y,nil,_)", "node(x+1,nil,_)"),
+])
+def test_an_offset_head_is_never_an_address(lhs, rhs):
+    # the right side has no model: an offset is an integer or no value
+    assert not holds(lhs, rhs)
+
+
 # (left heap, whether it has models, whether the one-cell model with r=a1,
 # x=1 satisfies it): one consistent heap, then aliased cells and a sort clash
 @pytest.mark.parametrize("text, has_models, sat", [
@@ -325,21 +335,26 @@ def _record_runs(monkeypatch, record):
     monkeypatch.setattr(oracle._SatSearch, "run", recording_run)
 
 
-def checker_steps_digest(monkeypatch) -> str:
-    """sha256 over the steps each checker run spends: first on the models
-    of the seeded heaps, then on the reflexive entailment modulo true of
-    the first 30 heaps within 3 cells, whose right side leaves the logical
-    variables free."""
-    spent: list[int] = []
-    _record_runs(monkeypatch,
-                 lambda search, model, before:
-                 spent.append(search.max_steps - search.steps))
+def _seeded_checks(too_large=lambda: None) -> None:
+    """Run the checker on the models of the seeded heaps, then on the
+    reflexive entailment modulo true of the first 30 heaps within 3 cells,
+    whose right side leaves the logical variables free; too_large() is
+    called where a query raises BoundsTooLarge."""
     model_sequence_digest()
     for h in seeded_heaps(n=30):
         try:
             oracle_entails(h, h, modulo_true=True, bounds=WITH_TRUE)
         except BoundsTooLarge:
-            spent.append(-1)
+            too_large()
+
+
+def checker_steps_digest(monkeypatch) -> str:
+    """sha256 over the steps each checker run of _seeded_checks spends."""
+    spent: list[int] = []
+    _record_runs(monkeypatch,
+                 lambda search, model, before:
+                 spent.append(search.max_steps - search.steps))
+    _seeded_checks(lambda: spent.append(-1))
     return hashlib.sha256(" ".join(map(str, spent)).encode()).hexdigest()
 
 
@@ -391,3 +406,96 @@ def test_checker_leaves_the_stores_it_is_handed_unchanged(monkeypatch, lhs, rhs)
         satisfies(m, H(rhs), allow_leftover=True)
     oracle_entails(H(lhs), H(rhs), modulo_true=True, bounds=bounds)
     assert ms and not changed
+
+
+# ---------------------------------------------------------------------------
+# the checker's memo of store and pointer shapes
+# ---------------------------------------------------------------------------
+
+def test_memo_answers_as_a_fresh_search(monkeypatch):
+    """Every run, memo hit or not, gives the verdict and spends the steps
+    that a fresh search of the same formula gives and spends."""
+    init, run = oracle._SatSearch.__init__, oracle._SatSearch.run
+    mismatches, hits = [], []
+
+    def recording_init(self, *args):
+        self.args = args
+        init(self, *args)
+
+    def compared_run(self, model, allow_leftover):
+        size = len(self.verdicts or ())
+        outcomes = []
+        for search in (self, oracle._SatSearch(*self.args)):
+            try:
+                outcomes.append((run(search, model, allow_leftover),
+                                 search.steps))
+            except BoundsTooLarge:
+                outcomes.append(None)
+        if outcomes[0] != outcomes[1]:
+            mismatches.append((model.render(), outcomes))
+        if outcomes[0] is None:
+            raise BoundsTooLarge("satisfaction search budget exhausted")
+        hits.append(self.verdicts is not None and len(self.verdicts) == size)
+        return outcomes[0][0]
+
+    monkeypatch.setattr(oracle._SatSearch, "__init__", recording_init)
+    monkeypatch.setattr(oracle._SatSearch, "run", compared_run)
+    _seeded_checks()
+    assert not mismatches
+    assert any(hits) and not all(hits)
+
+
+@pytest.mark.parametrize("text, memo", [
+    ("list(x,nil)", True),
+    ("node(x,y,_) * list(y,nil,{}) * true", True),
+    ("node(x,nil,{1})", False),
+    ("list(x,nil,{k:1})", False),
+    ("slseg(x,nil,[0,9))", False),
+])
+def test_only_a_formula_without_data_positions_has_a_memo(text, memo):
+    search = oracle._SatSearch(H(text), [0, 1], 1000)
+    assert (search.verdicts is not None) == memo
+
+
+def test_a_memo_hit_never_crosses_shapes():
+    a1, x = ("a", 1), PVar("x")
+    search = oracle._SatSearch(H("list(x,nil)"), [0, 1], 1000)
+    assert search.run(Model({x: a1}, {a1: (NIL_V, 5)}), False)
+    assert not search.run(Model({x: a1}, {a1: (a1, 5)}), False)
+    # another payload on the first shape: a hit
+    assert search.run(Model({x: a1}, {a1: (NIL_V, 6)}), False)
+    assert len(search.verdicts) == 2
+
+
+def test_checker_searches_each_shape_once(monkeypatch):
+    """The right side's checker starts one search per distinct store and
+    pointer shape among the models it is handed, and is handed as many
+    models as before the memo."""
+    init, place, run = (oracle._SatSearch.__init__, oracle._SatSearch._place,
+                        oracle._SatSearch.run)
+    searches, shapes, starts = [], [], []
+
+    def recording_init(self, *args):
+        searches.append(self)
+        init(self, *args)
+
+    def counting_place(self, i, *args):
+        if self is searches[0] and i == 0:
+            starts.append(i)
+        return place(self, i, *args)
+
+    def recording_run(self, model, allow_leftover):
+        if self is searches[0]:
+            shapes.append((tuple(model.env.items()), tuple(model.heap),
+                           tuple(nx for nx, _ in model.heap.values())))
+        return run(self, model, allow_leftover)
+
+    monkeypatch.setattr(oracle._SatSearch, "__init__", recording_init)
+    monkeypatch.setattr(oracle._SatSearch, "_place", counting_place)
+    monkeypatch.setattr(oracle._SatSearch, "run", recording_run)
+    h = "list(x,nil) * list(y,nil)"
+    # oracle_entails builds the right side's checker first
+    v = oracle_entails(H(h), H(h), bounds=OracleBounds(max_cells=3,
+                                                         n_spare_data=1))
+    assert v.holds and v.models_checked == len(shapes) == 63
+    assert len(starts) == len(set(shapes)) < len(shapes)
