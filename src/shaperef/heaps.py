@@ -246,10 +246,11 @@ class Facts:
     every content key k.
 
     Sorts: each class gets one sort, ``ADDR`` or ``INT``, from its
-    evidence.  An atom's head and tail, and nil, are addresses; an atom's
-    data terms, the operands of an order atom or of an equality with an
-    offset side, the base of an offset operand of a disequality, and every
-    constant are integers.  A class that gets both sorts makes the heap
+    evidence.  An atom's head and tail, and nil, are addresses, so an
+    offset there (an integer, or no value) makes the heap inconsistent; an
+    atom's data terms, the operands of an order atom or of an equality with
+    an offset side, the base of an offset operand of a disequality, and
+    every constant are integers.  A class that gets both sorts makes the heap
     inconsistent.  Every query reads sorts through :meth:`sort`: a constant
     is ``INT`` and nil ``ADDR``; an offset is ``INT`` where its base is,
     and otherwise None, as it has no value; any other term has its class's
@@ -281,8 +282,8 @@ class Facts:
                 head_terms.append(a.head)
                 addr_terms += (a.head, a.tail)
             data_terms += a.data_terms
-        for t in addr_terms:  # an offset address is its own class
-            self._parent.setdefault(t, t)
+        if any(isinstance(t, Offset) for t in addr_terms):
+            self.inconsistent = True
         operands = [t for p in pure if p.lhs is not None for t in (p.lhs, p.rhs)]
         for t in map(_base, addr_terms + data_terms + operands):
             self._parent.setdefault(t, t)

@@ -21,7 +21,12 @@ next values and, where the formula has a data position (a payload, a
 contents key or an interval bound), their payloads.  A formula without one
 never reads a payload, so its checker remembers the verdict and the step
 spend of each store and pointer shape it has searched, and answers a model
-of the same shape from that memo.
+of the same shape from that memo.  Against such a right side,
+``oracle_entails`` never builds a left candidate whose shape (the store it
+hands over, the cells in order and their next values) has had all its
+checks hold: every right-side check of such a candidate reads only what the
+held model of that shape had, so it would hold too, and whether the
+candidate is a model at all cannot change the verdict or the countermodel.
 
 Values are sorted: addresses are tagged tuples ``('a', k)`` with nil =
 ``('a', 0)``; data values are plain ints.  Sharing an int between the two
@@ -55,7 +60,9 @@ class OracleBounds:
     max_cells: int = 4          # total allocated cells in generated models
     max_extension: int = 1      # extra cells for a spatial-true conjunct
     n_spare_data: int = 2       # fresh data values beyond the mentioned ones
-    max_models: int = 60000     # generated-model cap per query
+    # cap on the models yielded per query; a candidate that oracle_entails
+    # skips is never built, so it is not counted
+    max_models: int = 60000
     max_steps: int = 400000     # satisfaction-search step cap per query
 
 
@@ -81,7 +88,7 @@ class Model:
 class OracleVerdict:
     holds: bool
     countermodel: Optional[Model] = None
-    models_checked: int = 0
+    models_checked: int = 0     # right-side checks made
 
 
 def _eval(t: Term, env: dict) -> object:
@@ -180,6 +187,11 @@ class _SatSearch:
     returns the verdict the search would return and leaves ``steps`` where
     the search would leave it.  A ``BoundsTooLarge`` is not remembered.
     The memo lives and dies with the search object.
+
+    The same rule lets ``oracle_entails`` go further for its right side:
+    once every check of a left model's shape has held, the enumerator
+    builds no further candidate of that shape, so the right side is handed
+    each left shape once and the memo answers only the left checks.
     """
 
     def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
@@ -415,10 +427,18 @@ def models(h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
     confined to the size bounds.
     """
     bounds = bounds or OracleBounds()
-    if h.is_false:
-        return
     data = data_universe if data_universe is not None else _data_universe(
         h, n_spare=bounds.n_spare_data)
+    yield from _models(h, bounds, data, None)
+
+
+def _models(h: SymbolicHeap, bounds: OracleBounds, data: list[int],
+            held: Optional[set]) -> Iterator[Model]:
+    """The models of h, in the order ``models`` yields them, leaving out
+    every candidate whose shape (see ``_shape``) is in held.  The consumer
+    may add to held between two models; None skips nothing."""
+    if h.is_false:
+        return
     atoms = h.cells()
     segs = [a for a in atoms if isinstance(a, (ListSegAtom, SortedSegAtom))]
     n_fixed = len(atoms) - len(segs)
@@ -434,7 +454,7 @@ def models(h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
             continue
         for ext in range(0, ext_max + 1):
             for m in _models_skeleton(h, atoms, seg_lens, ext, data,
-                                      data_vars, check):
+                                      data_vars, check, held):
                 count += 1
                 if count > bounds.max_models:
                     raise BoundsTooLarge("model enumeration budget exhausted")
@@ -466,9 +486,17 @@ def _seg_payloads(a, n: int, env: dict, data: list[int]) -> list[tuple]:
     return [t for t in tuples if all(t.count(v) >= m for v, m in need.items())]
 
 
+def _shape(store: dict, cells: Iterable, nexts: Iterable) -> tuple:
+    """What a payload-blind check reads of a model (see ``_SatSearch``):
+    the store's program variables, the cells in order and their next
+    values."""
+    return (tuple((v, x) for v, x in store.items() if isinstance(v, PVar)),
+            tuple(cells), tuple(nexts))
+
+
 def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
-                     data: list[int], data_vars: set,
-                     check: _SatSearch) -> Iterator[Model]:
+                     data: list[int], data_vars: set, check: _SatSearch,
+                     held: Optional[set]) -> Iterator[Model]:
     # allocate canonical addresses per atom
     lens = iter(seg_lens)
     atom_cells: list[list[tuple]] = []
@@ -509,18 +537,35 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
     seg_terms = [t for a in atoms if not isinstance(a, NodeAtom)
                  for t in a.data_terms]
     wild = [(d,) for d in data]
-    ext_space = [all_cells + [NIL_V]] * ext + [data] * ext
+    # an extension cell's next values, then its payloads
+    ext_nexts = list(itertools.product(all_cells + [NIL_V], repeat=ext))
+    ext_datas = list(itertools.product(data, repeat=ext))
+    blind = held is not None
 
     for var_combo in itertools.product(*choice_cands):
         env1 = dict(env)
         env1.update(zip(choice_vars, var_combo))
         ends = [_eval(a.tail, env1) for a in atoms]
-        if None in ends or any(_eval_pure(p, env1) is not True for p in h.pure):
+        # a next value is an address: an integer end (x+1, or a constant)
+        # has no model, and neither has an offset from an address
+        if not all(isinstance(e, tuple) for e in ends):
+            continue
+        if any(_eval_pure(p, env1) is not True for p in h.pure):
             continue
         # a content key or bound that does not evaluate is an offset from
         # an address, which no placement of its segment satisfies
         if any(_eval(t, env1) is None for t in seg_terms):
             continue
+        nexts = [c for cs, endv in zip(atom_cells, ends)
+                 for c in cs[1:] + [endv]]
+        # the shapes of this store still to build, one per extension next
+        live = [(enx, _shape(env1, all_cells, nexts + list(enx))
+                 if blind else None) for enx in ext_nexts]
+        if held:
+            live = [s for s in live if s[1] not in held]
+            if not live:
+                continue
+        renew = False
         payloads: list[list[tuple]] = []
         for a, cs, endv in zip(atoms, atom_cells, ends):
             if isinstance(a, NodeAtom):
@@ -535,17 +580,24 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
             else:
                 payloads.append(list(itertools.product(data, repeat=len(cs))))
         else:
-            nexts = [c for cs, endv in zip(atom_cells, ends)
-                     for c in cs[1:] + [endv]]
             for pay_combo in itertools.product(*payloads):
+                if renew:  # held has grown since live was filtered
+                    live = [s for s in live if s[1] not in held]
+                    if not live:
+                        break
+                    renew = False
                 heap = dict(zip(cells, zip(
                     nexts, itertools.chain.from_iterable(pay_combo))))
-                for ec_combo in itertools.product(*ext_space):
-                    heap2 = dict(heap)
-                    heap2.update(zip(ext_cells, zip(ec_combo[:ext], ec_combo[ext:])))
-                    model = Model(env1, heap2)
-                    if check.run(model, allow_leftover=False):
-                        yield model
+                for enx, shape in live:
+                    for ed in ext_datas:
+                        heap2 = dict(heap)
+                        heap2.update(zip(ext_cells, zip(enx, ed)))
+                        model = Model(env1, heap2)
+                        if check.run(model, allow_leftover=False):
+                            yield model
+                            if blind and shape in held:
+                                renew = True
+                                break
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +612,9 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
     Each side's logical variables are existentially quantified over that
     side alone, so the left model's logical-variable bindings are dropped
     before checking the right side.  Program variables free on the right
-    only are universal (a valuation is part of the model).
+    only are universal (a valuation is part of the model).  Against a
+    payload-blind right side, no left candidate is built of a shape whose
+    checks all held (see the module docstring).
     """
     bounds = bounds or OracleBounds()
     data = _data_universe(lhs, rhs, n_spare=bounds.n_spare_data)
@@ -571,8 +625,10 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
     if len(univ) > 3:
         raise BoundsTooLarge("too many universally quantified variables")
     check = _SatSearch(rhs, data, bounds.max_steps)
+    # the shapes whose checks all held, where the right side is payload-blind
+    held: Optional[set] = set() if check.verdicts is not None else None
     checked = 0
-    for m in models(lhs, bounds, data_universe=data):
+    for m in _models(lhs, bounds, data, held):
         base_env = {v: val for v, val in m.env.items() if isinstance(v, PVar)}
         combos = itertools.product(
             sorted(m.heap) + [NIL_V, _addr(97)] + data,
@@ -584,4 +640,7 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
             if not check.run(Model(env2, m.heap), allow_leftover=modulo_true):
                 return OracleVerdict(False, Model(dict(m.env), m.heap),
                                      checked)
+        if held is not None:
+            held.add(_shape(base_env, m.heap,
+                            (nx for nx, _ in m.heap.values())))
     return OracleVerdict(True, None, checked)

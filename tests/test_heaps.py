@@ -168,6 +168,21 @@ def test_offset_under_a_disequality_makes_its_base_an_integer():
     assert not list(models(h, OracleBounds(max_cells=2)))
 
 
+@pytest.mark.parametrize("text", [
+    "node(x'+1,nil,_)",
+    "node(x,y+1,_)",
+    "list(x+1,nil)",
+    "x=1 /\\ node(y,x+1,_)",
+])
+def test_an_offset_in_an_address_position_makes_the_heap_false(text):
+    # an offset is an integer or has no value, never an address
+    assert normalize(H(text)) == FALSE_HEAP
+
+
+def test_abduction_returns_no_offset_head_as_consistent():
+    assert prover.abduce(H("emp"), H("node(x'+1,nil,_)")) == [FALSE_HEAP]
+
+
 def test_offset_reasoning():
     # d < d+1 is built in; d+1 <= e and e <= d is cyclic
     assert normalize(H("d+1<=e /\\ e<=d /\\ emp")) == FALSE_HEAP

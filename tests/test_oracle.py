@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -202,6 +203,18 @@ def test_an_offset_head_is_never_an_address(lhs, rhs):
     assert not holds(lhs, rhs)
 
 
+@pytest.mark.parametrize("text", [
+    "node(x,3,_)",
+    "node(x,y+1,_)",
+    "list(x,y+1)",
+    "x=1 /\\ node(y,x+1,_)",
+])
+def test_a_next_value_is_always_an_address(text):
+    # an integer, or an offset with no value, is no end of a cell's pointer
+    assert not list(models(H(text), OracleBounds(max_cells=2)))
+    assert holds(text, "false")
+
+
 # (left heap, whether it has models, whether the one-cell model with r=a1,
 # x=1 satisfies it): one consistent heap, then aliased cells and a sort clash
 @pytest.mark.parametrize("text, has_models, sat", [
@@ -358,10 +371,12 @@ def checker_steps_digest(monkeypatch) -> str:
     return hashlib.sha256(" ".join(map(str, spent)).encode()).hexdigest()
 
 
-# recorded with the checker that copied the store at every placement and
-# dispatched on each atom's class per placement
+# recorded once oracle_entails built no left model of a shape whose checks
+# all held against a payload-blind right side: the runs left spend what they
+# spent before, and one query (seeded heap 9 against itself) no longer
+# exhausts max_models
 CHECKER_STEPS_SHA256 = (
-    "2d707c0a12161baf1e79b062a65f54c929e7a800bd16373bd04eadc5992a2a77")
+    "25a46ca485fa2d7afc4d44834b93a7791a2a1f4ff88d32a41a2ae181fdfe87fb")
 
 
 def test_checker_step_counts_are_unchanged_on_random_heaps(monkeypatch):
@@ -467,22 +482,75 @@ def test_a_memo_hit_never_crosses_shapes():
     assert len(search.verdicts) == 2
 
 
+# ---------------------------------------------------------------------------
+# entailment against a payload-blind right side: each left shape once
+# ---------------------------------------------------------------------------
+
+def _reference_entails(lhs, rhs, modulo_true, bounds):
+    """oracle_entails without its skip of held shapes: every model of lhs,
+    every valuation of the right side's universal program variables, each
+    checked by a right-side search of its own query; returns holds, the
+    countermodel rendered and the number of checks."""
+    data = oracle._data_universe(lhs, rhs, n_spare=bounds.n_spare_data)
+    lhs_pvars = {v for v in lhs.vars() if isinstance(v, PVar)}
+    univ = sorted((v for v in rhs.vars()
+                   if isinstance(v, PVar) and v not in lhs_pvars),
+                  key=lambda v: v.name)
+    check = oracle._SatSearch(rhs, data, bounds.max_steps)
+    checked = 0
+    for m in models(lhs, bounds, data_universe=data):
+        store = {v: val for v, val in m.env.items() if isinstance(v, PVar)}
+        for combo in itertools.product(
+                sorted(m.heap) + [NIL_V, ("a", 97)] + data, repeat=len(univ)):
+            checked += 1
+            if not check.run(Model({**store, **dict(zip(univ, combo))},
+                                   m.heap), modulo_true):
+                return False, m.render(), checked
+    return True, None, checked
+
+
+# payload-blind right sides: spatial true and emp; shapes that hold on
+# some left models and fail on others with the same store and cells, but
+# other next values; a pure atom that fails on some stores of one shape;
+# and a universal program variable u (r is universal too where the left
+# side has no r)
+_BLIND_RIGHTS = ["true", "emp", "node(r,nil,_) * true", "node(r,r,_) * true",
+                 "y!=2 /\\ true", "u=u /\\ list(r,e') * true"]
+
+
+def test_skipping_held_shapes_changes_no_verdict():
+    """On the seeded heaps, against their own formula and the payload-blind
+    right sides, with and without modulo true, oracle_entails answers as a
+    loop over every model does, with the same countermodel and no more
+    checks; it skips a held shape before both kinds of verdict."""
+    skipped_before = set()
+    for lhs in seeded_heaps(n=30):
+        for rhs in [lhs] + [H(r) for r in _BLIND_RIGHTS]:
+            for modulo_true in (False, True):
+                try:
+                    holds_, counter, checked = _reference_entails(
+                        lhs, rhs, modulo_true, WITH_TRUE)
+                except BoundsTooLarge:
+                    continue  # a verdict here would be no less exact
+                v = oracle_entails(lhs, rhs, modulo_true, WITH_TRUE)
+                assert (v.holds, v.countermodel and v.countermodel.render()
+                        ) == (holds_, counter), (str(lhs), str(rhs))
+                assert v.models_checked <= checked
+                if v.models_checked < checked:
+                    skipped_before.add(v.holds)
+    assert skipped_before == {True, False}
+
+
 def test_checker_searches_each_shape_once(monkeypatch):
-    """The right side's checker starts one search per distinct store and
-    pointer shape among the models it is handed, and is handed as many
-    models as before the memo."""
-    init, place, run = (oracle._SatSearch.__init__, oracle._SatSearch._place,
-                        oracle._SatSearch.run)
-    searches, shapes, starts = [], [], []
+    """Against a payload-blind right side, oracle_entails hands the right
+    side's checker each left store and pointer shape once, and the verdict
+    is the one every model gives."""
+    init, run = oracle._SatSearch.__init__, oracle._SatSearch.run
+    searches, shapes = [], []
 
     def recording_init(self, *args):
         searches.append(self)
         init(self, *args)
-
-    def counting_place(self, i, *args):
-        if self is searches[0] and i == 0:
-            starts.append(i)
-        return place(self, i, *args)
 
     def recording_run(self, model, allow_leftover):
         if self is searches[0]:
@@ -491,11 +559,12 @@ def test_checker_searches_each_shape_once(monkeypatch):
         return run(self, model, allow_leftover)
 
     monkeypatch.setattr(oracle._SatSearch, "__init__", recording_init)
-    monkeypatch.setattr(oracle._SatSearch, "_place", counting_place)
     monkeypatch.setattr(oracle._SatSearch, "run", recording_run)
     h = "list(x,nil) * list(y,nil)"
+    bounds = OracleBounds(max_cells=3, n_spare_data=1)
     # oracle_entails builds the right side's checker first
-    v = oracle_entails(H(h), H(h), bounds=OracleBounds(max_cells=3,
-                                                         n_spare_data=1))
-    assert v.holds and v.models_checked == len(shapes) == 63
-    assert len(starts) == len(set(shapes)) < len(shapes)
+    v = oracle_entails(H(h), H(h), bounds=bounds)
+    # x and y head one or two cells each, within three cells; a loop over
+    # every model makes 63 checks
+    assert v.holds and v.models_checked == len(shapes) == len(set(shapes)) == 3
+    assert _reference_entails(H(h), H(h), False, bounds) == (True, None, 63)
