@@ -640,19 +640,6 @@ FALSE_HEAP = SymbolicHeap(pure=(FALSE_ATOM,))
 EMP_HEAP = SymbolicHeap()
 
 
-class TopState:
-    """The error element of the disjunctive lattice."""
-
-    def __repr__(self) -> str:
-        return "TOP"
-
-    def __str__(self) -> str:
-        return "TOP"
-
-
-TOP = TopState()
-
-
 @dataclass(frozen=True)
 class Disj:
     """A finite disjunction of symbolic heaps (false when empty)."""

@@ -19,14 +19,16 @@ left still goes through the checker, so a model is what the checker accepts.
 What the checker reads of a model is its store, its cells in order, their
 next values and, where the formula has a data position (a payload, a
 contents key or an interval bound), their payloads.  A formula without one
-never reads a payload, so its checker remembers the verdict and the step
-spend of each store and pointer shape it has searched, and answers a model
-of the same shape from that memo.  Against such a right side,
-``oracle_entails`` never builds a left candidate whose shape (the store it
-hands over, the cells in order and their next values) has had all its
-checks hold: every right-side check of such a candidate reads only what the
-held model of that shape had, so it would hold too, and whether the
-candidate is a model at all cannot change the verdict or the countermodel.
+reads no payload: head candidates range over the cells in order; node
+placement, segment walks and the pure part's address universe read the
+next values; the data universe is fixed per query; and with no contents, a
+segment's payload check succeeds once, with one tick, whatever the payloads
+are.  So against such a right side, ``oracle_entails`` never builds a left
+candidate whose shape (``_shape``: the store it hands over, the cells in
+order and their next values) has had all its checks hold: every
+right-side check of such a candidate would hold too and spend the same
+steps, so whether the candidate is a model at all cannot change the
+verdict or the countermodel.
 
 Values are sorted: addresses are tagged tuples ``('a', k)`` with nil =
 ``('a', 0)``; data values are plain ints.  Sharing an int between the two
@@ -63,7 +65,9 @@ class OracleBounds:
     # cap on the models yielded per query; a candidate that oracle_entails
     # skips is never built, so it is not counted
     max_models: int = 60000
-    max_steps: int = 400000     # satisfaction-search step cap per query
+    # step cap per checker run: each run starts afresh, so a query of N
+    # right-side checks may spend up to N times the cap
+    max_steps: int = 400000
 
 
 @dataclass
@@ -175,23 +179,6 @@ class _SatSearch:
     over, each assignment of contents keys and each assignment of the
     variables left free.  Those points are part of what ``max_steps``
     means: moving one changes which queries raise ``BoundsTooLarge``.
-
-    A formula with no data position (no cell has ``data_terms``) gets a
-    memo, ``verdicts``, from (store, cells in order, their next values,
-    ``allow_leftover``) to the verdict and the steps left after the search.
-    It is exact: such a search reads the heap's cells in order (head
-    candidates), their next values (node placement, segment walks, the
-    address universe of the pure part), the store and the data universe,
-    which is fixed per formula; with no contents, a segment's contents
-    check succeeds once with one tick whatever its payloads are.  So a hit
-    returns the verdict the search would return and leaves ``steps`` where
-    the search would leave it.  A ``BoundsTooLarge`` is not remembered.
-    The memo lives and dies with the search object.
-
-    The same rule lets ``oracle_entails`` go further for its right side:
-    once every check of a left model's shape has held, the enumerator
-    builds no further candidate of that shape, so the right side is handed
-    each left shape once and the memo answers only the left checks.
     """
 
     def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
@@ -207,8 +194,6 @@ class _SatSearch:
         self.pure = h.pure
         self.data = universe_data
         self.max_steps = max_steps
-        self.verdicts: Optional[dict] = (
-            None if any(a.data_terms for a in h.cells()) else {})
 
     def _tick(self) -> None:
         self.steps -= 1
@@ -216,20 +201,11 @@ class _SatSearch:
             raise BoundsTooLarge("satisfaction search budget exhausted")
 
     def run(self, model: Model, allow_leftover: bool) -> bool:
-        if self.verdicts is not None:
-            key = (tuple(model.env.items()), tuple(model.heap),
-                   tuple(nx for nx, _ in model.heap.values()), allow_leftover)
-            if key in self.verdicts:
-                verdict, self.steps = self.verdicts[key]
-                return verdict
         self.model = model
         self.heap = model.heap
         self.steps = self.max_steps
         cover_all = not (allow_leftover or self.has_true)
-        verdict = self._place(0, model.env, frozenset(), cover_all)
-        if self.verdicts is not None:
-            self.verdicts[key] = verdict, self.steps
-        return verdict
+        return self._place(0, model.env, frozenset(), cover_all)
 
     # -- atom placement (footprint search) --------------------------------
 
@@ -487,9 +463,9 @@ def _seg_payloads(a, n: int, env: dict, data: list[int]) -> list[tuple]:
 
 
 def _shape(store: dict, cells: Iterable, nexts: Iterable) -> tuple:
-    """What a payload-blind check reads of a model (see ``_SatSearch``):
-    the store's program variables, the cells in order and their next
-    values."""
+    """What a payload-blind check reads of a model (see the module
+    docstring): the store's program variables, the cells in order and their
+    next values."""
     return (tuple((v, x) for v, x in store.items() if isinstance(v, PVar)),
             tuple(cells), tuple(nexts))
 
@@ -626,7 +602,8 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
         raise BoundsTooLarge("too many universally quantified variables")
     check = _SatSearch(rhs, data, bounds.max_steps)
     # the shapes whose checks all held, where the right side is payload-blind
-    held: Optional[set] = set() if check.verdicts is not None else None
+    held: Optional[set] = (
+        None if any(a.data_terms for a in rhs.cells()) else set())
     checked = 0
     for m in _models(lhs, bounds, data, held):
         base_env = {v: val for v, val in m.env.items() if isinstance(v, PVar)}

@@ -175,11 +175,7 @@ def _unfold_list(atom: ListSegAtom, facts: Facts, fresh: _FreshNames) -> Disj:
         cases.append(SymbolicHeap(
             (), (NodeAtom(e, x, k), ListSegAtom(x, f, s.minus_one(k)))))
     x = fresh.make("x")
-    wild = SymbolicHeap((), (NodeAtom(e, x, None), ListSegAtom(x, f, s)))
-    if total > 0:
-        cases.append(wild)
-    elif len(cases) == 1:
-        cases.append(wild)
+    cases.append(SymbolicHeap((), (NodeAtom(e, x, None), ListSegAtom(x, f, s))))
     return Disj(tuple(cases))
 
 
@@ -558,10 +554,8 @@ class _Search:
             for k in sorted(rms.keys(), key=term_sort_key):
                 if facts.proves_lt(k, l_atom.hi):
                     low_keys.append(k)
-                elif facts.proves_leq(l_atom.hi, k):
-                    rest_keys.append(k)
                 else:
-                    rest_keys.append(k)  # undecided: defer to the remainder
+                    rest_keys.append(k)  # not proved low: left to the remainder
             remainder: list[tuple[Term, int]] = []
             for k in low_keys:
                 need = rms.mult(k)

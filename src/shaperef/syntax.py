@@ -5,7 +5,7 @@ inverse.  Round trip: ``parse_heap(str(h)) == h`` for normalized heaps.
 
 Grammar (whitespace insignificant):
 
-    disj    := "TOP" | heap ("\\/" heap)*
+    disj    := heap ("\\/" heap)*
     heap    := (pure "/\\")* spatial | pure ("/\\" pure)*
     spatial := satom ("*" satom)*
     satom   := "emp" | "true"
@@ -25,7 +25,7 @@ Grammar (whitespace insignificant):
 from __future__ import annotations
 
 import re
-from typing import NoReturn, Optional, Union
+from typing import NoReturn, Optional
 
 from .lang import ParseError
 from .terms import (
@@ -47,9 +47,7 @@ from .heaps import (
     SortedSegAtom,
     Spatial,
     SymbolicHeap,
-    TOP,
     TRUE_SPATIAL,
-    TopState,
 )
 
 
@@ -270,10 +268,7 @@ class _Parser:
             break
         return SymbolicHeap(tuple(pure), tuple(spatial))
 
-    def disj(self) -> Union[Disj, TopState]:
-        if self.peek() == "TOP":
-            self.next()
-            return TOP
+    def disj(self) -> Disj:
         heaps = [self.heap()]
         while self.peek() == "\\/":
             self.next()
@@ -297,7 +292,7 @@ def parse_heap(text: str) -> SymbolicHeap:
     return h
 
 
-def parse_disj(text: str) -> Union[Disj, TopState]:
+def parse_disj(text: str) -> Disj:
     p = _Parser(text)
     d = p.disj()
     if not p.at_end():

@@ -424,65 +424,6 @@ def test_checker_leaves_the_stores_it_is_handed_unchanged(monkeypatch, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
-# the checker's memo of store and pointer shapes
-# ---------------------------------------------------------------------------
-
-def test_memo_answers_as_a_fresh_search(monkeypatch):
-    """Every run, memo hit or not, gives the verdict and spends the steps
-    that a fresh search of the same formula gives and spends."""
-    init, run = oracle._SatSearch.__init__, oracle._SatSearch.run
-    mismatches, hits = [], []
-
-    def recording_init(self, *args):
-        self.args = args
-        init(self, *args)
-
-    def compared_run(self, model, allow_leftover):
-        size = len(self.verdicts or ())
-        outcomes = []
-        for search in (self, oracle._SatSearch(*self.args)):
-            try:
-                outcomes.append((run(search, model, allow_leftover),
-                                 search.steps))
-            except BoundsTooLarge:
-                outcomes.append(None)
-        if outcomes[0] != outcomes[1]:
-            mismatches.append((model.render(), outcomes))
-        if outcomes[0] is None:
-            raise BoundsTooLarge("satisfaction search budget exhausted")
-        hits.append(self.verdicts is not None and len(self.verdicts) == size)
-        return outcomes[0][0]
-
-    monkeypatch.setattr(oracle._SatSearch, "__init__", recording_init)
-    monkeypatch.setattr(oracle._SatSearch, "run", compared_run)
-    _seeded_checks()
-    assert not mismatches
-    assert any(hits) and not all(hits)
-
-
-@pytest.mark.parametrize("text, memo", [
-    ("list(x,nil)", True),
-    ("node(x,y,_) * list(y,nil,{}) * true", True),
-    ("node(x,nil,{1})", False),
-    ("list(x,nil,{k:1})", False),
-    ("slseg(x,nil,[0,9))", False),
-])
-def test_only_a_formula_without_data_positions_has_a_memo(text, memo):
-    search = oracle._SatSearch(H(text), [0, 1], 1000)
-    assert (search.verdicts is not None) == memo
-
-
-def test_a_memo_hit_never_crosses_shapes():
-    a1, x = ("a", 1), PVar("x")
-    search = oracle._SatSearch(H("list(x,nil)"), [0, 1], 1000)
-    assert search.run(Model({x: a1}, {a1: (NIL_V, 5)}), False)
-    assert not search.run(Model({x: a1}, {a1: (a1, 5)}), False)
-    # another payload on the first shape: a hit
-    assert search.run(Model({x: a1}, {a1: (NIL_V, 6)}), False)
-    assert len(search.verdicts) == 2
-
-
-# ---------------------------------------------------------------------------
 # entailment against a payload-blind right side: each left shape once
 # ---------------------------------------------------------------------------
 
@@ -539,6 +480,27 @@ def test_skipping_held_shapes_changes_no_verdict():
                 if v.models_checked < checked:
                     skipped_before.add(v.holds)
     assert skipped_before == {True, False}
+
+
+@pytest.mark.parametrize("text, blind", [
+    ("list(x,nil)", True),
+    ("node(x,y,_) * list(y,nil,{}) * true", True),
+    ("node(x,nil,{1})", False),
+    ("list(x,nil,{k:1})", False),
+    ("slseg(x,nil,[0,9))", False),
+])
+def test_only_a_right_side_without_data_positions_skips_held_shapes(
+        monkeypatch, text, blind):
+    helds = []
+    enumerate_models = oracle._models
+
+    def recording_models(h, bounds, data, held):
+        helds.append(held)
+        return enumerate_models(h, bounds, data, held)
+
+    monkeypatch.setattr(oracle, "_models", recording_models)
+    oracle_entails(H("emp"), H(text))
+    assert [held is not None for held in helds] == [blind]
 
 
 def test_checker_searches_each_shape_once(monkeypatch):

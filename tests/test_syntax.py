@@ -7,7 +7,7 @@ import random
 import pytest
 
 from shaperef import lang
-from shaperef.heaps import TOP, normalize
+from shaperef.heaps import normalize
 from shaperef.syntax import ParseError, parse_disj, parse_heap, parse_term
 
 from gens import random_heap
@@ -48,7 +48,8 @@ def test_round_trip_random_normalized_heaps():
 def test_parse_disj():
     d = parse_disj("d=x /\\ true \\/ t'!=nil /\\ res=0 /\\ node(t,t',{d'}) * true")
     assert len(d.heaps) == 2
-    assert parse_disj("TOP") is TOP
+    with pytest.raises(ParseError):
+        parse_disj("TOP")
     assert parse_disj(str(d)) == d
 
 
