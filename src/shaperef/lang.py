@@ -1,6 +1,14 @@
 """Source language frontend: lexer, parser, AST, and renderer for the small
 pointer-manipulating language the analyzer consumes.
 
+Lexical rules, shared with the heap grammar of ``shaperef.syntax``: an ID
+is an ASCII letter or "_" followed by ASCII letters, digits and "_"; an
+INT is one or more ASCII digits; spaces, tabs, carriage returns and
+newlines separate tokens.  Each grammar states its tokens as one pattern,
+``lex`` splits a text by it, and both recursive-descent parsers extend
+``Cursor``, so a ParseError in either carries the line and column of the
+token at fault.  Here the KEYWORDS are not IDs.
+
 Grammar (this docstring is its reference):
 
     program := stmt*
@@ -26,8 +34,9 @@ arbitrary branch in condition position.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, NoReturn, Optional, Union
 
 
 class ParseError(ValueError):
@@ -213,101 +222,90 @@ class Ast:
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer and token cursor, shared with ``shaperef.syntax``
 # ---------------------------------------------------------------------------
 
 KEYWORDS = ("new", "Node", "while", "if", "else", "assert", "nil")
-_SYMBOLS = ("==", "!=", "<=", "&&", "||", "->",
-            "=", ";", "(", ")", "{", "}", ",", "<", "!", "*")
+SPACE = r"[ \t\r\n]*"
+ID = r"[A-Za-z_][A-Za-z0-9_]*"
+INT = r"[0-9]+"
+_SPACE = re.compile(SPACE)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "id", "int", "kw", symbol text, "eof"
+class Token(NamedTuple):
+    kind: str  # its pattern group's name, a "sym" token's text, or "eof"
     text: str
-    line: int
-    col: int
+    offset: int  # where it starts in the text
 
 
-def _lex(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "id"
-            toks.append(_Tok(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Tok(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+def lex(text: str, token: re.Pattern[str]) -> list[Token]:
+    """The tokens of ``text`` by the pattern ``token``, which matches
+    SPACE and then one token; its named groups are the token kinds, and a
+    ``sym`` token's kind is its text.  Reading stops at the first place
+    ``token`` does not match, where an ``eof`` token ends the list: at
+    ``len(text)`` when the whole text was read."""
+    toks = []
+    pos = 0
+    while m := token.match(text, pos):
+        kind = m.lastgroup
+        word = m[kind]
+        toks.append(Token(word if kind == "sym" else kind, word,
+                          m.start(kind)))
+        pos = m.end()
+    toks.append(Token("eof", "", _SPACE.match(text, pos).end()))
     return toks
+
+
+class Cursor:
+    """A position in the tokens of ``text``, for a recursive-descent parser
+    whose class sets ``TOKEN``, the grammar's token pattern."""
+
+    TOKEN: re.Pattern[str]
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = lex(text, self.TOKEN)
+        self.pos = 0
+        end = self.toks[-1].offset
+        if end < len(text):
+            self.fail(f"unexpected character {text[end]!r}", end)
+
+    def peek(self, ahead: int = 0) -> Token:
+        """The current token, or with ``ahead`` one past it (only where the
+        current token is not ``eof``)."""
+        return self.toks[self.pos + ahead]
+
+    def next(self) -> Token:
+        t = self.toks[self.pos]
+        if t.kind != "eof":
+            self.pos += 1
+        return t
+
+    def expect(self, kind: str, what: Optional[str] = None) -> Token:
+        if self.peek().kind != kind:
+            self.fail(f"expected {what or repr(kind)}")
+        return self.next()
+
+    def fail(self, msg: str, offset: Optional[int] = None) -> NoReturn:
+        """Raise a ParseError at ``offset`` in the text, by default at the
+        current token, which the message then names."""
+        if offset is None:
+            t = self.peek()
+            msg = f"{msg}, got {t.text or 'end of input'!r}"
+            offset = t.offset
+        raise ParseError(msg, self.text.count("\n", 0, offset) + 1,
+                         offset - self.text.rfind("\n", 0, offset))
 
 
 # ---------------------------------------------------------------------------
 # Parser (recursive descent)
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _lex(text)
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def fail(self, msg: str) -> None:
-        t = self.peek()
-        got = t.text if t.kind != "eof" else "end of input"
-        raise ParseError(f"{msg}, got {got!r}", t.line, t.col)
-
-    def expect(self, kind: str, what: Optional[str] = None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            self.fail(f"expected {what or kind!r}")
-        return self.next()
-
-    def expect_kw(self, word: str) -> None:
-        t = self.peek()
-        if t.kind != "kw" or t.text != word:
-            self.fail(f"expected {word!r}")
-        self.next()
+class _Parser(Cursor):
+    TOKEN = re.compile(
+        rf"{SPACE}(?:(?P<sym>(?:{'|'.join(KEYWORDS)})\b"
+        r"|==|!=|<=|&&|\|\||->|[=;(){},<!*])"
+        rf"|(?P<id>{ID})|(?P<int>{INT}))")
 
     # -- program / statements ----------------------------------------------
 
@@ -330,91 +328,68 @@ class _Parser:
         return (self.stmt(),)
 
     def stmt(self) -> Stmt:
-        t = self.peek()
-        if t.kind == "kw" and t.text == "while":
+        kind = self.peek().kind
+        if kind in ("while", "if", "assert"):
             self.next()
             self.expect("(")
             c = self.cond()
             self.expect(")")
-            return While(c, self.block())
-        if t.kind == "kw" and t.text == "if":
-            self.next()
-            self.expect("(")
-            c = self.cond()
-            self.expect(")")
+            if kind == "while":
+                return While(c, self.block())
+            if kind == "assert":
+                self.expect(";")
+                return Assert(c)
             then = self.block()
-            els: tuple[Stmt, ...] = ()
-            nxt = self.peek()
-            if nxt.kind == "kw" and nxt.text == "else":
+            if self.peek().kind == "else":
                 self.next()
-                els = self.block()
-            return If(c, then, els)
-        if t.kind == "kw" and t.text == "assert":
+                return If(c, then, self.block())
+            return If(c, then)
+        name = self.expect("id", "a statement").text
+        if self.peek().kind == "->":
             self.next()
-            self.expect("(")
-            c = self.cond()
-            self.expect(")")
-            self.expect(";")
-            return Assert(c)
-        if t.kind == "id":
-            name = self.next().text
-            if self.peek().kind == "->":
-                self.next()
-                f = self.field()
-                self.expect("=")
-                e = self.expr()
-                self.expect(";")
-                return Store(name, f, e)
+            f = self.field()
             self.expect("=")
-            nxt = self.peek()
-            if nxt.kind == "kw" and nxt.text == "new":
-                self.next()
-                self.expect_kw("Node")
-                self.expect("(")
-                n_e = self.expr()
-                self.expect(",")
-                d_e = self.expr()
-                self.expect(")")
-                self.expect(";")
-                return AllocNode(name, n_e, d_e)
-            if nxt.kind == "id" and self.peek(1).kind == "->":
-                src = self.next().text
-                self.next()  # ->
-                f = self.field()
-                self.expect(";")
-                return Load(name, src, f)
             e = self.expr()
             self.expect(";")
-            return Assign(name, e)
-        self.fail("expected a statement")
-        raise AssertionError  # unreachable
+            return Store(name, f, e)
+        self.expect("=")
+        if self.peek().kind == "new":
+            self.next()
+            self.expect("Node")
+            self.expect("(")
+            n_e = self.expr()
+            self.expect(",")
+            d_e = self.expr()
+            self.expect(")")
+            self.expect(";")
+            return AllocNode(name, n_e, d_e)
+        if self.peek().kind == "id" and self.peek(1).kind == "->":
+            src = self.next().text
+            self.next()  # ->
+            f = self.field()
+            self.expect(";")
+            return Load(name, src, f)
+        e = self.expr()
+        self.expect(";")
+        return Assign(name, e)
 
     def field(self) -> str:
-        t = self.peek()
-        if t.kind == "id" and t.text in FIELDS:
-            self.next()
-            return t.text
-        self.fail("expected 'next' or 'data'")
-        raise AssertionError
+        if self.peek().text not in FIELDS:
+            self.fail("expected 'next' or 'data'")
+        return self.next().text
 
     # -- expressions and conditions ----------------------------------------
 
     def expr(self) -> Expr:
         t = self.peek()
+        if t.kind not in ("id", "nil", "int", "*"):
+            self.fail("expected an expression")
+        self.next()
         if t.kind == "id":
-            self.next()
             return VarE(t.text)
-        if t.kind == "kw" and t.text == "nil":
-            self.next()
-            return NilE()
         if t.kind == "int":
-            self.next()
             return IntE(int(t.text))
-        if t.kind == "*":
-            self.next()
-            return NondetE()
-        self.fail("expected an expression")
-        raise AssertionError
+        return NilE() if t.kind == "nil" else NondetE()
 
     def cond(self) -> Cond:
         left = self.cond_and()

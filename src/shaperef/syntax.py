@@ -3,7 +3,7 @@
 The renderer is the ``__str__`` of each class; this module provides the
 inverse.  Round trip: ``parse_heap(str(h)) == h`` for normalized heaps.
 
-Grammar (whitespace insignificant):
+Grammar (ID, INT and whitespace as in ``shaperef.lang``):
 
     disj    := heap ("\\/" heap)*
     heap    := (pure "/\\")* spatial | pure ("/\\" pure)*
@@ -17,17 +17,20 @@ Grammar (whitespace insignificant):
     entry   := term (":" INT)?
     pure    := "true" | "false" | term relop term
     relop   := "=" | "!=" | "<=" | "<"
-    term    := ("nil" | INT | ID | ID "'") ("+" INT)?
+    term    := ("nil" | SINT | ID | LVAR) ("+" INT)?
 
-``ID'`` is a logical variable, plain ``ID`` a program variable.
+Its own tokens: LVAR is ``ID'``, a logical variable (a plain ID is a
+program variable); SINT is an INT with an optional "-"; "/\\" joins the
+parts of a heap and "\\/" the heaps of a disjunction; "_", the unknown
+payload, is an ID everywhere else.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NoReturn, Optional
+from typing import Optional
 
-from .lang import ParseError
+from .lang import ID, INT, SPACE, Cursor, ParseError
 from .terms import (
     Const,
     LVar,
@@ -51,181 +54,119 @@ from .heaps import (
 )
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lop>/\\|\\/)|(?P<op>!=|<=|[=<+*,:(){}\[\)\]])"
-    r"|(?P<int>-?\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_]*'?))"
-)
 _RELATIONS = ("=", "!=", "<=", "<")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: list[str] = []
-        self.offsets: list[int] = []  # where each token starts in text
-        pos = 0
-        while m := _TOKEN_RE.match(text, pos):
-            self.toks.append(m.group(m.lastgroup))
-            self.offsets.append(m.start(m.lastgroup))
-            pos = m.end()
-        self.i = 0
-        rest = text[pos:].strip()
-        if rest:
-            raise ParseError(f"cannot tokenize at: {rest[:20]!r}",
-                             *self._line_col(text.index(rest[0], pos)))
-
-    def _line_col(self, offset: int) -> tuple[int, int]:
-        """1-based line and column of ``text[offset]``."""
-        return (self.text.count("\n", 0, offset) + 1,
-                offset - self.text.rfind("\n", 0, offset))
-
-    def fail(self, msg: str, at: Optional[int] = None) -> NoReturn:
-        """Raise at token ``at`` (default: the last one consumed)."""
-        i = self.i - 1 if at is None else at
-        offset = self.offsets[i] if i < len(self.toks) else len(self.text)
-        raise ParseError(msg, *self._line_col(offset))
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> str:
-        if self.i >= len(self.toks):
-            self.fail("unexpected end of input", at=self.i)
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            self.fail(f"expected {tok!r}, got {got!r}")
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.toks)
+class _Parser(Cursor):
+    TOKEN = re.compile(
+        rf"{SPACE}(?:(?P<sym>/\\|\\/|!=|<=|[=<+*,:(){{}}\[\]])"
+        rf"|(?P<lvar>{ID}')|(?P<id>{ID})|(?P<int>{INT})|(?P<neg>-{INT}))")
 
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> Term:
-        t = self.next()
-        if t == "nil":
-            base: Term = NIL
-        elif re.fullmatch(r"-?\d+", t):
-            base = Const(int(t))
-        elif t.endswith("'"):
-            base = LVar(t[:-1])
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", t):
-            base = PVar(t)
+        t = self.peek()
+        if t.kind not in ("id", "lvar", "int", "neg"):
+            self.fail("expected a term")
+        self.next()
+        if t.kind == "lvar":
+            base: Term = LVar(t.text[:-1])
+        elif t.kind == "id":
+            base = NIL if t.text == "nil" else PVar(t.text)
         else:
-            self.fail(f"expected term, got {t!r}")
-        if self.peek() == "+":
+            base = Const(int(t.text))
+        if self.peek().kind == "+":
             self.next()
-            k = self.next()
-            if not re.fullmatch(r"\d+", k):
-                self.fail(f"expected integer offset, got {k!r}")
-            base = shifted(base, int(k))
+            k = self.expect("int", "an integer offset")
+            base = shifted(base, int(k.text))
         return base
 
     # -- pure atoms ------------------------------------------------------------
 
     def pure_atom(self) -> PureAtom:
-        if self.peek() == "true":
+        if self.peek().text == "true":
             self.next()
             return TRUE_ATOM
-        if self.peek() == "false":
+        if self.peek().text == "false":
             self.next()
             return FALSE_ATOM
         lhs = self.term()
-        op = self.next()
-        if op not in _RELATIONS:
-            self.fail(f"expected relation, got {op!r}")
-        rhs = self.term()
-        return PureAtom(op, lhs, rhs)
+        if self.peek().kind not in _RELATIONS:
+            self.fail("expected a relation")
+        op = self.next().kind
+        return PureAtom(op, lhs, self.term())
 
     def comparison_ahead(self) -> bool:
         """Does the next part start with a term and a relation?"""
-        save = self.i
+        save = self.pos
         try:
             self.term()
-            return self.peek() in _RELATIONS
+            return self.peek().kind in _RELATIONS
         except ParseError:
             return False
         finally:
-            self.i = save
+            self.pos = save
 
     # -- spatial ---------------------------------------------------------------
 
     def multiset(self) -> Multiset:
         self.expect("{")
         pairs: list[tuple[Term, int]] = []
-        if self.peek() != "}":
+        if self.peek().kind != "}":
             while True:
                 t = self.term()
                 n = 1
-                if self.peek() == ":":
+                if self.peek().kind == ":":
                     self.next()
-                    k = self.next()
-                    if not re.fullmatch(r"\d+", k):
-                        self.fail(f"expected multiplicity, got {k!r}")
-                    n = int(k)
+                    n = int(self.expect("int", "a multiplicity").text)
                 pairs.append((t, n))
-                if self.peek() != ",":
+                if self.peek().kind != ",":
                     break
                 self.next()
         self.expect("}")
         return Multiset.of(pairs)
 
     def spatial_atom(self) -> Optional[Spatial]:
-        t = self.next()
-        if t == "emp":
+        word = self.peek().text
+        if word not in ("emp", "true", "node", "list", "slseg"):
+            self.fail("expected a spatial atom")
+        self.next()
+        if word == "emp":
             return None
-        if t == "true":
+        if word == "true":
             return TRUE_SPATIAL
-        if t == "node":
-            self.expect("(")
-            at = self.term()
+        self.expect("(")
+        src = self.term()
+        self.expect(",")
+        dst = self.term()
+        if word == "node":
             self.expect(",")
-            nxt = self.term()
-            self.expect(",")
-            if self.peek() == "_":
+            data: Optional[Term] = None
+            if self.peek().text == "_":
                 self.next()
-                data: Optional[Term] = None
-            elif self.peek() == "{":
+            elif self.peek().kind == "{":
                 self.next()
                 data = self.term()
                 self.expect("}")
             else:
                 data = self.term()
             self.expect(")")
-            return NodeAtom(at, nxt, data)
-        if t == "list":
-            self.expect("(")
-            src = self.term()
-            self.expect(",")
-            dst = self.term()
-            ms = Multiset()
-            if self.peek() == ",":
-                self.next()
-                ms = self.multiset()
-            self.expect(")")
-            return ListSegAtom(src, dst, ms)
-        if t == "slseg":
-            self.expect("(")
-            src = self.term()
-            self.expect(",")
-            dst = self.term()
+            return NodeAtom(src, dst, data)
+        if word == "slseg":
             self.expect(",")
             self.expect("[")
             lo = self.term()
             self.expect(",")
             hi = self.term()
             self.expect(")")
-            ms = Multiset()
-            if self.peek() == ",":
-                self.next()
-                ms = self.multiset()
-            self.expect(")")
-            return SortedSegAtom(src, dst, lo, hi, ms)
-        self.fail(f"expected spatial atom, got {t!r}")
+        ms = Multiset()
+        if self.peek().kind == ",":
+            self.next()
+            ms = self.multiset()
+        self.expect(")")
+        if word == "list":
+            return ListSegAtom(src, dst, ms)
+        return SortedSegAtom(src, dst, lo, hi, ms)
 
     # -- heaps -----------------------------------------------------------------
 
@@ -233,17 +174,17 @@ class _Parser:
         pure: list[PureAtom] = []
         spatial: list[Spatial] = []
         while True:
-            save = self.i
+            save = self.pos
             # a part is pure if it parses as a pure atom followed by /\;
             # past a term and a relation, its errors are the pure atom's
             committed = self.comparison_ahead()
             try:
                 p = self.pure_atom()
-                if self.peek() == "/\\":
+                if self.peek().kind == "/\\":
                     self.next()
                     pure.append(p)
                     continue
-                if self.peek() in (None, "\\/"):
+                if self.peek().kind in ("eof", "\\/"):
                     if p == TRUE_ATOM:
                         # a trailing bare "true" is the arbitrary-heap atom
                         return SymbolicHeap(tuple(pure), (TRUE_SPATIAL,))
@@ -251,18 +192,17 @@ class _Parser:
                     pure.append(p)
                     return SymbolicHeap(tuple(pure), ())
                 if committed:
-                    self.fail(f"expected '/\\' or end of heap, got "
-                              f"{self.peek()!r}", at=self.i)
+                    self.fail("expected '/\\' or end of heap")
             except ParseError:
                 if committed:
                     raise
-            self.i = save
+            self.pos = save
             break
         while True:
             a = self.spatial_atom()
             if a is not None:
                 spatial.append(a)
-            if self.peek() == "*":
+            if self.peek().kind == "*":
                 self.next()
                 continue
             break
@@ -270,32 +210,27 @@ class _Parser:
 
     def disj(self) -> Disj:
         heaps = [self.heap()]
-        while self.peek() == "\\/":
+        while self.peek().kind == "\\/":
             self.next()
             heaps.append(self.heap())
         return Disj(tuple(heaps))
 
 
-def parse_term(text: str) -> Term:
+def _parse(text: str, rule, what: str):
     p = _Parser(text)
-    t = p.term()
-    if not p.at_end():
-        p.fail(f"trailing input after term: {text!r}", at=p.i)
-    return t
+    result = rule(p)
+    if p.peek().kind != "eof":
+        p.fail(f"trailing input after {what}")
+    return result
+
+
+def parse_term(text: str) -> Term:
+    return _parse(text, _Parser.term, "term")
 
 
 def parse_heap(text: str) -> SymbolicHeap:
-    p = _Parser(text)
-    h = p.heap()
-    if not p.at_end():
-        p.fail(f"trailing input after heap: {text!r}", at=p.i)
-    return h
+    return _parse(text, _Parser.heap, "heap")
 
 
 def parse_disj(text: str) -> Disj:
-    p = _Parser(text)
-    d = p.disj()
-    if not p.at_end():
-        p.fail(f"trailing input after disjunction: {text!r}", at=p.i)
-    return d
-
+    return _parse(text, _Parser.disj, "disjunction")

@@ -165,19 +165,31 @@ def test_error_positions_track_lines():
     assert (e.line, e.col) == (3, 5)
 
 
+# each malformed input with the 1-based (line, column) of the token at fault
+MALFORMED = [
+    ("x", (1, 2)),                      # lone identifier
+    ("x = 1", (1, 6)),                  # missing semicolon
+    ("x = new Nod(1, 2);", (1, 9)),     # misspelt Node
+    ("p = new Node(1);", (1, 15)),      # missing second argument
+    ("while x == nil) { }", (1, 7)),    # missing open paren
+    ("if (x == 1) { y = 2;", (1, 21)),  # unclosed brace
+    ("assert(x == 1)", (1, 15)),        # missing semicolon
+    ("x = y->foo;", (1, 8)),            # unknown field
+    ("nil = 3;", (1, 1)),               # keyword as target
+    ("x = #;", (1, 5)),                 # unknown character
+    ("while (x) { }", (1, 9)),          # expr is not a condition
+    ("x == 1;", (1, 3)),                # comparison as statement
+    # str.isdigit() and str.isalpha() accept these; INT and ID are ASCII
+    ("x = \u00b2;", (1, 5)),            # superscript two
+    ("\u00e9 = 1;", (1, 1)),            # accented letter
+]
+
+
 def test_malformed_inputs_raise():
-    assert err("x").line == 1                       # lone identifier
-    assert err("x = 1").col == 6                    # missing semicolon
+    for text, pos in MALFORMED:
+        e = err(text)
+        assert (e.line, e.col) == pos, text
     assert "Node" in str(err("x = new Nod(1, 2);"))
-    assert err("p = new Node(1);") is not None      # missing second argument
-    assert err("while x == nil) { }") is not None   # missing open paren
-    assert err("if (x == 1) { y = 2;") is not None  # unclosed brace
-    assert err("assert(x == 1)") is not None        # missing semicolon
-    assert err("x = y->foo;") is not None           # unknown field
-    assert err("nil = 3;") is not None              # keyword as target
-    assert err("x = #;") is not None                # unknown character
-    assert err("while (x) { }") is not None         # expr is not a condition
-    assert err("x == 1;") is not None               # comparison as statement
 
 
 def test_unknown_character_position():

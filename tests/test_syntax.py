@@ -9,6 +9,7 @@ import pytest
 from shaperef import lang
 from shaperef.heaps import normalize
 from shaperef.syntax import ParseError, parse_disj, parse_heap, parse_term
+from shaperef.terms import PVar
 
 from gens import random_heap
 
@@ -20,6 +21,7 @@ CASES = [
     "x=1 /\\ emp",
     "x=nil /\\ node(r,x',_) * list(x',nil,{x:1})",
     "node(x,nil,{1})",
+    "node(_x,nil,_)",
     "node(x,y,{d'})",
     "list(x,nil)",
     "list(x,nil,{x:1,2:3})",
@@ -79,6 +81,7 @@ def test_parse_term_forms():
     "list(x,y,{5:})",       # missing multiplicity
     "list(x,y,{5:-1})",     # negative multiplicity
     "list(x,y,{5:",         # input ends in a multiplicity
+    "node(x,nil,_) *\n  list(y)",  # missing dst on the second line
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError) as info:
@@ -96,6 +99,7 @@ ERROR_POSITIONS = {
     "node(x,nil,_) %": (1, 15),
     "x=1 * node(x,nil,_)": (1, 5),
     "list(x,y,{5:": (1, 13),
+    "node(x,nil,_) *\n  list(y)": (2, 9),
 }
 
 
@@ -103,6 +107,24 @@ def test_parse_error_positions_count_lines():
     with pytest.raises(ParseError) as info:
         parse_heap("list(x,\n  y,{5:z})")
     assert (info.value.line, info.value.col) == (2, 8)
+
+
+@pytest.mark.parametrize("name", [
+    "x", "_x", "x1", "_", "node", "emp", "true", "next",
+    "\u00e9", "x\u00e9", "\u00b2", "1x", "x'",
+])
+def test_program_and_heap_grammars_agree_on_identifiers(name):
+    assert name not in lang.KEYWORDS
+    try:
+        lang.parse(f"{name} = 1;")
+        in_program = True
+    except ParseError:
+        in_program = False
+    try:
+        in_heap = parse_term(name) == PVar(name)
+    except ParseError:
+        in_heap = False
+    assert in_program == in_heap
 
 
 def test_parse_error_is_the_frontend_error_and_a_value_error():
