@@ -69,7 +69,6 @@ class CommandSpec:
     pre: SymbolicHeap
     post: Union[SymbolicHeap, Disj]
     modifies: frozenset
-    cond: Optional[Cond] = None
 
     def post_cases(self) -> tuple[SymbolicHeap, ...]:
         if isinstance(self.post, Disj):
@@ -185,8 +184,7 @@ def spec_of(cmd: Command) -> CommandSpec:
                            label=f"assume({lang.render_cond(cmd.cond)})",
                            pre=TRUE_HEAP,
                            post=_cond_post(cmd.cond),
-                           modifies=frozenset(),
-                           cond=cmd.cond)
+                           modifies=frozenset())
     if isinstance(cmd, Skip):
         return CommandSpec("skip", "skip", EMP_HEAP, EMP_HEAP, frozenset())
     if isinstance(cmd, Assert):
@@ -195,8 +193,7 @@ def spec_of(cmd: Command) -> CommandSpec:
                            label=lang.render_stmt(cmd),
                            pre=post,
                            post=post,
-                           modifies=frozenset(),
-                           cond=cmd.cond)
+                           modifies=frozenset())
     if isinstance(cmd, Assign):
         x = PVar(cmd.var)
         t = _expr_term(cmd.expr, _Wildcards())

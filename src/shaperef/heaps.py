@@ -704,6 +704,10 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
                 spatial = [s.subst(m) for s in spatial]
             except ValueError:  # victim+k with victim = nil has no value
                 return FALSE_HEAP
+            if isinstance(repl, Offset):
+                # the equality held only where repl has a value, and
+                # repl = repl keeps that condition
+                pure.insert(i, PureAtom("=", repl, repl))
             changed = True
             break
 

@@ -15,12 +15,27 @@ proceeds.  The search has four moves:
   every consistent disjunct must be proved (entailment and frame inference
   only; never during abduction).
 
-Abduction replaces case analysis with two extra moves: an undischargeable
-right-hand atom becomes part of the candidate anti-frame, and an unprovable
-ground comparison becomes a pure hypothesis.  Every candidate is re-checked
-(``lhs * candidate |- rhs`` must hold and the conjunction must stay
-consistent) before it is returned, so callers may rely on the results even
-though hypothesis generation itself is heuristic.
+Every comparison of a left term l with a right term r follows one rule: an
+r that is an unbound right-hand existential is bound to l; otherwise the
+left facts must prove the atom, or, in abduction only, the atom becomes a
+pure hypothesis unless the facts refute it.  The atoms, by position:
+
+* heads, tails and payloads: l = r;
+* a sorted segment's interval: r.lo <= l.lo and l.hi <= r.hi when
+  matched (the right interval contains the left), r.lo <= l.lo when the
+  left segment is chained as a prefix;
+* at a leaf, the right side's pure atoms as written, once the existentials
+  they fix by equality are bound; an existential bound to an offset t+k
+  leaves t+k = t+k, which holds only where t+k has a value;
+* an existential still free there: a <= b for each lower bound a and
+  upper bound b of it, and a <= a for a bound a with no partner, which
+  holds only where a has an integer value.
+
+Abduction replaces case analysis with one extra move: an undischargeable
+right-hand atom becomes part of the candidate anti-frame.  Every candidate
+is re-checked (``lhs * candidate |- rhs`` must hold and the conjunction
+must stay consistent) before it is returned, so callers may rely on the
+results even though hypothesis generation itself is heuristic.
 """
 
 from __future__ import annotations
@@ -35,10 +50,10 @@ from .terms import (
     Multiset,
     NIL,
     NilTerm,
+    Offset,
     PVar,
     PureAtom,
     Term,
-    eq,
     leq,
     lt,
     shifted,
@@ -143,16 +158,37 @@ def unfold(atom: Spatial, context: SymbolicHeap,
     """
     if isinstance(atom, NodeAtom):
         return Disj((SymbolicHeap((), (atom,)),))
+    if not isinstance(atom, (ListSegAtom, SortedSegAtom)):
+        raise TypeError(f"cannot unfold {atom!r}")
     if fresh is None:
         used = _used_names(context)
         used.update(v.name for v in atom.vars())
         fresh = _FreshNames(used)
-    facts = context.facts
-    if isinstance(atom, ListSegAtom):
-        return _unfold_list(atom, facts, fresh)
-    if isinstance(atom, SortedSegAtom):
-        return _unfold_sorted(atom, facts, fresh)
-    raise TypeError(f"cannot unfold {atom!r}")
+    ordered = isinstance(atom, SortedSegAtom)
+    e, f, s = atom.src, atom.dst, atom.contents
+
+    def untracked() -> Optional[Term]:
+        # a sorted head's value is named, as its bounds mention it
+        return fresh.make("d") if ordered else None
+
+    def case(d: Optional[Term], rest: Optional[Multiset]) -> SymbolicHeap:
+        # the head holds d; a tail from a fresh x holds rest, if not None,
+        # and a sorted tail is bounded below by d
+        pure = (leq(atom.lo, d), lt(d, atom.hi)) if ordered else ()
+        if rest is None:
+            return SymbolicHeap(pure, (NodeAtom(e, f, d),))
+        x = fresh.make("x")
+        tail = (SortedSegAtom(x, f, d, atom.hi, rest) if ordered
+                else ListSegAtom(x, f, rest))
+        return SymbolicHeap(pure, (NodeAtom(e, x, d), tail))
+
+    total = s.total()
+    cases = [case(s.keys()[0] if total else untracked(), None)] \
+        if total <= 1 else []
+    cases += [case(k, s.minus_one(k))
+              for k in _content_class_keys(s, context.facts)]
+    cases.append(case(untracked(), s))
+    return Disj(tuple(cases))
 
 
 def _content_class_keys(contents: Multiset, facts: Facts) -> list[Term]:
@@ -161,46 +197,6 @@ def _content_class_keys(contents: Multiset, facts: Facts) -> list[Term]:
     for k in sorted(contents.keys(), key=term_sort_key):
         by_rep.setdefault(facts.rep(k), k)
     return sorted(by_rep.values(), key=term_sort_key)
-
-
-def _unfold_list(atom: ListSegAtom, facts: Facts, fresh: _FreshNames) -> Disj:
-    e, f, s = atom.src, atom.dst, atom.contents
-    total = s.total()
-    cases: list[SymbolicHeap] = []
-    if total <= 1:
-        d = s.keys()[0] if total == 1 else None
-        cases.append(SymbolicHeap((), (NodeAtom(e, f, d),)))
-    for k in _content_class_keys(s, facts):
-        x = fresh.make("x")
-        cases.append(SymbolicHeap(
-            (), (NodeAtom(e, x, k), ListSegAtom(x, f, s.minus_one(k)))))
-    x = fresh.make("x")
-    cases.append(SymbolicHeap((), (NodeAtom(e, x, None), ListSegAtom(x, f, s))))
-    return Disj(tuple(cases))
-
-
-def _unfold_sorted(atom: SortedSegAtom, facts: Facts,
-                   fresh: _FreshNames) -> Disj:
-    e, f, lo, hi, s = atom.src, atom.dst, atom.lo, atom.hi, atom.contents
-    total = s.total()
-    cases: list[SymbolicHeap] = []
-    if total <= 1:
-        d = s.keys()[0] if total == 1 else fresh.make("d")
-        cases.append(SymbolicHeap((leq(lo, d), lt(d, hi)),
-                                  (NodeAtom(e, f, d),)))
-    # head consumes a tracked element; the tail is bounded below by it
-    for k in _content_class_keys(s, facts):
-        x = fresh.make("x")
-        cases.append(SymbolicHeap(
-            (leq(lo, k), lt(k, hi)),
-            (NodeAtom(e, x, k), SortedSegAtom(x, f, k, hi, s.minus_one(k)))))
-    # head holds an untracked value below everything in the tail
-    d = fresh.make("d")
-    x = fresh.make("x")
-    cases.append(SymbolicHeap(
-        (leq(lo, d), lt(d, hi)),
-        (NodeAtom(e, x, d), SortedSegAtom(x, f, d, hi, s))))
-    return Disj(tuple(cases))
 
 
 # ---------------------------------------------------------------------------
@@ -217,31 +213,33 @@ _PURE_QUERIES = {
 }
 
 
-def _decide_pure(facts: Facts, p: PureAtom, refute: bool) -> bool:
-    if p.op in ("true", "false"):
-        return (p.op == "true") != refute
-    if p.op not in _PURE_QUERIES:
-        raise ValueError(f"unknown pure op {p.op}")
-    query, swap = _PURE_QUERIES[p.op][refute]
-    return query(facts, p.rhs, p.lhs) if swap else query(facts, p.lhs, p.rhs)
+def _decide(facts: Facts, op: str, a: Optional[Term], b: Optional[Term],
+            refute: bool) -> bool:
+    """Whether the facts prove ``a op b``, or with ``refute`` its negation;
+    the nullary ``true`` and ``false`` ignore the operands."""
+    queries = _PURE_QUERIES.get(op)
+    if queries is None:  # the nullary true or false
+        return (op == "true") != refute
+    query, swap = queries[refute]
+    return query(facts, b, a) if swap else query(facts, a, b)
 
 
 def proves_pure(facts: Facts, p: PureAtom) -> bool:
     """Whether the derived facts entail one pure atom."""
-    return _decide_pure(facts, p, refute=False)
+    return _decide(facts, p.op, p.lhs, p.rhs, refute=False)
 
 
 def refutes_pure(facts: Facts, p: PureAtom) -> bool:
     """Whether the derived facts entail the negation of one pure atom."""
-    return _decide_pure(facts, p, refute=True)
+    return _decide(facts, p.op, p.lhs, p.rhs, refute=True)
 
 
-def _shifted_leq(a: Term, ka: int, b: Term, kb: int) -> PureAtom:
-    """The atom a + ka <= b + kb, shifted on one side only."""
+def _shifted_leq(a: Term, ka: int, b: Term, kb: int) -> tuple[Term, Term]:
+    """The operands of a + ka <= b + kb, shifted on one side only."""
     delta = kb - ka
     if delta >= 0:
-        return leq(a, shifted(b, delta) if delta else b)
-    return leq(shifted(a, -delta), b)
+        return a, shifted(b, delta)
+    return shifted(a, -delta), b
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +253,7 @@ class _Goal:
     rem: tuple[Spatial, ...]            # unconsumed left atoms
     rhs: tuple[Spatial, ...]            # outstanding right atoms
     rhs_pure: tuple[PureAtom, ...]      # outstanding right pure obligations
-    theta: tuple[tuple[LVar, Term], ...]
+    theta: dict[LVar, Term]
     hyps: tuple[PureAtom, ...]          # abduced pure hypotheses
     residue: tuple[Spatial, ...]        # abduced spatial anti-frame
     ubud: int                           # remaining unfold depth
@@ -304,6 +302,8 @@ class _Search:
         self.renaming: dict[LVar, LVar] = {
             v: self.fresh.make("v")
             for v in sorted(rhs.evars(), key=lambda v: v.name)}
+        # a term in rhs_evars, once theta is applied, is an unbound
+        # existential
         self.rhs_evars: set[LVar] = set(self.renaming.values())
         rhs_pure = tuple(p for p in rhs.pure if p.op != "true")
         if self.renaming:
@@ -316,7 +316,7 @@ class _Search:
             rem=lhs_spatial,
             rhs=tuple(sorted(rhs_spatial, key=spatial_sort_key)),
             rhs_pure=rhs_pure,
-            theta=(),
+            theta={},
             hyps=(),
             residue=(),
             ubud=MAX_UNFOLD_DEPTH,
@@ -341,9 +341,6 @@ class _Search:
                full: tuple[Spatial, ...]) -> Facts:
         return self._context(pure, full).facts
 
-    def _is_unbound(self, t: Term) -> bool:
-        return isinstance(t, LVar) and t in self.rhs_evars
-
     def _unfold_rhs(self, atom: Spatial, ctx: SymbolicHeap) -> Disj:
         """Unfold a right-hand segment; the variables the unfolding makes
         are existentials of the right side."""
@@ -352,42 +349,50 @@ class _Search:
         self.rhs_evars.update(self.fresh.made[made:])
         return cases
 
-    @staticmethod
-    def _ap(t: Term, theta: tuple[tuple[LVar, Term], ...]) -> Term:
-        return subst_term(t, dict(theta))
+    # -- the obligation rule (see the module docstring) ---------------------
+
+    def _relate(self, op: str, lterm: Term, rterm: Term, theta, hyps, facts,
+                swap: bool = False) -> list[tuple[dict, tuple]]:
+        """Relate a left term to a right one by ``lterm op rterm``, or
+        ``rterm op lterm`` with swap; at most one result."""
+        r = subst_term(rterm, theta)
+        if r in self.rhs_evars:
+            return [({**theta, r: lterm}, hyps)]
+        a, b = (r, lterm) if swap else (lterm, r)
+        hyps = self._admit(facts, op, a, b, hyps)
+        return [] if hyps is None else [(theta, hyps)]
+
+    def _admit(self, facts: Facts, op: str, a: Optional[Term],
+               b: Optional[Term], hyps: tuple) -> Optional[tuple]:
+        """hyps when the facts prove ``a op b``; in abduction, hyps and the
+        atom when the facts do not refute it; otherwise None."""
+        if _decide(facts, op, a, b, False):
+            return hyps
+        if self.mode == "abduce" and not _decide(facts, op, a, b, True):
+            return hyps + (PureAtom(op, a, b),)
+        return None
 
     # -- term-level matching -----------------------------------------------
 
-    def _unify(self, lterm: Term, rterm: Term, theta, hyps, facts,
-               ) -> list[tuple[tuple, tuple]]:
-        """Match a left term against a right term; at most one result."""
-        r = self._ap(rterm, theta)
-        if self._is_unbound(r):
-            return [(theta + ((r, lterm),), hyps)]
-        if facts.equal(lterm, r):
-            return [(theta, hyps)]
-        if self.mode == "abduce" and not facts.proves_neq(lterm, r):
-            return [(theta, hyps + (eq(lterm, r),))]
-        return []
-
     def _match_payload(self, ldata: Optional[Term], rdata: Optional[Term],
                        theta, hyps, facts,
-                       ) -> list[tuple[tuple, tuple, Optional[LVar]]]:
+                       ) -> list[tuple[dict, tuple, Optional[LVar]]]:
         """Match node payloads; the third component is a fresh witness
         standing for an untracked left payload, if one had to be named."""
         if rdata is None:
             return [(theta, hyps, None)]
-        r = self._ap(rdata, theta)
         if ldata is None:
-            if self._is_unbound(r):
+            r = subst_term(rdata, theta)
+            if r in self.rhs_evars:
                 w = self.fresh.make("w")
-                return [(theta + ((r, w),), hyps, w)]
+                return [({**theta, r: w}, hyps, w)]
             return []  # an untracked value guarantees nothing specific
         return [(th, hy, None)
-                for th, hy in self._unify(ldata, rdata, theta, hyps, facts)]
+                for th, hy in self._relate("=", ldata, rdata, theta, hyps,
+                                           facts)]
 
     def _match_contents(self, lms: Multiset, rms: Multiset, theta, hyps,
-                        facts) -> list[tuple[tuple, tuple]]:
+                        facts) -> list[tuple[dict, tuple]]:
         """Cover the right multiset with the left one (class-summed).
 
         Unbound keys on the right branch over the left keys.
@@ -396,39 +401,17 @@ class _Search:
         for k in sorted(rms.keys(), key=term_sort_key):
             nxt = []
             for th in states:
-                kk = self._ap(k, th)
-                if self._is_unbound(kk):
+                kk = subst_term(k, th)
+                if kk in self.rhs_evars:
                     for lk in sorted(set(lms.keys()), key=term_sort_key):
-                        nxt.append(th + ((kk, lk),))
+                        nxt.append({**th, kk: lk})
                 else:
                     nxt.append(th)
             states = nxt
-        out = []
-        for th in states:
-            r2 = rms.subst(dict(th))
-            lsums = facts.value_class_sums(lms)
-            ok = all(lsums.get(rep, 0) >= n
-                     for rep, n in facts.value_class_sums(r2).items())
-            if ok:
-                out.append((th, hyps))
-        return out
-
-    def _match_bound(self, lterm: Term, rterm: Term, theta, hyps, facts,
-                     widen: str) -> list[tuple[tuple, tuple]]:
-        """Interval-bound matching: the right interval must contain the left.
-
-        widen="lo" requires r <= l; widen="hi" requires l <= r.  Unbound
-        right bounds are bound to the left bound exactly.
-        """
-        r = self._ap(rterm, theta)
-        if self._is_unbound(r):
-            return [(theta + ((r, lterm),), hyps)]
-        a, b = (r, lterm) if widen == "lo" else (lterm, r)
-        if facts.proves_leq(a, b):
-            return [(theta, hyps)]
-        if self.mode == "abduce" and not facts.proves_lt(b, a):
-            return [(theta, hyps + (leq(a, b),))]
-        return []
+        lsums = facts.value_class_sums(lms)
+        return [(th, hyps) for th in states
+                if all(lsums.get(rep, 0) >= n for rep, n
+                       in facts.value_class_sums(rms.subst(th)).items())]
 
     # -- the search proper ---------------------------------------------------
 
@@ -446,7 +429,7 @@ class _Search:
         idx = 0
         for i, a in enumerate(g.rhs):
             h = a.head
-            if h is not None and not self._is_unbound(self._ap(h, g.theta)):
+            if h is not None and subst_term(h, g.theta) not in self.rhs_evars:
                 idx = i
                 break
         r_atom = g.rhs[idx]
@@ -472,24 +455,33 @@ class _Search:
 
     def _try_direct(self, r_atom: Spatial, rest: tuple[Spatial, ...],
                     g: _Goal) -> Iterator[_Leaf]:
-        facts = self._facts(g.pure, g.full)
-        for li, l_atom in enumerate(g.rem):
-            if type(l_atom) is not type(r_atom):
-                continue
+        lis = [li for li, l_atom in enumerate(g.rem)
+               if type(l_atom) is type(r_atom)]
+        return self._consume(lis, r_atom, rest, g.rhs_pure, g, g.ubud,
+                             self._facts(g.pure, g.full))
+
+    def _consume(self, lis: list[int], r_atom: Spatial,
+                 rest: tuple[Spatial, ...], rhs_pure: tuple[PureAtom, ...],
+                 g: _Goal, ubud: int, facts: Facts) -> Iterator[_Leaf]:
+        """Discharge r_atom by each left atom g.rem[li] in turn, then solve
+        rest."""
+        for li in lis:
+            l_atom = g.rem[li]
             for th, hy, witness in self._match_pair(l_atom, r_atom, g, facts):
                 full = _name_payload(g.full, l_atom, witness)
-                g2 = _Goal(g.pure, full, g.rem[:li] + g.rem[li + 1:],
-                           rest, g.rhs_pure, th, hy, g.residue, g.ubud)
-                yield from self._solve(g2)
+                yield from self._solve(_Goal(
+                    g.pure, full, g.rem[:li] + g.rem[li + 1:], rest, rhs_pure,
+                    th, hy, g.residue, ubud))
 
     def _match_pair(self, l_atom: Spatial, r_atom: Spatial, g: _Goal,
                     facts: Facts,
-                    ) -> Iterator[tuple[tuple, tuple, Optional[LVar]]]:
+                    ) -> Iterator[tuple[dict, tuple, Optional[LVar]]]:
         """All ways one left atom can discharge one right atom of the
         same kind: (theta, hyps, payload-witness)."""
-        states = [s for th, hy in self._unify(l_atom.head, r_atom.head,
-                                              g.theta, g.hyps, facts)
-                  for s in self._unify(l_atom.tail, r_atom.tail, th, hy, facts)]
+        states = [s for th, hy in self._relate("=", l_atom.head, r_atom.head,
+                                               g.theta, g.hyps, facts)
+                  for s in self._relate("=", l_atom.tail, r_atom.tail,
+                                        th, hy, facts)]
         if isinstance(l_atom, NodeAtom):
             for th, hy in states:
                 yield from self._match_payload(l_atom.data, r_atom.data,
@@ -498,11 +490,11 @@ class _Search:
         # segments: intervals, then contents
         if isinstance(l_atom, SortedSegAtom):
             states = [s for th, hy in states
-                      for s in self._match_bound(l_atom.lo, r_atom.lo,
-                                                 th, hy, facts, widen="lo")]
+                      for s in self._relate("<=", l_atom.lo, r_atom.lo,
+                                            th, hy, facts, swap=True)]
             states = [s for th, hy in states
-                      for s in self._match_bound(l_atom.hi, r_atom.hi,
-                                                 th, hy, facts, widen="hi")]
+                      for s in self._relate("<=", l_atom.hi, r_atom.hi,
+                                            th, hy, facts)]
         for th, hy in states:
             for th2, hy2 in self._match_contents(l_atom.contents,
                                                  r_atom.contents,
@@ -516,8 +508,8 @@ class _Search:
         if not isinstance(r_atom, (ListSegAtom, SortedSegAtom)):
             return
         facts = self._facts(g.pure, g.full)
-        tgt = self._ap(r_atom.dst, g.theta)
-        if self._is_unbound(tgt):
+        tgt = subst_term(r_atom.dst, g.theta)
+        if tgt in self.rhs_evars:
             return
         for li, l_atom in enumerate(g.rem):
             if type(l_atom) is not type(r_atom):
@@ -529,9 +521,9 @@ class _Search:
                 facts.equal(a.head, tgt) for a in rem_after)
             if not anchored:
                 continue
-            for th, hy in self._unify(l_atom.head, r_atom.head,
-                                      g.theta, g.hyps, facts):
-                if facts.equal(l_atom.dst, self._ap(r_atom.dst, th)):
+            for th, hy in self._relate("=", l_atom.head, r_atom.head,
+                                       g.theta, g.hyps, facts):
+                if facts.equal(l_atom.dst, subst_term(r_atom.dst, th)):
                     continue  # a direct match, not a strict prefix
                 yield from self._chain_with(l_atom, r_atom, rem_after, rest,
                                             g, th, hy, facts)
@@ -540,36 +532,29 @@ class _Search:
                     facts) -> Iterator[_Leaf]:
         if g.ubud <= 0:
             return
-        rms = r_atom.contents.subst(dict(theta))
-        if any(self._is_unbound(k) for k in rms.keys()):
+        rms = r_atom.contents.subst(theta)
+        if not self.rhs_evars.isdisjoint(rms.keys()):
             return
-        avail = dict(facts.value_class_sums(l_atom.contents))
+        avail = facts.value_class_sums(l_atom.contents)
         if isinstance(r_atom, SortedSegAtom):
-            states = self._match_bound(l_atom.lo, r_atom.lo, theta, hyps,
-                                       facts, widen="lo")
+            states = self._relate("<=", l_atom.lo, r_atom.lo, theta, hyps,
+                                  facts, swap=True)
             if not states:
                 return
             theta, hyps = states[0]
-            low_keys, rest_keys = [], []
-            for k in sorted(rms.keys(), key=term_sort_key):
-                if facts.proves_lt(k, l_atom.hi):
-                    low_keys.append(k)
-                else:
-                    rest_keys.append(k)  # not proved low: left to the remainder
             remainder: list[tuple[Term, int]] = []
-            for k in low_keys:
-                need = rms.mult(k)
-                rep = facts.rep(k)
-                have = avail.get(rep, 0)
-                if have < need:
+            for k in sorted(rms.keys(), key=term_sort_key):
+                need, rep = rms.mult(k), facts.rep(k)
+                if not facts.proves_lt(k, l_atom.hi):
+                    remainder.append((k, need))  # not proved low: left over
+                elif avail.get(rep, 0) < need:
                     return  # the prefix cannot supply a low element
-                avail[rep] = have - need
-            for k in rest_keys:
-                remainder.append((k, rms.mult(k)))
+                else:
+                    avail[rep] -= need
             tail = SortedSegAtom(l_atom.dst, r_atom.dst, l_atom.hi,
-                                 self._ap(r_atom.hi, theta),
+                                 subst_term(r_atom.hi, theta),
                                  Multiset.of(remainder))
-            if self._is_unbound(tail.hi):
+            if tail.hi in self.rhs_evars:
                 return
         else:
             remainder = []
@@ -597,28 +582,18 @@ class _Search:
             return
         ctx = self._context(g.pure, g.full)
         facts = ctx.facts
-        src = self._ap(r_atom.head, g.theta)
-        if self._is_unbound(src):
+        src = subst_term(r_atom.head, g.theta)
+        if src in self.rhs_evars:
             return
-        nodes = [(i, a) for i, a in enumerate(g.rem)
+        nodes = [i for i, a in enumerate(g.rem)
                  if isinstance(a, NodeAtom) and facts.equal(a.at, src)]
         if not nodes:
             return
-        for case in self._unfold_rhs(r_atom.subst(dict(g.theta)), ctx):
-            head = case.spatial[0]
-            tail = case.spatial[1:]
-            for li, l_atom in nodes:
-                for th, hy in self._unify(l_atom.nxt, head.nxt, g.theta,
-                                          g.hyps, facts):
-                    for th2, hy2, witness in self._match_payload(
-                            l_atom.data, head.data, th, hy, facts):
-                        full = _name_payload(g.full, l_atom, witness)
-                        g2 = _Goal(g.pure, full,
-                                   g.rem[:li] + g.rem[li + 1:],
-                                   tail + rest,
-                                   g.rhs_pure + case.pure,
-                                   th2, hy2, g.residue, g.ubud - 1)
-                        yield from self._solve(g2)
+        for case in self._unfold_rhs(r_atom.subst(g.theta), ctx):
+            yield from self._consume(nodes, case.spatial[0],
+                                     case.spatial[1:] + rest,
+                                     g.rhs_pure + case.pure, g, g.ubud - 1,
+                                     facts)
 
     # -- move 4: case analysis on a left segment ----------------------------
 
@@ -628,8 +603,8 @@ class _Search:
         want = r_atom.head
         if want is None:
             return
-        want = self._ap(want, g.theta)
-        if self._is_unbound(want):
+        want = subst_term(want, g.theta)
+        if want in self.rhs_evars:
             return
         ctx = self._context(g.pure, g.full)
         facts = ctx.facts
@@ -657,7 +632,7 @@ class _Search:
 
     def _finish(self, g: _Goal) -> Iterator[_Leaf]:
         theta = dict(g.theta)
-        hyps = list(g.hyps)
+        hyps = g.hyps
         pending = [p.subst(theta) for p in g.rhs_pure]
 
         # bind existentials fixed by equality obligations
@@ -669,10 +644,12 @@ class _Search:
                 p = p.subst(theta)
                 if p.op == "=":
                     for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
-                        if self._is_unbound(a) and a not in theta and \
+                        if a in self.rhs_evars and a not in theta and \
                                 not self._free(term_vars(b), theta):
                             theta[a] = b
                             changed = True
+                            if isinstance(b, Offset):
+                                nxt.append(p)  # b = b: b must have a value
                             break
                     else:
                         nxt.append(p)
@@ -688,16 +665,13 @@ class _Search:
                 p = p.subst(theta)
                 if self._free(p.vars(), theta):
                     deferred.append(p)
-                elif proves_pure(facts, p):
-                    continue
-                elif self.mode == "abduce" and not refutes_pure(facts, p):
-                    hyps.append(p)
                 else:
-                    return
-            extra = self._satisfy_deferred(deferred, theta, facts)
-            if extra is None:
+                    hyps = self._admit(facts, p.op, p.lhs, p.rhs, hyps)
+                    if hyps is None:
+                        return
+            hyps = self._satisfy_deferred(deferred, theta, facts, hyps)
+            if hyps is None:
                 return
-            hyps.extend(extra)
 
         if self.mode != "frame" and not self.modulo and g.rem:
             return  # strict entailment must consume the whole left heap
@@ -705,39 +679,33 @@ class _Search:
         base = set(self.base_pure)
         extra_pure = tuple(p for p in g.pure if p not in base)
         residue = tuple(a.subst(theta) for a in g.residue)
-        yield _Leaf(theta, leftover, extra_pure, tuple(hyps), residue)
+        yield _Leaf(theta, leftover, extra_pure, hyps, residue)
 
     def _free(self, vs, theta: dict) -> set[LVar]:
         """The right-hand existentials among ``vs`` that theta leaves free."""
-        return {v for v in vs if self._is_unbound(v) and v not in theta}
+        return {v for v in vs if v in self.rhs_evars and v not in theta}
 
     def _satisfy_deferred(self, deferred: list[PureAtom], theta: dict,
-                          facts: Facts) -> Optional[list[PureAtom]]:
+                          facts: Facts, hyps: tuple) -> Optional[tuple]:
         """Check satisfiability of obligations still holding unbound
         existentials, by eliminating one variable at a time.
 
         Each remaining variable's lower bounds are cross-checked against its
-        upper bounds; a window with a missing side is always satisfiable over
-        the integers.  Returns extra hypotheses (abduction) or None when
-        unsatisfiable / undecidable.  Conservative: an order atom relating
-        two unbound variables, or a disequality on a variable bounded from
-        both sides, fails the leaf.
+        upper bounds through the obligation rule.  Returns hyps with any
+        hypotheses this adds (abduction), or None when unsatisfiable /
+        undecidable.  Conservative: an order atom relating two unbound
+        variables, or a disequality on a variable bounded from both sides,
+        fails the leaf.
         """
-        if not deferred:
-            return []
-        hyps: list[PureAtom] = []
-        unbound = sorted({v for p in deferred
-                          for v in self._free(p.vars(), theta)},
-                         key=lambda v: v.name)
-        by_var: dict[LVar, list[PureAtom]] = {v: [] for v in unbound}
+        by_var: dict[LVar, list[PureAtom]] = {}
         for p in deferred:
             vs = list(self._free(p.vars(), theta))
             if len(vs) != 1:
                 if p.op == "=" and len(vs) == 2 and p.lhs in vs and p.rhs in vs:
                     continue  # two free existentials may always coincide
                 return None
-            by_var[vs[0]].append(p)
-        for v, atoms in by_var.items():
+            by_var.setdefault(vs[0], []).append(p)
+        for v, atoms in sorted(by_var.items(), key=lambda e: e[0].name):
             # bounds are (base-term-or-None, shift): None means a constant
             lowers: list[tuple[Optional[Term], int]] = []   # t + c <= v
             uppers: list[tuple[Optional[Term], int]] = []   # v <= t + c
@@ -760,17 +728,18 @@ class _Search:
                     lowers.append((lb, lc - rc + strict))
                 else:
                     return None  # v buried inside a term we cannot isolate
-            for (bl, kl), (bu, ku) in itertools.product(lowers, uppers):
+            # a bound with no partner must itself have an integer value
+            pairs = list(itertools.product(lowers, uppers)) or \
+                [(bd, bd) for bd in lowers + uppers]
+            for (bl, kl), (bu, ku) in pairs:
                 a = bl if bl is not None else Const(0)
                 b = bu if bu is not None else Const(0)
                 if isinstance(a, NilTerm) or isinstance(b, NilTerm):
                     return None  # order constraints never hold of nil
-                bound = _shifted_leq(a, kl, b, ku)
-                if proves_pure(facts, bound):
-                    continue
-                if self.mode != "abduce":
+                hyps = self._admit(facts, "<=", *_shifted_leq(a, kl, b, ku),
+                                   hyps)
+                if hyps is None:
                     return None
-                hyps.append(bound)
             if has_neq and lowers and uppers:
                 return None
         return hyps

@@ -346,10 +346,6 @@ class Multiset:
         """Substitute keys; multiplicities of colliding keys add up."""
         return Multiset.of((subst_term(t, mapping), n) for t, n in self.items)
 
-    def vars(self) -> Iterator[Union[PVar, LVar]]:
-        for t, _ in self.items:
-            yield from term_vars(t)
-
     def __str__(self) -> str:
         return "{" + ",".join(f"{t}:{n}" for t, n in self.items) + "}"
 

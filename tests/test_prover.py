@@ -247,6 +247,21 @@ def test_unfold_sorted_empty_contents():
         assert case.spatial[0].data is not None  # fresh bounded payload
 
 
+def test_unfold_names_fresh_variables_in_order():
+    # the names reach frame_infer's outputs: an untracked sorted head's
+    # value is named before the tail's source
+    ctx = H("slseg(e,f,[0,9),{a:1,b:1})")
+    assert _case_strs(unfold(ctx.spatial[0], ctx)) == [
+        "0<=a /\\ a<9 /\\ node(e,x1'',{a})*slseg(x1'',f,[a,9),{b:1})",
+        "0<=b /\\ b<9 /\\ node(e,x2'',{b})*slseg(x2'',f,[b,9),{a:1})",
+        "0<=d3'' /\\ d3''<9 /\\ "
+        "node(e,x4'',{d3''})*slseg(x4'',f,[d3'',9),{a:1,b:1})"]
+    ctx = H("slseg(e,f,[0,9))")
+    assert _case_strs(unfold(ctx.spatial[0], ctx)) == [
+        "0<=d1'' /\\ d1''<9 /\\ node(e,f,{d1''})",
+        "0<=d2'' /\\ d2''<9 /\\ node(e,x3'',{d2''})*slseg(x3'',f,[d2'',9))"]
+
+
 def _splice(context: SymbolicHeap, idx: int, case: SymbolicHeap) -> SymbolicHeap:
     spatial = context.spatial[:idx] + case.spatial + context.spatial[idx + 1:]
     return SymbolicHeap(context.pure + case.pure, spatial)
@@ -465,6 +480,58 @@ def test_atoms_over_an_offset_need_an_integer_base():
                             ("x+1!=y /\\ emp", "y!=x+1 /\\ emp", True)]:
         assert oracle_entails(H(lhs), H(rhs), bounds=TIGHT).holds == holds
         assert entails(H(lhs), H(rhs)).holds == holds, (lhs, rhs)
+
+
+# lhs, rhs, whether lhs |- rhs holds
+EXISTENTIAL_ROWS = [
+    # a bound t+c <= v' with no partner needs t+c to have an integer value
+    ("node(x,nil,_)", "x<=v' /\\ node(x,nil,_)", False),
+    ("node(x,nil,_)", "x+1<=v' /\\ node(x,nil,_)", False),
+    ("x=nil /\\ emp", "x<=v' /\\ emp", False),
+    ("emp", "x<=v' /\\ emp", False),
+    ("x<=3 /\\ emp", "x<=v' /\\ emp", True),
+    ("node(r,nil,{x})", "x<=v' /\\ node(r,nil,{x})", True),
+    # so does an offset that an existential equals
+    ("node(x,nil,_)", "v'=x+1 /\\ node(x,nil,_)", False),
+    ("x=nil /\\ emp", "v'=x+1 /\\ emp", False),
+    ("emp", "v'=x+1 /\\ emp", False),
+    # bounds from both sides, and bounds of v' by itself
+    ("x<=3 /\\ emp", "x<=v' /\\ v'<=5 /\\ emp", True),
+    ("x<=7 /\\ emp", "x<=v' /\\ v'<=5 /\\ emp", False),
+    ("emp", "3<=v' /\\ v'<=3 /\\ emp", True),
+    ("emp", "v'<v' /\\ emp", False),
+    ("x+1<y /\\ emp", "x<v' /\\ v'<y /\\ emp", True),
+    ("x<y /\\ emp", "x<v' /\\ v'<y /\\ emp", False),
+    # interval bounds bound by matching
+    ("slseg(x,nil,[1,5))", "slseg(x,nil,[a',b'))", True),
+]
+# valid rows whose witness lies outside the oracle's data universe (x-1
+# below its least value, y+1 between two of its values), so the oracle
+# cannot confirm them
+ORACLE_BLIND_ROWS = [
+    ("x<=y /\\ emp", "x<=v'+1 /\\ v'+1<=y /\\ emp", True),
+    ("y<=3 /\\ emp", "v'=y+1 /\\ emp", True),
+]
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,holds,oracle_sees",
+    [row + (True,) for row in EXISTENTIAL_ROWS]
+    + [row + (False,) for row in ORACLE_BLIND_ROWS])
+def test_right_existentials_are_bound_or_bounded_soundly(lhs, rhs, holds,
+                                                         oracle_sees):
+    lhs, rhs = H(lhs), H(rhs)
+    assert entails(lhs, rhs).holds == holds
+    assert bool(frame_infer(lhs, rhs)) == holds
+    if oracle_sees:
+        assert oracle_entails(lhs, rhs, bounds=TIGHT).holds == holds
+
+
+def test_interval_bounds_bind_or_become_hypotheses():
+    out = entails(H("slseg(x,nil,[1,5))"), H("slseg(x,nil,[a',b'))"))
+    assert out.instantiation == {LVar("a"): Const(1), LVar("b"): Const(5)}
+    out = abduce(H("slseg(x,nil,[a,b))"), H("slseg(x,nil,[0,9)) * true"))
+    assert [str(c) for c in out] == ["0<=a /\\ b<=9 /\\ emp"]
 
 
 def test_unfolding_registers_the_variables_it_makes(monkeypatch):
