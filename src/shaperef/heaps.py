@@ -37,11 +37,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .terms import (
     Const,
+    EMPTY_MS,
     LVar,
     Multiset,
     NIL,
@@ -50,6 +52,7 @@ from .terms import (
     PureAtom,
     Term,
     FALSE_ATOM,
+    _Interned,
     shifted,
     subst_term,
     term_sort_key,
@@ -64,25 +67,46 @@ from .terms import (
 
 class _Positions:
     """The term positions of a spatial atom (see the module docstring);
-    the defaults are those of ``true``."""
+    the defaults are those of ``true``.  Atoms are interned (see
+    :mod:`shaperef.terms`), and each keeps its rendering and variables."""
 
     head: Optional[Term] = None
     tail: Optional[Term] = None
     data_terms: tuple[Term, ...] = ()
 
-    def vars(self) -> Iterator[Union[PVar, LVar]]:
+    @cached_property
+    def _vars(self) -> tuple[Union[PVar, LVar], ...]:
+        return tuple(v for v in map(var_of, (self.head, self.tail,
+                                             *self.data_terms))
+                     if v is not None)
+
+    def vars(self) -> tuple[Union[PVar, LVar], ...]:
         """The variables of the positions, in field order."""
-        for t in (self.head, self.tail, *self.data_terms):
-            yield from term_vars(t)
+        return self._vars
+
+    def subst(self, m: dict[Term, Term]) -> "Spatial":
+        """Apply a substitution of variables; the atom itself when it
+        mentions none of them."""
+        if m.keys().isdisjoint(self._vars):
+            return self
+        return self._subst(m)
+
+    def __str__(self) -> str:
+        return self._str
 
 
-@dataclass(frozen=True)
-class NodeAtom(_Positions):
+@dataclass(frozen=True, eq=False, init=False)
+class NodeAtom(_Interned, _Positions):
     """A single cell: ``node(at, nxt, data)``; ``data is None`` means wild."""
 
     at: Term
     nxt: Term
     data: Optional[Term] = None
+
+    def __new__(cls, at: Term, nxt: Term,
+                data: Optional[Term] = None) -> "NodeAtom":
+        key = (at, nxt, data)
+        return cls._table.get(key) or cls._add(key, *key)
 
     head = property(attrgetter("at"))
     tail = property(attrgetter("nxt"))
@@ -91,22 +115,28 @@ class NodeAtom(_Positions):
     def data_terms(self) -> tuple[Term, ...]:
         return () if self.data is None else (self.data,)
 
-    def subst(self, m: dict[Term, Term]) -> "NodeAtom":
+    def _subst(self, m: dict[Term, Term]) -> "NodeAtom":
         d = None if self.data is None else subst_term(self.data, m)
         return NodeAtom(subst_term(self.at, m), subst_term(self.nxt, m), d)
 
-    def __str__(self) -> str:
+    @cached_property
+    def _str(self) -> str:
         p = "_" if self.data is None else "{%s}" % self.data
         return f"node({self.at},{self.nxt},{p})"
 
 
-@dataclass(frozen=True)
-class ListSegAtom(_Positions):
+@dataclass(frozen=True, eq=False, init=False)
+class ListSegAtom(_Interned, _Positions):
     """A nonempty unsorted segment ``list(src, dst, contents)``."""
 
     src: Term
     dst: Term
-    contents: Multiset = Multiset()
+    contents: Multiset = EMPTY_MS
+
+    def __new__(cls, src: Term, dst: Term,
+                contents: Multiset = EMPTY_MS) -> "ListSegAtom":
+        key = (src, dst, contents)
+        return cls._table.get(key) or cls._add(key, *key)
 
     head = property(attrgetter("src"))
     tail = property(attrgetter("dst"))
@@ -115,18 +145,19 @@ class ListSegAtom(_Positions):
     def data_terms(self) -> tuple[Term, ...]:
         return self.contents.keys()
 
-    def subst(self, m: dict[Term, Term]) -> "ListSegAtom":
+    def _subst(self, m: dict[Term, Term]) -> "ListSegAtom":
         return ListSegAtom(subst_term(self.src, m), subst_term(self.dst, m),
                            self.contents.subst(m))
 
-    def __str__(self) -> str:
+    @cached_property
+    def _str(self) -> str:
         if self.contents.is_empty():
             return f"list({self.src},{self.dst})"
         return f"list({self.src},{self.dst},{self.contents})"
 
 
-@dataclass(frozen=True)
-class SortedSegAtom(_Positions):
+@dataclass(frozen=True, eq=False, init=False)
+class SortedSegAtom(_Interned, _Positions):
     """A nonempty sorted segment ``slseg(src, dst, [lo,hi), contents)``.
 
     Data values are nondecreasing from src to dst and lie in [lo, hi);
@@ -138,7 +169,12 @@ class SortedSegAtom(_Positions):
     dst: Term
     lo: Term
     hi: Term
-    contents: Multiset = Multiset()
+    contents: Multiset = EMPTY_MS
+
+    def __new__(cls, src: Term, dst: Term, lo: Term, hi: Term,
+                contents: Multiset = EMPTY_MS) -> "SortedSegAtom":
+        key = (src, dst, lo, hi, contents)
+        return cls._table.get(key) or cls._add(key, *key)
 
     head = property(attrgetter("src"))
     tail = property(attrgetter("dst"))
@@ -147,27 +183,27 @@ class SortedSegAtom(_Positions):
     def data_terms(self) -> tuple[Term, ...]:
         return (self.lo, self.hi) + self.contents.keys()
 
-    def subst(self, m: dict[Term, Term]) -> "SortedSegAtom":
+    def _subst(self, m: dict[Term, Term]) -> "SortedSegAtom":
         return SortedSegAtom(subst_term(self.src, m), subst_term(self.dst, m),
                              subst_term(self.lo, m), subst_term(self.hi, m),
                              self.contents.subst(m))
 
-    def __str__(self) -> str:
+    @cached_property
+    def _str(self) -> str:
         core = f"slseg({self.src},{self.dst},[{self.lo},{self.hi})"
         if self.contents.is_empty():
             return core + ")"
         return core + f",{self.contents})"
 
 
-@dataclass(frozen=True)
-class TrueAtom(_Positions):
+@dataclass(frozen=True, eq=False, init=False)
+class TrueAtom(_Interned, _Positions):
     """Spatial true: an arbitrary, possibly empty subheap."""
 
-    def subst(self, m: dict[Term, Term]) -> "TrueAtom":
-        return self
+    def __new__(cls) -> "TrueAtom":
+        return cls._table.get(()) or cls._add(())
 
-    def __str__(self) -> str:
-        return "true"
+    _str = "true"
 
 
 Spatial = Union[NodeAtom, ListSegAtom, SortedSegAtom, TrueAtom]
@@ -177,28 +213,13 @@ _KIND_RANK = {NodeAtom: 0, ListSegAtom: 1, SortedSegAtom: 2, TrueAtom: 3}
 
 
 def spatial_sort_key(a: Spatial) -> tuple:
-    return (_KIND_RANK[type(a)], str(a))
-
-
-def _term_positions(pure: Sequence[PureAtom],
-                    spatial: Sequence[Spatial]) -> Iterator[Optional[Term]]:
-    """The atoms' terms in field order, pure atoms first; the operands of
-    true and false, and the head and tail of spatial true, are None."""
-    for p in pure:
-        yield p.lhs
-        yield p.rhs
-    for a in spatial:
-        yield a.head
-        yield a.tail
-        yield from a.data_terms
+    return (_KIND_RANK[type(a)], a._str)
 
 
 def var_counts(pure: Sequence[PureAtom],
                spatial: Sequence[Spatial]) -> Counter:
-    """How often each variable occurs in the atoms, in one walk."""
-    counts = Counter(map(var_of, _term_positions(pure, spatial)))
-    del counts[None]  # the positions without a variable
-    return counts
+    """How often each variable occurs in the atoms."""
+    return Counter(chain.from_iterable(a.vars() for a in chain(pure, spatial)))
 
 
 def atom_contents(a: Spatial) -> Multiset:
@@ -573,12 +594,16 @@ class SymbolicHeap:
       * ``_hash``      -- the hash of the fields;
       * ``_canonical`` -- set by :func:`normalize` on a heap it returns,
                           so normalizing it again returns it at once;
-      * ``_vars``      -- the variables, in order of first occurrence.
+      * ``_vars``      -- the variables, in order of first occurrence,
+                          joined from the atoms' own variable tuples;
+      * ``_str``       -- the rendering;
+      * ``_cells``     -- the spatial atoms other than true;
+      * ``_has_true``  -- whether a spatial atom is true.
 
     Each is computed from ``pure`` and ``spatial`` alone and refers to no
-    other heap.  None is pickled or copied: terms hash by identity, so a
-    hash or closure from another process would be stale, and a copy is
-    rebuilt from the two fields.
+    other heap.  None is pickled or copied: terms and atoms hash by
+    identity, so a hash or closure from another process would be stale,
+    and a copy is rebuilt from the two fields.
     """
 
     pure: tuple[PureAtom, ...] = ()
@@ -610,10 +635,8 @@ class SymbolicHeap:
 
     @cached_property
     def _vars(self) -> tuple[Union[PVar, LVar], ...]:
-        found = dict.fromkeys(
-            map(var_of, _term_positions(self.pure, self.spatial)))
-        found.pop(None, None)  # the positions without a variable
-        return tuple(found)
+        return tuple(dict.fromkeys(chain.from_iterable(
+            a.vars() for a in chain(self.pure, self.spatial))))
 
     def vars(self) -> tuple[Union[PVar, LVar], ...]:
         """The variables, in order of first occurrence (pure part first)."""
@@ -622,18 +645,30 @@ class SymbolicHeap:
     def evars(self) -> list[LVar]:
         return [v for v in self.vars() if isinstance(v, LVar)]
 
-    def has_true(self) -> bool:
+    @cached_property
+    def _has_true(self) -> bool:
         return any(isinstance(a, TrueAtom) for a in self.spatial)
+
+    def has_true(self) -> bool:
+        return self._has_true
+
+    @cached_property
+    def _cells(self) -> tuple[Spatial, ...]:
+        return tuple(a for a in self.spatial if not isinstance(a, TrueAtom))
 
     def cells(self) -> tuple[Spatial, ...]:
         """Spatial atoms other than true."""
-        return tuple(a for a in self.spatial if not isinstance(a, TrueAtom))
+        return self._cells
 
-    def __str__(self) -> str:
+    @cached_property
+    def _str(self) -> str:
         sp = "*".join(str(a) for a in self.spatial) if self.spatial else "emp"
         if not self.pure:
             return sp
         return " /\\ ".join(str(p) for p in self.pure) + " /\\ " + sp
+
+    def __str__(self) -> str:
+        return self._str
 
 
 FALSE_HEAP = SymbolicHeap(pure=(FALSE_ATOM,))

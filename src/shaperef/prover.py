@@ -18,7 +18,10 @@ proceeds.  The search has four moves:
 Every comparison of a left term l with a right term r follows one rule: an
 r that is an unbound right-hand existential is bound to l; otherwise the
 left facts must prove the atom, or, in abduction only, the atom becomes a
-pure hypothesis unless the facts refute it.  The atoms, by position:
+pure hypothesis unless the facts refute it.  An r that is v+k, with v an
+unbound right-hand existential, first binds v so that v+k is l, where l is
+a constant c (v := c-k) or t+j with j >= k (v := t+(j-k)); never to nil.
+The atoms, by position:
 
 * heads, tails and payloads: l = r;
 * a sorted segment's interval: r.lo <= l.lo and l.hi <= r.hi when
@@ -358,6 +361,14 @@ class _Search:
         r = subst_term(rterm, theta)
         if r in self.rhs_evars:
             return [({**theta, r: lterm}, hyps)]
+        if isinstance(r, Offset) and r.base in self.rhs_evars:
+            # bind v' of v'+k so that v'+k is lterm, then relate lterm to
+            # itself: that holds only where lterm has a value
+            base, j = split_offset(lterm)
+            if base is None:
+                theta, r = {**theta, r.base: Const(j - r.delta)}, lterm
+            elif j >= r.delta and base is not NIL:
+                theta, r = {**theta, r.base: shifted(base, j - r.delta)}, lterm
         a, b = (r, lterm) if swap else (lterm, r)
         hyps = self._admit(facts, op, a, b, hyps)
         return [] if hyps is None else [(theta, hyps)]

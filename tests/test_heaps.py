@@ -25,7 +25,7 @@ from shaperef.heaps import (
     star,
 )
 from shaperef import domains, heaps, prover
-from shaperef.domains import AbstractionParam, abstract
+from shaperef.domains import DOMAINS, AbstractionParam, abstract
 from shaperef.oracle import OracleBounds, models, satisfies
 from shaperef.syntax import parse_heap as H
 
@@ -303,6 +303,63 @@ def _field_terms(a) -> list:
         elif v is not None:
             out.append(v)
     return out
+
+
+def _fresh(obj, name: str):
+    """obj's kept key ``name`` computed anew, past what obj keeps."""
+    key = getattr(type(obj), name)
+    return key.func(obj) if isinstance(key, functools.cached_property) else key
+
+
+def _pure_terms(p: PureAtom) -> list:
+    return [t for t in (p.lhs, p.rhs) if t is not None]
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_kept_keys_equal_a_fresh_computation(domain):
+    # atoms and multisets are interned and keep their rendering, variables
+    # and sort key; heaps keep their rendering, variables, cells and
+    # whether they hold true
+    rng = random.Random(f"kept-{domain}")
+    for _ in range(80):
+        h = random_heap(rng, domain=domain, max_atoms=4,
+                        with_true=rng.random() < 0.3, n_pure=3)
+        for p in h.pure:
+            assert str(p) == _fresh(p, "_str")
+            assert p.vars() == tuple(v for t in _pure_terms(p)
+                                     for v in term_vars(t))
+            if p.op in ("true", "false"):
+                key = (p.op, (), ())
+            else:
+                key = (p.op, term_sort_key(p.lhs), term_sort_key(p.rhs))
+            assert p.sort_key() == _fresh(p, "_sort_key") == key
+        for a in h.spatial:
+            assert str(a) == _fresh(a, "_str")
+            assert a.vars() == tuple(v for t in _field_terms(a)
+                                     for v in term_vars(t))
+            if isinstance(a, (ListSegAtom, SortedSegAtom)):
+                ms = a.contents
+                assert str(ms) == _fresh(ms, "_str")
+                assert ms._vars == tuple(v for t in ms.keys()
+                                         for v in term_vars(t))
+        assert str(h) == _fresh(h, "_str")
+        assert h.vars() == tuple(dict.fromkeys(
+            v for t in [t for p in h.pure for t in _pure_terms(p)]
+            + [t for a in h.spatial for t in _field_terms(a)]
+            for v in term_vars(t)))
+        assert h.cells() == tuple(a for a in h.spatial
+                                  if not isinstance(a, TrueAtom))
+        assert h.has_true() == (TRUE_SPATIAL in h.spatial)
+
+
+def test_a_substitution_that_misses_an_atom_returns_it():
+    h = H("x<=d /\\ node(x,y',{d})*list(y',nil,{d:1})"
+          "*slseg(z,nil,[d,e),{d:1})")
+    m = {LVar("w"): PVar("x"), PVar("q"): NIL}
+    for a in h.pure + h.spatial:
+        assert a.subst(m) is a
+    assert h.subst({LVar("y"): LVar("u")}).spatial[0] is NodeAtom(
+        PVar("x"), LVar("u"), PVar("d"))
 
 
 @pytest.mark.parametrize("kind", sorted(_ATOM_BUILDERS))

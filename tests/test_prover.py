@@ -527,6 +527,51 @@ def test_right_existentials_are_bound_or_bounded_soundly(lhs, rhs, holds,
         assert oracle_entails(lhs, rhs, bounds=TIGHT).holds == holds
 
 
+# lhs, rhs, whether lhs |- rhs holds: a right existential under an offset,
+# v'+k, binds to the left term where some v' makes v'+k equal it (the
+# sorted join counts a node as [d,d+1), so its forms differ only in the
+# existential of such a bound)
+OFFSET_BINDING_ROWS = [
+    ("slseg(r,nil,[d,a'+1))", "slseg(r,nil,[d,b'+1))", True),
+    ("slseg(r,nil,[d,5))", "slseg(r,nil,[d,b'+1))", True),
+    ("slseg(r,nil,[d,d+1))", "slseg(r,nil,[d,b'+1))", True),
+    ("slseg(r,nil,[d,a'+2))", "slseg(r,nil,[d,b'+1))", True),
+    ("d<=a' /\\ m=d /\\ slseg(r,nil,[d,a'+1))",
+     "d<=b' /\\ m=d /\\ slseg(r,nil,[d,b'+1))", True),
+    ("slseg(r,nil,[a'+1,e))", "slseg(r,nil,[b'+1,e))", True),
+    ("slseg(r,nil,[d,a'+1))", "slseg(r,nil,[e,b'+1))", False),
+    # nil has no offset: b'+1 is never nil
+    ("list(r,nil)", "list(r,b'+1)", False),
+    ("node(r,nil,_)", "node(r,nil,{b'+1})", False),
+]
+# valid rows the oracle refutes: it does not bind an existential under an
+# offset payload
+OFFSET_PAYLOAD_ROWS = [
+    ("node(r,nil,{5})", "node(r,nil,{b'+1})", True),
+    ("node(r,nil,{d+1})", "node(r,nil,{b'+1})", True),
+]
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs,holds,oracle_sees",
+    [row + (True,) for row in OFFSET_BINDING_ROWS]
+    + [row + (False,) for row in OFFSET_PAYLOAD_ROWS])
+def test_an_existential_under_an_offset_binds_to_the_left_term(
+        lhs, rhs, holds, oracle_sees):
+    lhs, rhs = H(lhs), H(rhs)
+    assert entails(lhs, rhs).holds == holds
+    assert bool(frame_infer(lhs, rhs)) == holds
+    if oracle_sees:
+        assert oracle_entails(lhs, rhs, bounds=TIGHT).holds == holds
+
+
+def test_an_offset_binding_instantiates_the_existential():
+    out = entails(H("slseg(r,nil,[d,5))"), H("slseg(r,nil,[d,b'+1))"))
+    assert out.instantiation == {LVar("b"): Const(4)}
+    out = entails(H("slseg(r,nil,[d,d+2))"), H("slseg(r,nil,[d,b'+1))"))
+    assert out.instantiation == {LVar("b"): shifted(PVar("d"), 1)}
+
+
 def test_interval_bounds_bind_or_become_hypotheses():
     out = entails(H("slseg(x,nil,[1,5))"), H("slseg(x,nil,[a',b'))"))
     assert out.instantiation == {LVar("a"): Const(1), LVar("b"): Const(5)}
