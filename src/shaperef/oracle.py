@@ -33,6 +33,14 @@ verdict or the countermodel.
 Values are sorted: addresses are tagged tuples ``('a', k)`` with nil =
 ``('a', 0)``; data values are plain ints.  Sharing an int between the two
 sorts is therefore impossible by construction.
+
+The checker gives a term a value by one rule (``_bind``): a term the store
+evaluates must equal the value; otherwise the store is extended by one
+variable it leaves unbound, a variable x to the value itself, or the base
+x of an offset x+k to the integer value-k.  An offset whose base holds an
+address has no value, so it equals nothing.  The rule binds a node's next
+value and payload, a segment's end, an interval bound and a contents key;
+a head ranges over the allocated cells instead.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from .terms import (Const, LVar, NilTerm, Offset, PVar, PureAtom,
-                    Term, split_offset, term_vars)
+                    Term, term_vars, var_of)
 from .heaps import ListSegAtom, NodeAtom, SortedSegAtom, SymbolicHeap
 
 NIL_V = ("a", 0)
@@ -96,11 +104,14 @@ class OracleVerdict:
 
 
 def _eval(t: Term, env: dict) -> object:
-    if isinstance(t, Const):
+    # type(t) is, not isinstance: a failed isinstance walks the class's
+    # bases, and variables, the commonest terms, would fail three
+    kind = type(t)
+    if kind is Const:
         return t.value
-    if isinstance(t, NilTerm):
+    if kind is NilTerm:
         return NIL_V
-    if isinstance(t, Offset):
+    if kind is Offset:
         b = env.get(t.base)
         if not isinstance(b, int):
             return None
@@ -127,30 +138,40 @@ def _eval_pure(p: PureAtom, env: dict) -> Optional[bool]:
     return a <= b if p.op == "<=" else a < b
 
 
+def _bind(t: Term, value: object, env: dict) -> Optional[dict]:
+    """A store under which t evaluates to value, or None: env itself when
+    t already does, else env with the one variable of t it leaves unbound
+    bound (the valuation rule of the module docstring)."""
+    kind = type(t)  # as in _eval
+    if kind is PVar or kind is LVar:
+        v = env.get(t)
+        if v is None:
+            return {**env, t: value}
+    elif kind is Offset and t.base not in env:
+        return {**env, t.base: value - t.delta} if isinstance(value, int) else None
+    else:  # nil, a constant or an offset whose base the store binds
+        v = _eval(t, env)
+    return env if v == value else None
+
+
 def _data_universe(*heaps: SymbolicHeap, n_spare: int = 2) -> list[int]:
+    """The data values the heaps' variables range over.
+
+    Every pure operand and data position (a payload, a contents key or an
+    interval bound) that is a constant c gives c.  An offset x+k gives k
+    only as a pure operand or an interval bound, not as a payload or a
+    contents key.  Then n_spare values above the greatest and one below the
+    least."""
     consts: set[int] = set()
     for h in heaps:
-        for p in h.pure:
-            for t in (p.lhs, p.rhs):
-                if isinstance(t, Const):
-                    consts.add(t.value)
-                if isinstance(t, Offset):
-                    consts.add(t.delta)
-        for a in h.spatial:
-            for ms in (
-                [a.contents] if isinstance(a, (ListSegAtom, SortedSegAtom)) else []
-            ):
-                for k, _ in ms.items:
-                    if isinstance(k, Const):
-                        consts.add(k.value)
-            if isinstance(a, NodeAtom) and isinstance(a.data, Const):
-                consts.add(a.data.value)
-            if isinstance(a, SortedSegAtom):
-                for t in (a.lo, a.hi):
-                    if isinstance(t, Const):
-                        consts.add(t.value)
-                    if isinstance(t, Offset):
-                        consts.add(t.delta)
+        operands = [t for p in h.pure for t in (p.lhs, p.rhs)]
+        bounds = [t for a in h.spatial if isinstance(a, SortedSegAtom)
+                  for t in (a.lo, a.hi)]
+        consts.update(t.delta for t in operands + bounds
+                      if isinstance(t, Offset))
+        consts.update(t.value for t in itertools.chain(
+            operands, *(a.data_terms for a in h.spatial))
+            if isinstance(t, Const))
     base = sorted(consts) if consts else [1]
     hi = max(base)
     spares = [hi + i + 1 for i in range(n_spare)]
@@ -234,30 +255,17 @@ class _SatSearch:
             if v not in self.heap:
                 continue
             nx, d = self.heap[v]
-            env2 = env0
-            tv = _eval(a.nxt, env0)
-            if tv is None and isinstance(a.nxt, (PVar, LVar)):
-                env2 = dict(env0)
-                env2[a.nxt] = nx
-            elif tv != nx:
-                continue
-            if a.data is not None:
-                dv = _eval(a.data, env2)
-                if dv is None and isinstance(a.data, (PVar, LVar)):
-                    if env2 is env0:
-                        env2 = dict(env0)
-                    env2[a.data] = d
-                elif dv != d:
-                    continue
-            yield env2, (v,)
+            env2 = _bind(a.nxt, nx, env0)
+            if env2 is not None and a.data is not None:
+                env2 = _bind(a.data, d, env2)
+            if env2 is not None:
+                yield env2, (v,)
 
     def _place_seg(self, a, check, env: dict) -> Iterator[tuple[dict, list]]:
         for v, env0 in self._head_candidates(a.src, env):
             self._tick()
             if v not in self.heap:
                 continue
-            dst_v = _eval(a.dst, env0)
-            bind_dst = dst_v is None and isinstance(a.dst, (PVar, LVar))
             # walk the chain, proposing each stop point.  The cells, their
             # payloads and the payloads' frequencies grow in place once every
             # placement of the shorter segment was tried.
@@ -266,13 +274,9 @@ class _SatSearch:
             freq: dict[object, int] = {}
             cur = v
             while True:
-                if cells and cur == dst_v:
-                    yield from check(a, env0, cells, datas, freq)
-                    # keep walking: the chain may pass through dst and
-                    # lasso back to it with more cells
-                if cells and bind_dst:
-                    env2 = dict(env0)
-                    env2[a.dst] = cur
+                # keep walking past a stop: the chain may pass through the
+                # end and lasso back to it with more cells
+                if cells and (env2 := _bind(a.dst, cur, env0)) is not None:
                     yield from check(a, env2, cells, datas, freq)
                 if cur not in self.heap or cur in cells:
                     break
@@ -298,53 +302,43 @@ class _SatSearch:
                 yield from self._contents_check(a, env2, cells, datas, freq)
 
     def _bound_candidates(self, t: Term, env: dict, natural: int) -> Iterator[tuple[int, dict]]:
-        v = _eval(t, env)
-        # only a base the store leaves unbound may be bound here: x+1 with
-        # x an address has no value
-        if v is not None or split_offset(t)[0] in env:
-            if isinstance(v, int):
-                yield v, env
-            return
-        cands = set(self.data) | {natural}
-        if isinstance(t, (PVar, LVar)):
-            for c in sorted(cands):
-                e2 = dict(env)
-                e2[t] = c
-                yield c, e2
-        elif isinstance(t, Offset) and isinstance(t.base, (PVar, LVar)):
-            for c in sorted(cands):
-                e2 = dict(env)
-                e2[t.base] = c - t.delta
-                yield c, e2
+        """The integer values of bound t, each with its store: t's own,
+        or, where the store leaves t's variable unbound, each data value
+        and natural."""
+        x = var_of(t)
+        if x is None or x in env:
+            cands: Iterable = (_eval(t, env),)
+        else:
+            cands = sorted(set(self.data) | {natural})
+        for c in cands:
+            if isinstance(c, int) and (env2 := _bind(t, c, env)) is not None:
+                yield c, env2
 
     def _contents_check(self, a, env: dict, cells: list, datas: list,
                         freq: dict) -> Iterator[tuple[dict, list]]:
         ms = a.contents
+        # the keys whose variable the store leaves unbound range over the
+        # segment's payloads
         unassigned = [k for k, _ in ms.items
-                      if _eval(k, env) is None and split_offset(k)[0] not in env]
+                      if (x := var_of(k)) is not None and x not in env]
         cand_vals = sorted(d for d in freq if isinstance(d, int)) if unassigned else ()
         for combo in itertools.product(cand_vals, repeat=len(unassigned)):
             self._tick()
-            env2 = dict(env) if unassigned else env
+            env2: Optional[dict] = env
             for k, val in zip(unassigned, combo):
-                if isinstance(k, (PVar, LVar)):
-                    env2[k] = val
-                elif isinstance(k, Offset):
-                    env2[k.base] = val - k.delta
-            need: dict[object, int] = {}
-            ok = True
-            for k, n in ms.items:
-                kv = _eval(k, env2)
-                if kv is None:
-                    ok = False
+                env2 = _bind(k, val, env2)
+                if env2 is None:
                     break
-                need[kv] = need.get(kv, 0) + n
-            if not ok:
-                continue
-            if all(freq.get(val, 0) >= n for val, n in need.items()):
-                yield env2, cells
-                # distinct contents assignments can matter for the pure part,
-                # so keep enumerating
+            else:
+                need: dict[object, int] = {}
+                for k, n in ms.items:
+                    kv = _eval(k, env2)
+                    need[kv] = need.get(kv, 0) + n
+                # a key with no value (an offset from an address) counts no
+                # payload.  Distinct contents assignments can matter for the
+                # pure part, so keep enumerating.
+                if all(freq.get(val, 0) >= n for val, n in need.items()):
+                    yield env2, cells
 
     # -- pure part ------------------------------------------------------------
 
@@ -411,8 +405,9 @@ def models(h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
 def _models(h: SymbolicHeap, bounds: OracleBounds, data: list[int],
             held: Optional[set]) -> Iterator[Model]:
     """The models of h, in the order ``models`` yields them, leaving out
-    every candidate whose shape (see ``_shape``) is in held.  The consumer
-    may add to held between two models; None skips nothing."""
+    every candidate whose shape (see ``_shape``) is in held.  Between two
+    models the consumer may add the last one's shape to held; None skips
+    nothing."""
     if h.is_false:
         return
     atoms = h.cells()
@@ -534,14 +529,14 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
             continue
         nexts = [c for cs, endv in zip(atom_cells, ends)
                  for c in cs[1:] + [endv]]
-        # the shapes of this store still to build, one per extension next
-        live = [(enx, _shape(env1, all_cells, nexts + list(enx))
-                 if blind else None) for enx in ext_nexts]
+        # the shapes of this store still to build, one per extension next;
+        # a shape leaves the list once the consumer holds it
+        shapes = [(enx, _shape(env1, all_cells, nexts + list(enx))
+                   if blind else None) for enx in ext_nexts]
         if held:
-            live = [s for s in live if s[1] not in held]
-            if not live:
+            shapes = [s for s in shapes if s[1] not in held]
+            if not shapes:
                 continue
-        renew = False
         payloads: list[list[tuple]] = []
         for a, cs, endv in zip(atoms, atom_cells, ends):
             if isinstance(a, NodeAtom):
@@ -557,14 +552,11 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
                 payloads.append(list(itertools.product(data, repeat=len(cs))))
         else:
             for pay_combo in itertools.product(*payloads):
-                if renew:  # held has grown since live was filtered
-                    live = [s for s in live if s[1] not in held]
-                    if not live:
-                        break
-                    renew = False
+                if not shapes:
+                    break
                 heap = dict(zip(cells, zip(
                     nexts, itertools.chain.from_iterable(pay_combo))))
-                for enx, shape in live:
+                for enx, shape in tuple(shapes):
                     for ed in ext_datas:
                         heap2 = dict(heap)
                         heap2.update(zip(ext_cells, zip(enx, ed)))
@@ -572,7 +564,7 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
                         if check.run(model, allow_leftover=False):
                             yield model
                             if blind and shape in held:
-                                renew = True
+                                shapes.remove((enx, shape))
                                 break
 
 

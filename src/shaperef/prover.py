@@ -23,7 +23,9 @@ unbound right-hand existential, first binds v so that v+k is l, where l is
 a constant c (v := c-k) or t+j with j >= k (v := t+(j-k)); never to nil.
 The atoms, by position:
 
-* heads, tails and payloads: l = r;
+* heads, tails and payloads: l = r; a wild left payload has no l, so it
+  meets only an r that is v or v+k with v unbound: v is bound to a fresh
+  w, and the payload is named w or w+k;
 * a sorted segment's interval: r.lo <= l.lo and l.hi <= r.hi when
   matched (the right interval contains the left), r.lo <= l.lo when the
   left segment is chained as a prefix;
@@ -272,7 +274,7 @@ class _Leaf:
 
 
 def _name_payload(full: tuple[Spatial, ...], l_atom: Spatial,
-                  witness: Optional[LVar]) -> tuple[Spatial, ...]:
+                  witness: Optional[Term]) -> tuple[Spatial, ...]:
     """The left atoms with the payload of node l_atom named by witness,
     where matching had to name it."""
     if witness is None:
@@ -387,16 +389,18 @@ class _Search:
 
     def _match_payload(self, ldata: Optional[Term], rdata: Optional[Term],
                        theta, hyps, facts,
-                       ) -> list[tuple[dict, tuple, Optional[LVar]]]:
-        """Match node payloads; the third component is a fresh witness
-        standing for an untracked left payload, if one had to be named."""
+                       ) -> list[tuple[dict, tuple, Optional[Term]]]:
+        """Match node payloads; the third component names an untracked left
+        payload by a fresh witness w (w+k against v'+k), if one had to be
+        named."""
         if rdata is None:
             return [(theta, hyps, None)]
         if ldata is None:
             r = subst_term(rdata, theta)
-            if r in self.rhs_evars:
+            v, k = split_offset(r)
+            if v in self.rhs_evars:
                 w = self.fresh.make("w")
-                return [({**theta, r: w}, hyps, w)]
+                return [({**theta, v: w}, hyps, shifted(w, k))]
             return []  # an untracked value guarantees nothing specific
         return [(th, hy, None)
                 for th, hy in self._relate("=", ldata, rdata, theta, hyps,
@@ -486,7 +490,7 @@ class _Search:
 
     def _match_pair(self, l_atom: Spatial, r_atom: Spatial, g: _Goal,
                     facts: Facts,
-                    ) -> Iterator[tuple[dict, tuple, Optional[LVar]]]:
+                    ) -> Iterator[tuple[dict, tuple, Optional[Term]]]:
         """All ways one left atom can discharge one right atom of the
         same kind: (theta, hyps, payload-witness)."""
         states = [s for th, hy in self._relate("=", l_atom.head, r_atom.head,
@@ -735,10 +739,8 @@ class _Search:
                         return None  # v + lc op v + rc is vacuously false
                 elif lb == v:
                     uppers.append((rb, rc - lc - strict))
-                elif rb == v:
+                else:  # v is free in p, so it is the base of one side
                     lowers.append((lb, lc - rc + strict))
-                else:
-                    return None  # v buried inside a term we cannot isolate
             # a bound with no partner must itself have an integer value
             pairs = list(itertools.product(lowers, uppers)) or \
                 [(bd, bd) for bd in lowers + uppers]

@@ -12,6 +12,7 @@ import ast
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,7 @@ from shaperef.oracle import (
 )
 from shaperef.heaps import Facts
 from shaperef.syntax import parse_heap as H
-from shaperef.terms import PVar
+from shaperef.terms import LVar, Offset, PVar
 
 from gens import random_heap
 
@@ -188,6 +189,8 @@ def test_offset_from_an_address_has_no_value():
     m = Model({PVar("x"): a1}, {a1: (NIL_V, 5)})
     assert not satisfies(m, H("list(x,nil,{x+1:1})"))
     assert satisfies(m, H("list(x,nil,{y+1:1})"))
+    assert not satisfies(m, H("node(x,nil,{x+1})"))
+    assert satisfies(m, H("node(x,nil,{y+1})"))
     m2 = Model({PVar("x"): a1, PVar("y"): a2}, {a1: (NIL_V, 5)})
     assert not satisfies(m2, H("slseg(x,nil,[y+1,9))"))
     assert satisfies(m, H("slseg(x,nil,[y+1,9))"))
@@ -238,8 +241,36 @@ def test_oracle_builds_no_closure(monkeypatch, text, has_models, sat):
     assert oracle_entails(lhs, rhs, bounds=OracleBounds(max_cells=2)).holds
 
 
+def test_bind_binds_only_a_variable_the_store_leaves_unbound():
+    x, a1 = LVar("x"), ("a", 1)
+    env = {PVar("y"): 4}
+    assert oracle._bind(x, a1, env) == {PVar("y"): 4, x: a1}
+    assert oracle._bind(Offset(x, 1), 5, env) == {PVar("y"): 4, x: 4}
+    assert oracle._bind(Offset(x, 1), a1, env) is None
+    assert oracle._bind(PVar("y"), 4, env) is env
+    assert oracle._bind(Offset(PVar("y"), 2), 6, env) is env
+    assert oracle._bind(Offset(PVar("y"), 2), 5, env) is None
+    # an offset whose base holds an address has no value
+    assert oracle._bind(Offset(x, 1), 5, {x: a1}) is None
+    assert env == {PVar("y"): 4}
+
+
+@pytest.mark.parametrize("lhs, rhs, expected", [
+    # a payload offset binds its base to the payload less the offset
+    ("node(x,nil,{5})", "b'=4 /\\ node(x,nil,{b'+1})", True),
+    ("node(x,nil,{5})", "b'=5 /\\ node(x,nil,{b'+1})", False),
+    # contents keys that share a base: the first binds it, the second
+    # must then evaluate to a payload
+    ("list(x,nil,{3,4})", "list(x,nil,{k',k'+1})", True),
+    ("list(x,nil,{3,4})", "k'=3 /\\ list(x,nil,{k',k'+1})", True),
+    ("list(x,nil,{3,5})", "list(x,nil,{k',k'+1})", False),
+])
+def test_checker_binds_offset_payloads_and_keys_sharing_a_base(lhs, rhs, expected):
+    assert holds(lhs, rhs, bounds=OracleBounds(max_cells=3)) == expected
+
+
 def test_oracle_imports_nothing_from_the_prover():
-    tree = ast.parse(open(oracle.__file__).read())
+    tree = ast.parse(Path(oracle.__file__).read_text())
     imported = [n.module or "" for n in ast.walk(tree)
                 if isinstance(n, ast.ImportFrom)]
     imported += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
