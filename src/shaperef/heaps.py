@@ -53,6 +53,7 @@ from .terms import (
     Term,
     FALSE_ATOM,
     _Interned,
+    base_of,
     shifted,
     subst_term,
     term_sort_key,
@@ -68,11 +69,29 @@ from .terms import (
 class _Positions:
     """The term positions of a spatial atom (see the module docstring);
     the defaults are those of ``true``.  Atoms are interned (see
-    :mod:`shaperef.terms`), and each keeps its rendering and variables."""
+    :mod:`shaperef.terms`), and each keeps its rendering, its variables
+    and its closure evidence."""
 
     head: Optional[Term] = None
     tail: Optional[Term] = None
     data_terms: tuple[Term, ...] = ()
+
+    @cached_property
+    def _closure(self) -> tuple:
+        """What :class:`Facts` reads of the atom: its head, the bases of
+        its head and tail, the bases of its data terms, its order edges
+        ``(u, v, s)`` for ``u + s <= v``, and whether an offset sits in an
+        address position."""
+        head, tail = self.head, self.tail
+        ints = tuple(map(base_of, self.data_terms))
+        if head is None:
+            return None, (), ints, (), False
+        return (head, (base_of(head), base_of(tail)), ints,
+                self._order_edges(),
+                isinstance(head, Offset) or isinstance(tail, Offset))
+
+    def _order_edges(self) -> tuple[tuple[Term, Term, int], ...]:
+        return ()
 
     @cached_property
     def _vars(self) -> tuple[Union[PVar, LVar], ...]:
@@ -183,6 +202,12 @@ class SortedSegAtom(_Interned, _Positions):
     def data_terms(self) -> tuple[Term, ...]:
         return (self.lo, self.hi) + self.contents.keys()
 
+    def _order_edges(self) -> tuple[tuple[Term, Term, int], ...]:
+        # lo < hi, and lo <= k < hi for every content key k
+        lo, hi = self.lo, self.hi
+        return ((lo, hi, 1),) + tuple(
+            e for k in self.contents.keys() for e in ((lo, k, 0), (k, hi, 1)))
+
     def _subst(self, m: dict[Term, Term]) -> "SortedSegAtom":
         return SortedSegAtom(subst_term(self.src, m), subst_term(self.dst, m),
                              subst_term(self.lo, m), subst_term(self.hi, m),
@@ -237,11 +262,6 @@ def atom_contents(a: Spatial) -> Multiset:
 # Consistency closure over pure + allocation facts
 # ---------------------------------------------------------------------------
 
-def _base(t: Term) -> Term:
-    """The term t offsets, or t itself."""
-    return t.base if isinstance(t, Offset) else t
-
-
 class _Zero:
     """Virtual difference-bound node shared by all integer constants."""
 
@@ -280,97 +300,95 @@ class Facts:
     only where ``a`` equals ``u`` and ``b`` equals ``v``, or the other way
     round.
 
+    The closure reads each atom through the evidence the atom keeps (see
+    :class:`shaperef.terms._Interned`): a spatial atom's head, the bases of
+    its head and tail, the bases of its data terms, a sorted segment's
+    order edges and whether an offset sits in an address position; a pure
+    atom's kind, the bases of its operands, its order edges and the bases
+    it gives the integer sort.
+
     The closure is frozen once built: no union happens after the equality
-    atoms, so every term then points straight at its root, and the head
+    atoms, so every term then points straight at its root (there is
+    nothing to freeze where no equality united two classes), and the head
     roots and nil's root that ``proves_neq`` reads are computed once.
-    Queries never change it.
+    Where no atom gives an order edge, no order closure is built, and
+    every order query finds no edge.  Queries never change it.
     """
 
     def __init__(self, pure: tuple[PureAtom, ...], spatial: tuple[Spatial, ...]):
         self.inconsistent = False
         self._order: Optional[dict] = {}
-        self._parent: dict[Term, Term] = {}
         self._neq_pairs: list[tuple[Term, Term]] = []
         order_cons: list[tuple[Term, Term, int]] = []  # (u, v, s): u + s <= v
         self._sorts: dict[Term, str] = {}  # class root -> ADDR or INT
 
         # -- gather terms with sort evidence ------------------------------
         addr_terms: list[Term] = []
-        data_terms: list[Term] = []
+        int_terms: list[Term] = []
         head_terms: list[Term] = []
         for a in spatial:
-            if a.head is not None:
-                head_terms.append(a.head)
-                addr_terms += (a.head, a.tail)
-            data_terms += a.data_terms
-        if any(isinstance(t, Offset) for t in addr_terms):
-            self.inconsistent = True
-        operands = [t for p in pure if p.lhs is not None for t in (p.lhs, p.rhs)]
-        for t in map(_base, addr_terms + data_terms + operands):
-            self._parent.setdefault(t, t)
+            head, addrs, ints, edges, offset_addr = a._closure
+            if head is not None:
+                head_terms.append(head)
+                addr_terms += addrs
+                order_cons += edges
+                if offset_addr:
+                    self.inconsistent = True
+            int_terms += ints
+        parent = self._parent = {t: t for t in chain(
+            addr_terms, int_terms,
+            chain.from_iterable(p._closure[1] for p in pure))}
 
         # -- equalities ----------------------------------------------------
+        merged = False
         for p in pure:
-            if p.op == "false":
+            kind, _, edges, ints = p._closure
+            if kind == "=":
+                merged = self._union(p.lhs, p.rhs) or merged
+            elif kind == "!=":
+                self._neq_pairs.append((p.lhs, p.rhs))
+            elif kind == "false":
                 self.inconsistent = True
                 break
-            if p.op == "=":
-                if isinstance(p.lhs, Offset) or isinstance(p.rhs, Offset):
-                    # a+i = b+j turns into order edges both ways
-                    order_cons.append((p.lhs, p.rhs, 0))
-                    order_cons.append((p.rhs, p.lhs, 0))
-                    data_terms.extend((p.lhs, p.rhs))
-                else:
-                    self._union(p.lhs, p.rhs)
-            elif p.op == "!=":
-                self._neq_pairs.append((p.lhs, p.rhs))
-                data_terms.extend(t for t in (p.lhs, p.rhs)
-                                  if isinstance(t, Offset))
-            elif p.op == "<=":
-                order_cons.append((p.lhs, p.rhs, 0))
-                data_terms.extend((p.lhs, p.rhs))
-            elif p.op == "<":
-                order_cons.append((p.lhs, p.rhs, 1))
-                data_terms.extend((p.lhs, p.rhs))
+            order_cons += edges
+            int_terms += ints
 
         # -- no union past this point: freeze the classes ------------------
-        for t in self._parent:  # values change in place, keys do not
-            self._parent[t] = self._root(t)
+        if merged:
+            for t in parent:  # values change in place, keys do not
+                parent[t] = self._root(t)
         # a handful of heads: a tuple is smaller than a set
-        self._heads = tuple(self._find(h) for h in head_terms)
-        self._nil = self._parent.get(NIL)  # nil's root, None without nil
+        self._heads = tuple(parent.get(h, h) for h in head_terms)
+        self._nil = parent.get(NIL)  # nil's root, None without nil
         if self.inconsistent:
             return
-
-        # -- derived order facts from sorted segments ----------------------
-        for a in spatial:
-            if isinstance(a, SortedSegAtom):
-                order_cons.append((a.lo, a.hi, 1))
-                for k in a.contents.keys():
-                    order_cons.append((a.lo, k, 0))
-                    order_cons.append((k, a.hi, 1))
 
         # -- one sort per class --------------------------------------------
         if self._nil is not None:
             addr_terms.append(NIL)
-        int_terms = [_base(t) for t in data_terms]
-        int_terms += [t for t in self._parent if isinstance(t, Const)]
+        consts = [t for t in parent if isinstance(t, Const)]
         sorts = self._sorts
-        for terms, s in ((addr_terms, ADDR), (int_terms, INT)):
+        for terms, s in ((addr_terms, ADDR), (int_terms, INT), (consts, INT)):
             for t in terms:
-                if sorts.setdefault(self._find(t), s) is not s:
+                if sorts.setdefault(parent[t], s) is not s:
                     self.inconsistent = True
                     return
 
-        if self._check_class_clashes():
+        # -- one constant per class (constants are interned: one per value;
+        # without a union every class is one term); heads must not be nil
+        # and must be pairwise distinct
+        heads = self._heads
+        if (merged and len({parent[c] for c in consts}) < len(consts)
+                or len(set(heads)) < len(heads) or self._nil in heads):
             self.inconsistent = True
             return
 
         # -- order closure ---------------------------------------------------
-        self._order = self._close_order(order_cons)
-        if self._order is None:
-            self.inconsistent = True
-            return
+        if order_cons:
+            self._order = self._close_order(order_cons)
+            if self._order is None:
+                self.inconsistent = True
+                return
 
         # -- final disequality / allocation checks ---------------------------
         if self._check_neq_clashes():
@@ -392,28 +410,20 @@ class Facts:
             t = parent[t]
         return t
 
-    def _union(self, a: Term, b: Term) -> None:
+    def _union(self, a: Term, b: Term) -> bool:
+        """Unite the classes of a and b; whether they were two."""
         ra, rb = self._root(a), self._root(b)
         if ra is rb:
-            return
+            return False
         # the smaller sort key becomes the representative
         # (constants first, then nil, program vars, logical vars)
         if term_sort_key(ra) <= term_sort_key(rb):
             self._parent[rb] = ra
         else:
             self._parent[ra] = rb
+        return True
 
     # -- clash detection ----------------------------------------------------
-
-    def _check_class_clashes(self) -> bool:
-        # one constant per class (constants are interned: one per value)
-        consts: dict[Term, Term] = {}
-        for t, r in self._parent.items():
-            if isinstance(t, Const) and consts.setdefault(r, t) is not t:
-                return True
-        # heads must not be nil and must be pairwise distinct
-        heads = self._heads
-        return len(set(heads)) < len(heads) or self._nil in heads
 
     def _check_neq_clashes(self) -> bool:
         for u, v in self._neq_pairs:
@@ -552,7 +562,7 @@ class Facts:
             return True
         # allocation: distinct spatial heads, and heads are never nil
         heads = self._heads
-        su, sv = _base(self.rep(u)), _base(self.rep(v))
+        su, sv = base_of(self.rep(u)), base_of(self.rep(v))
         if su in heads and sv in heads and su is not sv:
             return True
         for a, b in ((su, sv), (sv, su)):

@@ -41,6 +41,13 @@ right-hand atom becomes part of the candidate anti-frame.  Every candidate
 is re-checked (``lhs * candidate |- rhs`` must hold and the conjunction
 must stay consistent) before it is returned, so callers may rely on the
 results even though hypothesis generation itself is heuristic.
+
+A candidate with a cell whose head the left closure proves equal to nil
+or to the head of a left cell is dropped before the re-check: the
+re-check would drop it too.  ``star(lhs, candidate)`` is false for it,
+as the closure of the conjunction keeps every fact of the left closure
+(normalize's substitutions keep equalities), and heads are non-nil and
+pairwise distinct.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from .terms import (
     term_vars,
 )
 from .heaps import (
+    ADDR,
     Disj,
     FALSE_HEAP,
     Facts,
@@ -216,6 +224,7 @@ _PURE_QUERIES = {
     "<=": ((Facts.proves_leq, False), (Facts.proves_lt, True)),
     "<": ((Facts.proves_lt, False), (Facts.proves_leq, True)),
 }
+_ORDER_OPS = ("<=", "<")
 
 
 def _decide(facts: Facts, op: str, a: Optional[Term], b: Optional[Term],
@@ -225,6 +234,9 @@ def _decide(facts: Facts, op: str, a: Optional[Term], b: Optional[Term],
     queries = _PURE_QUERIES.get(op)
     if queries is None:  # the nullary true or false
         return (op == "true") != refute
+    if refute and op in _ORDER_OPS and (
+            op == "<" and a is b or ADDR in (facts.sort(a), facts.sort(b))):
+        return True  # t < t never holds, nor an order atom on an address
     query, swap = queries[refute]
     return query(facts, b, a) if swap else query(facts, a, b)
 
@@ -806,7 +818,9 @@ def entails(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     lhs = normalize(lhs)
     if lhs.is_false:
         return ProofOutcome(True)
-    if lhs == normalize(rhs):
+    # normalize keeps the number of cells unless it returns false, and lhs
+    # is not false: with unequal counts the identity cannot hold
+    if len(lhs.cells()) == len(rhs.cells()) and lhs == normalize(rhs):
         return ProofOutcome(True)
     st = _Search(lhs, rhs, "entails", modulo_true)
     try:
@@ -862,26 +876,10 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     lhs = normalize(lhs)
     if lhs.is_false:
         return [FALSE_HEAP]
-    st = _Search(lhs, rhs, "abduce", modulo_true)
-    inverse = {v: k for k, v in st.renaming.items()}
     candidates: list[SymbolicHeap] = []
-    seen: set[SymbolicHeap] = set()
-    try:
-        leaves = list(st.run())
-    except (BudgetExceeded, ValueError):  # ValueError: see above entails
-        leaves = []
-    for leaf in leaves:
-        # unbound existentials keep their original right-hand names
-        unbound = {v: inverse[v] for v in st.rhs_evars
-                   if v not in leaf.theta and v in inverse}
-        pure = [p.subst(leaf.theta).subst(unbound) for p in leaf.hyps]
-        spatial = [a.subst(leaf.theta).subst(unbound) for a in leaf.residue]
-        cand = SymbolicHeap(
-            tuple(sorted(set(pure), key=lambda p: p.sort_key())),
-            tuple(sorted(spatial, key=spatial_sort_key)))
-        if cand in seen:
-            continue
-        seen.add(cand)
+    for cand in _proposals(lhs, rhs, modulo_true):
+        if any(_clashes(lhs, a.head) for a in cand.cells()):
+            continue  # star(lhs, cand) is false: see the module docstring
         combined = star(lhs, cand)
         if combined.is_false:
             continue
@@ -892,6 +890,37 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
         return [FALSE_HEAP]
     candidates.sort(key=_candidate_key)
     return candidates
+
+
+def _proposals(lhs: SymbolicHeap, rhs: SymbolicHeap,
+               modulo_true: bool) -> list[SymbolicHeap]:
+    """The distinct anti-frames the search proposes for a normalized,
+    consistent lhs, in the order it finds them, before any re-check."""
+    st = _Search(lhs, rhs, "abduce", modulo_true)
+    inverse = {v: k for k, v in st.renaming.items()}
+    try:
+        leaves = list(st.run())
+    except (BudgetExceeded, ValueError):  # ValueError: see above entails
+        leaves = []
+    proposals: dict[SymbolicHeap, None] = {}
+    for leaf in leaves:
+        # unbound existentials keep their original right-hand names
+        unbound = {v: inverse[v] for v in st.rhs_evars
+                   if v not in leaf.theta and v in inverse}
+        pure = [p.subst(leaf.theta).subst(unbound) for p in leaf.hyps]
+        spatial = [a.subst(leaf.theta).subst(unbound) for a in leaf.residue]
+        proposals.setdefault(SymbolicHeap(
+            tuple(sorted(set(pure), key=lambda p: p.sort_key())),
+            tuple(sorted(spatial, key=spatial_sort_key))))
+    return list(proposals)
+
+
+def _clashes(lhs: SymbolicHeap, head: Term) -> bool:
+    """Whether lhs's facts prove head equal to nil or to the head of one of
+    lhs's cells, so that no cell at head fits beside lhs."""
+    facts = lhs.facts
+    return facts.equal(head, NIL) or any(facts.equal(head, a.head)
+                                         for a in lhs.cells())
 
 
 def choose(candidates: Sequence[SymbolicHeap]) -> SymbolicHeap:

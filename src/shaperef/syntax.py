@@ -17,7 +17,7 @@ Grammar (ID, INT and whitespace as in ``shaperef.lang``):
     entry   := term (":" INT)?
     pure    := "true" | "false" | term relop term
     relop   := "=" | "!=" | "<=" | "<"
-    term    := ("nil" | SINT | ID | LVAR) ("+" INT)?
+    term    := "nil" | (SINT | ID | LVAR) ("+" INT)?
 
 Its own tokens: LVAR is ``ID'``, a logical variable (a plain ID is a
 program variable); SINT is an INT with an optional "-"; "/\\" joins the
@@ -76,6 +76,8 @@ class _Parser(Cursor):
         else:
             base = Const(int(t.text))
         if self.peek().kind == "+":
+            if base is NIL:
+                self.fail("nil takes no offset")
             self.next()
             k = self.expect("int", "an integer offset")
             base = shifted(base, int(k.text))
@@ -97,13 +99,14 @@ class _Parser(Cursor):
         return PureAtom(op, lhs, self.term())
 
     def comparison_ahead(self) -> bool:
-        """Does the next part start with a term and a relation?"""
+        """Does the next part start with a term and a relation, or with a
+        term that is wrong past its first token (such as ``nil+1``)?"""
         save = self.pos
         try:
             self.term()
             return self.peek().kind in _RELATIONS
         except ParseError:
-            return False
+            return self.pos > save
         finally:
             self.pos = save
 

@@ -12,9 +12,11 @@ per-class table, so there is one object per value, ``NIL`` is the one
 ``NilTerm()``, and equality and hashing are object identity.  Copies,
 pickles and ``dataclasses.replace`` come back as the interned object.  An
 atom or multiset computes what is derived from its fields once and keeps
-it: its rendering, its variables in field order and, for a pure atom, its
-sort key.  Heaps are not interned (see :class:`shaperef.heaps.SymbolicHeap`
-for what a heap keeps).
+it: its rendering, its variables in field order, for a pure atom its sort
+key, and for an atom its closure evidence, what
+:class:`shaperef.heaps.Facts` reads of it (see :class:`_Interned`).  Heaps
+are not interned (see :class:`shaperef.heaps.SymbolicHeap` for what a
+heap keeps).
 """
 
 from __future__ import annotations
@@ -42,6 +44,15 @@ class _Interned:
     terms; of the atoms and multisets, ``symexec`` builds about 56,000
     and the tables keep 802, ``abstract`` builds about 99,000 and they
     keep 6,590.
+
+    What an object derives from its fields it computes once and keeps:
+    the rendering and variables of an atom or multiset, the sort key of a
+    pure atom, and each atom's closure evidence.  A pure atom's evidence
+    is its kind (a union, a disequality fact, false, or none of these), the
+    bases of its operands, its order edges and the bases it gives the
+    integer sort.  A spatial atom's is its head, the bases of its head and
+    tail, the bases of its data terms, a sorted segment's order edges, and
+    whether an offset sits in an address position.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -204,6 +215,11 @@ def subst_term(t: Term, mapping: dict[Term, Term]) -> Term:
     return mapping.get(t, t)
 
 
+def base_of(t: Term) -> Term:
+    """The term t offsets, or t itself."""
+    return t.base if isinstance(t, Offset) else t
+
+
 def var_of(t: Optional[Term]) -> Optional[Union[PVar, LVar]]:
     """The variable a term mentions: the term itself or an offset's base;
     None for a constant, nil or no term."""
@@ -286,6 +302,27 @@ class PureAtom(_Interned):
 
     def sort_key(self) -> tuple:
         return self._sort_key
+
+    @cached_property
+    def _closure(self) -> tuple:
+        """What :class:`shaperef.heaps.Facts` reads of the atom: its kind,
+        the bases of its operands, its order edges ``(u, v, s)`` for
+        ``u + s <= v``, and the bases its operands give the integer sort.
+        The kind is "=" for an equality the closure unites, "!=" for a
+        disequality fact, "false", and otherwise None."""
+        op, a, b = self.op, self.lhs, self.rhs
+        if a is None:
+            return ("false" if op == "false" else None), (), (), ()
+        bases = (base_of(a), base_of(b))
+        if op == "!=":
+            return "!=", bases, (), tuple(base_of(t) for t in (a, b)
+                                          if isinstance(t, Offset))
+        if op == "=":
+            if not (isinstance(a, Offset) or isinstance(b, Offset)):
+                return "=", bases, (), ()
+            # a+i = b+j turns into order edges both ways
+            return None, bases, ((a, b, 0), (b, a, 0)), bases
+        return None, bases, ((a, b, int(op == "<")),), bases
 
 
 def eq(a: Term, b: Term) -> PureAtom:

@@ -145,6 +145,14 @@ def test_entails_arbitrary_heap_atom():
     assert not entails(H("node(x,y,_) * true"), H("node(x,y,_)")).holds
 
 
+def test_entails_identity_shortcut_ignores_a_duplicate_true(monkeypatch):
+    # the right side normalizes to the left one: no search runs
+    monkeypatch.setattr(prover, "_Search", None)
+    out = entails(H("node(x,nil,_) * true"),
+                  H("node(x,nil,_) * true * true"))
+    assert out.holds and out.instantiation == {}
+
+
 def test_budget_exceeded_raises(monkeypatch):
     monkeypatch.setattr("shaperef.prover.MAX_STEPS", 5)
     lhs = H("list(a,b,{1:1,2:1}) * list(b,c,{1:1,2:1}) * list(c,d,{1:1,2:1})"
@@ -422,6 +430,32 @@ def test_abduce_candidates_all_pass_recheck():
             assert entails(combined, rhs, modulo_true=True).holds
 
 
+def _abduce_rechecking_every_proposal(lhs, rhs):
+    """abduce with no candidate dropped before the re-check."""
+    lhs = normalize(lhs)
+    kept = [c for c in prover._proposals(lhs, rhs, True)
+            if not star(lhs, c).is_false
+            and entails(star(lhs, c), rhs, modulo_true=True).holds]
+    return sorted(kept, key=prover._candidate_key) or [FALSE_HEAP]
+
+
+def test_abduce_drops_only_candidates_the_recheck_drops():
+    rng = random.Random(31)
+    skipped = 0
+    for i in range(120):
+        lhs = random_heap(rng, domain=("mls", "rls", "sls")[i % 3],
+                          max_atoms=3, n_pure=2)
+        for y in sorted(v for v in lhs.vars() if isinstance(v, PVar)):
+            rhs = H(f"node({y},n',d')")
+            for cand in prover._proposals(lhs, rhs, True):
+                if any(prover._clashes(lhs, a.head) for a in cand.cells()):
+                    skipped += 1
+                    assert star(lhs, cand).is_false, (str(lhs), str(cand))
+            assert abduce(lhs, rhs) == \
+                _abduce_rechecking_every_proposal(lhs, rhs), (str(lhs), y)
+    assert skipped > 0
+
+
 @pytest.mark.parametrize("rhs", ["list(r,nil,{x+1:1})", "node(r,nil,{x+1})"])
 def test_offset_of_nil_gives_no_answer_but_no(rhs):
     # x+1 has no value where x = nil, so nothing proves the right side
@@ -643,21 +677,30 @@ def test_choose_is_deterministic_under_permutation():
 # ---------------------------------------------------------------------------
 
 X, Y = PVar("x"), PVar("y")
-PURE_CASES = [
-    # atom, then heaps where it is proved, refuted and neither
-    (eq(X, Y), "x=y /\\ emp", "x!=y /\\ emp", "emp"),
-    (neq(X, Y), "x!=y /\\ emp", "x=y /\\ emp", "emp"),
-    (leq(X, Y), "x<y /\\ emp", "y<x /\\ emp", "x<=3 /\\ y<=3 /\\ emp"),
-    (lt(X, Y), "x<y /\\ emp", "y<=x /\\ emp", "x<=y /\\ emp"),
-]
+PURE_CASES = {
+    # id: atom, then heaps where it is proved, refuted and neither (None
+    # where no consistent heap is)
+    "=": (eq(X, Y), "x=y /\\ emp", "x!=y /\\ emp", "emp"),
+    "!=": (neq(X, Y), "x!=y /\\ emp", "x=y /\\ emp", "emp"),
+    "<=": (leq(X, Y), "x<y /\\ emp", "y<x /\\ emp", "x<=3 /\\ y<=3 /\\ emp"),
+    "<": (lt(X, Y), "x<y /\\ emp", "y<=x /\\ emp", "x<=y /\\ emp"),
+    # t < t is false whatever t is, and an order atom on an address too
+    "x<x": (lt(X, X), None, "emp", None),
+    "x<x on an address": (lt(X, X), None, "node(x,nil,_)", None),
+    "<= on an address": (leq(X, Y), "x<y /\\ emp", "node(x,nil,_)", "emp"),
+    "< on an address": (lt(X, Y), "x<y /\\ emp", "node(y,nil,_)", "emp"),
+    "<= on nil": (leq(X, NIL), None, "emp", None),
+}
 
 
-@pytest.mark.parametrize("atom,proved,refuted,neither", PURE_CASES,
-                         ids=[c[0].op for c in PURE_CASES])
+@pytest.mark.parametrize("atom,proved,refuted,neither", PURE_CASES.values(),
+                         ids=list(PURE_CASES))
 def test_pure_atoms_are_proved_or_refuted_by_the_facts(atom, proved, refuted,
                                                        neither):
     for text, want in ((proved, (True, False)), (refuted, (False, True)),
                        (neither, (False, False))):
+        if text is None:
+            continue
         facts = H(text).facts
         assert (proves_pure(facts, atom), refutes_pure(facts, atom)) == want, \
             text

@@ -82,6 +82,10 @@ def test_parse_term_forms():
     "list(x,y,{5:-1})",     # negative multiplicity
     "list(x,y,{5:",         # input ends in a multiplicity
     "node(x,nil,_) *\n  list(y)",  # missing dst on the second line
+    "x=nil+1 /\\ emp",      # nil takes no offset
+    "node(nil+1,nil,_)",
+    "slseg(x,nil,[nil+1,3))",
+    "nil+1=x /\\ emp",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError) as info:
@@ -100,6 +104,10 @@ ERROR_POSITIONS = {
     "x=1 * node(x,nil,_)": (1, 5),
     "list(x,y,{5:": (1, 13),
     "node(x,nil,_) *\n  list(y)": (2, 9),
+    "x=nil+1 /\\ emp": (1, 6),
+    "node(nil+1,nil,_)": (1, 9),
+    "slseg(x,nil,[nil+1,3))": (1, 17),
+    "nil+1=x /\\ emp": (1, 4),
 }
 
 
