@@ -307,28 +307,26 @@ def _fold(h: SymbolicHeap, facts: Facts, param: AbstractionParam,
     atoms = h.spatial
     for i, j, x in _junctions(h):
         a, b = atoms[i], atoms[j]
+        e1, e2 = a.head, b.tail
+        if not mid:
+            if not facts.equal(e2, NIL) or occ.beyond(x, (a, b), (e1, e2)):
+                continue
+        elif not any(w not in (i, j) and not isinstance(c, TrueAtom)
+                     and facts.equal(e2, c.head)
+                     and not occ.beyond(x, (a, b, c),
+                                        (e1, e2, c.head, c.tail))
+                     for w, c in enumerate(atoms)):
+            continue
+        # join is pure, so it waits until the junction qualifies
         make = join(a, b, facts, param)
         if make is None:
             continue
-        e1, e2 = a.head, b.tail
         if not mid:
-            if not facts.equal(e2, NIL):
-                continue
-            if not occ.beyond(x, (a, b), (e1, e2)):
-                return ("fold-at-nil",
-                        SymbolicHeap(h.pure,
-                                     _without(atoms, i, j) + (make(e1, NIL),)))
-            continue
-        for w, c in enumerate(atoms):
-            if w in (i, j) or isinstance(c, TrueAtom):
-                continue
-            if not facts.equal(e2, c.head):
-                continue
-            if occ.beyond(x, (a, b, c), (e1, e2, c.head, c.tail)):
-                continue
-            rest = _without(atoms, i, j)
-            return ("fold-at-witness",
-                    SymbolicHeap(h.pure, rest + (make(e1, e2),)))
+            return ("fold-at-nil",
+                    SymbolicHeap(h.pure,
+                                 _without(atoms, i, j) + (make(e1, NIL),)))
+        return ("fold-at-witness",
+                SymbolicHeap(h.pure, _without(atoms, i, j) + (make(e1, e2),)))
     return None
 
 

@@ -48,13 +48,35 @@ re-check would drop it too.  ``star(lhs, candidate)`` is false for it,
 as the closure of the conjunction keeps every fact of the left closure
 (normalize's substitutions keep equalities), and heads are non-nil and
 pairwise distinct.
+
+Strict entailment (``entails`` without ``modulo_true`` and without true on
+the right) prunes by a lower bound on the moves a goal still needs.  A leaf
+there needs every left atom consumed and every right atom discharged.
+Count, over the unconsumed left atoms minus the outstanding right ones,
+a = nodes, b_list = plain segments and b_sorted = sorted segments.  A
+direct match changes none of them.  Each budgeted move changes a by at
+most one, |b_list| + |b_sorted| by at most one, and a + b_list + b_sorted
+(the left count minus the right count) by at most one:
+
+* chaining consumes a left segment and leaves a right one of its kind;
+* a right unfold trades a right segment for a node and maybe a segment of
+  its kind, and the node consumes a left node;
+* a case split trades a left segment for a node and maybe a segment of
+  its kind.
+
+So max(|a|, |b_list| + |b_sorted|, |a + b_list + b_sorted|) moves are
+still needed, and a goal whose bound exceeds its unfold budget reaches no
+leaf.  A case split succeeds only if each consistent case reaches a leaf,
+so it builds every case first and fails at once when a consistent case
+exceeds the budget.  Frame inference, abduction and entailment modulo
+true may leave left atoms over, and search as before.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .terms import (
     Const,
@@ -102,8 +124,9 @@ __all__ = [
 ]
 
 
-# Search budgets: how many segment unfoldings (of either side) one matching
-# chain may perform, and how many search states one query may visit.
+# Search budgets: how many budgeted moves one matching chain may perform
+# (segment unfoldings of either side, and chaining a left segment as a
+# prefix of a right one), and how many search states one query may visit.
 MAX_UNFOLD_DEPTH = 3
 MAX_STEPS = 200_000
 
@@ -263,8 +286,7 @@ def _shifted_leq(a: Term, ka: int, b: Term, kb: int) -> tuple[Term, Term]:
 # The subtraction search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Goal:
+class _Goal(NamedTuple):
     pure: tuple[PureAtom, ...]          # left pure (grows under case splits)
     full: tuple[Spatial, ...]           # every left atom, consumed or not
     rem: tuple[Spatial, ...]            # unconsumed left atoms
@@ -276,13 +298,35 @@ class _Goal:
     ubud: int                           # remaining unfold depth
 
 
-@dataclass(frozen=True)
-class _Leaf:
+class _Leaf(NamedTuple):
     theta: dict[LVar, Term]
     leftover: tuple[Spatial, ...]
     extra_pure: tuple[PureAtom, ...]
     hyps: tuple[PureAtom, ...]
     residue: tuple[Spatial, ...]
+
+
+def _need(rem: tuple[Spatial, ...], rhs: tuple[Spatial, ...]) -> int:
+    """A lower bound on the budgeted moves strict entailment needs to
+    consume rem and discharge rhs (see the module docstring)."""
+    a = b_list = b_sorted = 0
+    for atom in rem:
+        kind = type(atom)
+        if kind is NodeAtom:
+            a += 1
+        elif kind is ListSegAtom:
+            b_list += 1
+        else:
+            b_sorted += 1
+    for atom in rhs:
+        kind = type(atom)
+        if kind is NodeAtom:
+            a -= 1
+        elif kind is ListSegAtom:
+            b_list -= 1
+        else:
+            b_sorted -= 1
+    return max(abs(a), abs(b_list) + abs(b_sorted), abs(a + b_list + b_sorted))
 
 
 def _name_payload(full: tuple[Spatial, ...], l_atom: Spatial,
@@ -310,6 +354,8 @@ class _Search:
         self.lhs_had_true = lhs.has_true()
         rhs_spatial = rhs.cells()
         self.modulo = modulo_true or rhs.has_true()
+        # every left atom must be consumed: the move bound applies
+        self.strict = mode == "entails" and not self.modulo
 
         self.base_pure = lhs.pure
         used = _used_names(lhs, rhs)
@@ -327,24 +373,11 @@ class _Search:
             rhs_spatial = tuple(a.subst(self.renaming) for a in rhs_spatial)
             rhs_pure = tuple(p.subst(self.renaming) for p in rhs_pure)
 
-        self.root = _Goal(
-            pure=lhs.pure,
-            full=lhs_spatial,
-            rem=lhs_spatial,
-            rhs=tuple(sorted(rhs_spatial, key=spatial_sort_key)),
-            rhs_pure=rhs_pure,
-            theta={},
-            hyps=(),
-            residue=(),
-            ubud=MAX_UNFOLD_DEPTH,
-        )
+        self.root = _Goal(lhs.pure, lhs_spatial, lhs_spatial,
+                          tuple(sorted(rhs_spatial, key=spatial_sort_key)),
+                          rhs_pure, {}, (), (), MAX_UNFOLD_DEPTH)
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > MAX_STEPS:
-            raise BudgetExceeded(f"prover exceeded {MAX_STEPS} search steps")
 
     def _context(self, pure: tuple[PureAtom, ...],
                  full: tuple[Spatial, ...]) -> SymbolicHeap:
@@ -379,6 +412,10 @@ class _Search:
             # bind v' of v'+k so that v'+k is lterm, then relate lterm to
             # itself: that holds only where lterm has a value
             base, j = split_offset(lterm)
+            if base is not None and base is not NIL and j < r.delta:
+                c = facts.rep(base)  # the constant of base's class, if any
+                if isinstance(c, Const):
+                    base, j = None, c.value + j
             if base is None:
                 theta, r = {**theta, r.base: Const(j - r.delta)}, lterm
             elif j >= r.delta and base is not NIL:
@@ -448,7 +485,11 @@ class _Search:
         yield from self._solve(self.root)
 
     def _solve(self, g: _Goal) -> Iterator[_Leaf]:
-        self._tick()
+        self._steps += 1
+        if self._steps > MAX_STEPS:
+            raise BudgetExceeded(f"prover exceeded {MAX_STEPS} search steps")
+        if self.strict and _need(g.rem, g.rhs) > g.ubud:
+            return  # no leaf within the budget: see the module docstring
         if not g.rhs:
             yield from self._finish(g)
             return
@@ -462,10 +503,12 @@ class _Search:
         r_atom = g.rhs[idx]
         rest = g.rhs[:idx] + g.rhs[idx + 1:]
 
+        moves = self._try_direct(r_atom, rest, g)
+        if type(r_atom) is not NodeAtom:  # only a segment chains or unfolds
+            moves = itertools.chain(moves, self._try_chain(r_atom, rest, g),
+                                    self._try_unfold_rhs(r_atom, rest, g))
         produced = False
-        for leaf in itertools.chain(self._try_direct(r_atom, rest, g),
-                                    self._try_chain(r_atom, rest, g),
-                                    self._try_unfold_rhs(r_atom, rest, g)):
+        for leaf in moves:
             produced = True
             yield leaf
         if produced:
@@ -482,12 +525,21 @@ class _Search:
 
     def _try_direct(self, r_atom: Spatial, rest: tuple[Spatial, ...],
                     g: _Goal) -> Iterator[_Leaf]:
-        lis = [li for li, l_atom in enumerate(g.rem)
-               if type(l_atom) is type(r_atom)]
-        return self._consume(lis, r_atom, rest, g.rhs_pure, g, g.ubud,
-                             self._facts(g.pure, g.full))
+        facts = self._facts(g.pure, g.full)
+        kind = type(r_atom)
+        head = subst_term(r_atom.head, g.theta)
+        if self.mode == "abduce" or head in self.rhs_evars or (
+                isinstance(head, Offset) and head.base in self.rhs_evars):
+            lis = [li for li, l_atom in enumerate(g.rem)
+                   if type(l_atom) is kind]
+        else:
+            # a determined head: _relate accepts exactly the left heads the
+            # facts prove equal to it (lazily, as _relate would test them)
+            lis = (li for li, l_atom in enumerate(g.rem)
+                   if type(l_atom) is kind and facts.equal(l_atom.head, head))
+        return self._consume(lis, r_atom, rest, g.rhs_pure, g, g.ubud, facts)
 
-    def _consume(self, lis: list[int], r_atom: Spatial,
+    def _consume(self, lis: Iterable[int], r_atom: Spatial,
                  rest: tuple[Spatial, ...], rhs_pure: tuple[PureAtom, ...],
                  g: _Goal, ubud: int, facts: Facts) -> Iterator[_Leaf]:
         """Discharge r_atom by each left atom g.rem[li] in turn, then solve
@@ -532,7 +584,7 @@ class _Search:
 
     def _try_chain(self, r_atom: Spatial, rest: tuple[Spatial, ...],
                    g: _Goal) -> Iterator[_Leaf]:
-        if not isinstance(r_atom, (ListSegAtom, SortedSegAtom)):
+        if g.ubud <= 0:
             return
         facts = self._facts(g.pure, g.full)
         tgt = subst_term(r_atom.dst, g.theta)
@@ -557,8 +609,6 @@ class _Search:
 
     def _chain_with(self, l_atom, r_atom, rem_after, rest, g, theta, hyps,
                     facts) -> Iterator[_Leaf]:
-        if g.ubud <= 0:
-            return
         rms = r_atom.contents.subst(theta)
         if not self.rhs_evars.isdisjoint(rms.keys()):
             return
@@ -603,8 +653,6 @@ class _Search:
 
     def _try_unfold_rhs(self, r_atom: Spatial, rest: tuple[Spatial, ...],
                         g: _Goal) -> Iterator[_Leaf]:
-        if not isinstance(r_atom, (ListSegAtom, SortedSegAtom)):
-            return
         if g.ubud <= 0:
             return
         ctx = self._context(g.pure, g.full)
@@ -640,15 +688,21 @@ class _Search:
                     and facts.equal(a.head, want)), None)
         if seg is None:
             return
-        collected: list[_Leaf] = []
-        for case in unfold(seg, ctx, fresh=self.fresh):
-            pure2 = g.pure + case.pure
-            full2 = tuple(a for a in g.full if a is not seg) + case.spatial
-            if self._facts(pure2, full2).inconsistent:
-                continue  # this disjunct is vacuous under the context
-            rem2 = tuple(a for a in g.rem if a is not seg) + case.spatial
-            g2 = _Goal(pure2, full2, rem2, g.rhs, g.rhs_pure, g.theta,
+        full = tuple(a for a in g.full if a is not seg)
+        rem = tuple(a for a in g.rem if a is not seg)
+        cases = [_Goal(g.pure + case.pure, full + case.spatial,
+                       rem + case.spatial, g.rhs, g.rhs_pure, g.theta,
                        g.hyps, g.residue, g.ubud - 1)
+                 for case in unfold(seg, ctx, fresh=self.fresh)]
+        if self.strict and any(
+                _need(g2.rem, g2.rhs) > g2.ubud
+                and not self._facts(g2.pure, g2.full).inconsistent
+                for g2 in cases):
+            return  # a reachable disjunct can reach no leaf: the split fails
+        collected: list[_Leaf] = []
+        for g2 in cases:
+            if self._facts(g2.pure, g2.full).inconsistent:
+                continue  # this disjunct is vacuous under the context
             subs = list(self._solve(g2))
             if not subs:
                 return  # one reachable disjunct resists: the split fails

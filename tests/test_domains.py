@@ -302,6 +302,24 @@ def test_abstract_measures_each_heap_once(monkeypatch):
     assert calls == [trace.steps[0].before] + [s.after for s in trace.steps]
 
 
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_fold_joins_only_junctions_that_qualify(domain, monkeypatch):
+    # a' is a junction, but y is neither nil nor allocated: no fold can
+    # happen there, so the join is never asked
+    joined = []
+    real = domains._JOINS[domain]
+    monkeypatch.setitem(domains._JOINS, domain,
+                        lambda *args: joined.append(args) or real(*args))
+    h = parse_heap("node(x,a',{1}) * node(a',y,{2})")
+    alpha, trace = abstract(h, AbstractionParam(domain, MS()))
+    assert alpha == normalize(h) and not trace.steps
+    assert joined == []
+    # with the target nil the junction qualifies and is joined once
+    alpha, trace = abstract(parse_heap("node(x,a',{1}) * node(a',nil,{2})"),
+                            AbstractionParam(domain, MS()))
+    assert len(joined) == 1 and len(trace.steps) == 1
+
+
 def _lvars_beyond(h: SymbolicHeap, idx: tuple[int, ...],
                   terms: tuple) -> set[LVar]:
     """The logical variables of h outside the atoms at ``idx``, and of the

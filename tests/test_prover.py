@@ -154,12 +154,88 @@ def test_entails_identity_shortcut_ignores_a_duplicate_true(monkeypatch):
 
 
 def test_budget_exceeded_raises(monkeypatch):
+    # the move bound does not cut this query, and its search visits more
+    # than five states
     monkeypatch.setattr("shaperef.prover.MAX_STEPS", 5)
+    lhs = H("list(j0',j1') * list(j1',e2') * list(r,j0')")
+    rhs = H("list(j1',e2') * list(r,j1')")
+    with pytest.raises(BudgetExceeded):
+        entails(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# The move bound of strict entailment
+# ---------------------------------------------------------------------------
+
+def test_the_move_bound_answers_no_at_the_root(monkeypatch):
+    # five left atoms against one right one need at least four moves, one
+    # more than the unfold budget: "no" without a search
+    monkeypatch.setattr("shaperef.prover.MAX_STEPS", 2)
     lhs = H("list(a,b,{1:1,2:1}) * list(b,c,{1:1,2:1}) * list(c,d,{1:1,2:1})"
             " * list(d,e,{1:1,2:1}) * node(e,nil,_)")
     rhs = H("list(a,nil,{1:4,2:4})")
-    with pytest.raises(BudgetExceeded):
-        entails(lhs, rhs)
+    assert not entails(lhs, rhs).holds
+
+
+def _bound_corpus():
+    """Seeded heaps and their abstractions in all three domains."""
+    rng = random.Random(71)
+    for i in range(60):
+        for domain in DOMAINS:
+            h = random_heap(rng, domain=domain, max_atoms=4, n_pure=2,
+                            with_true=i % 7 == 0)
+            alpha, trace = abstract(h, AbstractionParam(
+                domain, random_param_multiset(rng)))
+            yield h, alpha
+            for step in trace.steps:
+                yield step.before, step.after
+
+
+def _answer(lhs, rhs):
+    try:
+        out = entails(lhs, rhs)
+    except BudgetExceeded:
+        return "unknown"
+    return out.holds, out.instantiation
+
+
+def test_the_move_bound_changes_no_answer(monkeypatch):
+    pairs = [p for a, b in _bound_corpus() for p in ((a, b), (b, a))]
+    with_bound = [_answer(lhs, rhs) for lhs, rhs in pairs]
+    monkeypatch.setattr(prover, "_need", lambda rem, rhs: 0)
+    without = [_answer(lhs, rhs) for lhs, rhs in pairs]
+    assert with_bound == without
+    holds = [a[0] for a in with_bound if a != "unknown"]
+    assert holds.count(True) > 100 and holds.count(False) > 100
+
+
+def test_every_goal_that_reaches_a_leaf_is_within_the_bound(monkeypatch):
+    need = prover._need
+    monkeypatch.setattr(prover, "_need", lambda rem, rhs: 0)
+    real = prover._Search._solve
+    reached = []
+
+    def solve(self, g):
+        first = True
+        for leaf in real(self, g):
+            if first and self.strict:
+                assert need(g.rem, g.rhs) <= g.ubud, g
+                reached.append(g)
+            first = False
+            yield leaf
+
+    monkeypatch.setattr(prover._Search, "_solve", solve)
+    for a, b in _bound_corpus():
+        for lhs, rhs in ((a, b), (b, a)):
+            lhs = normalize(lhs)
+            if lhs.is_false:
+                continue
+            try:  # every leaf, not only the first
+                list(prover._Search(lhs, rhs, "entails", False).run())
+            except (BudgetExceeded, ValueError):
+                pass
+    assert len(reached) > 1000
+    assert any(need(g.rem, g.rhs) == g.ubud > 0 for g in reached)
 
 
 @pytest.mark.parametrize("domain", ["mls", "rls", "sls"])
@@ -593,6 +669,9 @@ OFFSET_BINDING_ROWS = [
     ("node(r,nil,_)", "node(r,nil,{b'+1})", True),
     ("node(r,nil,_) * node(x,nil,_)",
      "node(r,nil,{b'+1}) * node(x,nil,{b'})", False),
+    # a left term whose class has a constant c binds v' := c-k
+    ("d=3 /\\ node(r,nil,{d})", "node(r,nil,{b'+1})", True),
+    ("d=3 /\\ slseg(r,nil,[0,d))", "slseg(r,nil,[0,b'+1))", True),
 ]
 
 
@@ -610,6 +689,8 @@ def test_an_offset_binding_instantiates_the_existential():
     assert out.instantiation == {LVar("b"): Const(4)}
     out = entails(H("slseg(r,nil,[d,d+2))"), H("slseg(r,nil,[d,b'+1))"))
     assert out.instantiation == {LVar("b"): shifted(PVar("d"), 1)}
+    out = entails(H("d=3 /\\ node(r,nil,{d})"), H("node(r,nil,{b'+1})"))
+    assert out.instantiation == {LVar("b"): Const(2)}
 
 
 def test_interval_bounds_bind_or_become_hypotheses():
