@@ -17,18 +17,29 @@ The pruning reads nothing but the store and the atoms, and every candidate
 left still goes through the checker, so a model is what the checker accepts.
 
 What the checker reads of a model is its store, its cells in order, their
-next values and, where the formula has a data position (a payload, a
-contents key or an interval bound), their payloads.  A formula without one
-reads no payload: head candidates range over the cells in order; node
-placement, segment walks and the pure part's address universe read the
-next values; the data universe is fixed per query; and with no contents, a
-segment's payload check succeeds once, with one tick, whatever the payloads
-are.  So against such a right side, ``oracle_entails`` never builds a left
-candidate whose shape (``_shape``: the store it hands over, the cells in
-order and their next values) has had all its checks hold: every
-right-side check of such a candidate would hold too and spend the same
-steps, so whether the candidate is a model at all cannot change the
-verdict or the countermodel.
+next values and the payloads of the cells it records (``_SatSearch.read``).
+Head candidates range over the cells in order; node placement, segment
+walks and the pure part's address universe read the next values; the data
+universe is fixed per query.  A payload is consumed at three points only:
+by a node atom with a payload term, at its cell once its next value bound;
+and by the payload check of a segment with contents or of a sorted
+segment, at every cell its walk hands over.  A walk collects payloads and
+their frequencies, but they decide nothing until one of those checks
+consumes them, and with no contents a segment's payload check succeeds
+once, with one tick, whatever the payloads are.
+
+So take two models of one shape (``_shape``: the store the check is
+handed, the cells in order and their next values) that have the same
+payloads at the cells a check of the first read.  By induction over the
+search, the check of the second makes the same choices in the same order:
+it reaches the same verdict, spends the same steps and reads the same
+cells.  ``oracle_entails`` keeps, per left shape, the payloads at the cells
+read (the union over the valuations of the right side's universal
+variables) of every model whose right-side checks all held, and never
+builds a left candidate that matches one: each of its right-side checks
+would hold too and spend the same steps, so whether the candidate is a
+model at all cannot change the verdict or the countermodel.  Where the
+checks read no payload, a shape is checked once whatever its payloads.
 
 Values are sorted: addresses are tagged tuples ``('a', k)`` with nil =
 ``('a', 0)``; data values are plain ints.  Sharing an int between the two
@@ -71,7 +82,8 @@ class OracleBounds:
     max_extension: int = 1      # extra cells for a spatial-true conjunct
     n_spare_data: int = 2       # fresh data values beyond the mentioned ones
     # cap on the models yielded per query; a candidate that oracle_entails
-    # skips is never built, so it is not counted
+    # skips, since a held model fixed its payloads at the cells the
+    # right-side checks read, is never built, so it is not counted
     max_models: int = 60000
     # step cap per checker run: each run starts afresh, so a query of N
     # right-side checks may spend up to N times the cap
@@ -100,7 +112,9 @@ class Model:
 class OracleVerdict:
     holds: bool
     countermodel: Optional[Model] = None
-    models_checked: int = 0     # right-side checks made
+    # right-side checks made: none for a left candidate that a held model
+    # of its shape matches at the cells read (see the module docstring)
+    models_checked: int = 0
 
 
 def _eval(t: Term, env: dict) -> object:
@@ -200,6 +214,15 @@ class _SatSearch:
     over, each assignment of contents keys and each assignment of the
     variables left free.  Those points are part of what ``max_steps``
     means: moving one changes which queries raise ``BoundsTooLarge``.
+
+    ``run`` leaves in ``read`` the cells whose payload the search consumed
+    (see the module docstring): the cell of a node atom with a payload term
+    once its next value bound, and the cells handed to the payload check of
+    a sorted segment or of a segment with contents.  Nothing else reads a
+    payload: a walk's payloads and their frequencies decide nothing until
+    one of those checks consumes them.  So ``run`` on a model of the same
+    shape (``_shape``) with the same payloads at those cells makes the same
+    search, with the same verdict and steps.
     """
 
     def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
@@ -225,6 +248,7 @@ class _SatSearch:
         self.model = model
         self.heap = model.heap
         self.steps = self.max_steps
+        self.read: set = set()
         cover_all = not (allow_leftover or self.has_true)
         return self._place(0, model.env, frozenset(), cover_all)
 
@@ -257,6 +281,7 @@ class _SatSearch:
             nx, d = self.heap[v]
             env2 = _bind(a.nxt, nx, env0)
             if env2 is not None and a.data is not None:
+                self.read.add(v)
                 env2 = _bind(a.data, d, env2)
             if env2 is not None:
                 yield env2, (v,)
@@ -288,6 +313,7 @@ class _SatSearch:
 
     def _sorted_check(self, a: SortedSegAtom, env: dict, cells: list,
                       datas: list, freq: dict) -> Iterator[tuple[dict, list]]:
+        self.read.update(cells)
         if any(not isinstance(d, int) for d in datas):
             return
         if any(datas[i] > datas[i + 1] for i in range(len(datas) - 1)):
@@ -317,6 +343,8 @@ class _SatSearch:
     def _contents_check(self, a, env: dict, cells: list, datas: list,
                         freq: dict) -> Iterator[tuple[dict, list]]:
         ms = a.contents
+        if ms.items:  # without contents, no payload is read
+            self.read.update(cells)
         # the keys whose variable the store leaves unbound range over the
         # segment's payloads
         unassigned = [k for k, _ in ms.items
@@ -399,15 +427,27 @@ def models(h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
     bounds = bounds or OracleBounds()
     data = data_universe if data_universe is not None else _data_universe(
         h, n_spare=bounds.n_spare_data)
-    yield from _models(h, bounds, data, None)
+    for m, _ in _models(h, bounds, data, None):
+        yield m
 
 
 def _models(h: SymbolicHeap, bounds: OracleBounds, data: list[int],
-            held: Optional[set]) -> Iterator[Model]:
-    """The models of h, in the order ``models`` yields them, leaving out
-    every candidate whose shape (see ``_shape``) is in held.  Between two
-    models the consumer may add the last one's shape to held; None skips
-    nothing."""
+            held: Optional[dict]) -> Iterator[tuple[Model, Optional[dict]]]:
+    """The models of h, in the order ``models`` yields them, each with the
+    entry of its shape (see ``_shape``) in held, leaving out every candidate
+    that an entry of its shape matches.
+
+    An entry maps a tuple of cell positions (in the heap's order) to a set
+    of payload tuples, the payloads at those positions; a candidate matches
+    it when its payloads at some key's positions are in that key's set.
+    Between two models the consumer may add to the last one's entry.  An
+    empty key, whose payload tuple is empty too, matches every candidate,
+    so a shape that has one gets no more candidates.  held maps each shape
+    met to its entry; None skips nothing, and each entry yielded is None.
+    The skip is exact when the consumer adds to an entry only the payloads
+    of a model whose checks all held at the cells those checks read (see
+    the module docstring).
+    """
     if h.is_false:
         return
     atoms = h.cells()
@@ -458,16 +498,18 @@ def _seg_payloads(a, n: int, env: dict, data: list[int]) -> list[tuple]:
 
 
 def _shape(store: dict, cells: Iterable, nexts: Iterable) -> tuple:
-    """What a payload-blind check reads of a model (see the module
-    docstring): the store's program variables, the cells in order and their
-    next values."""
+    """What a right-side check reads of a model apart from payloads (see
+    the module docstring): the store's program variables, the cells in
+    order and their next values.  Models of one shape differ only in their
+    payloads, and a check reads those only at the cells it records."""
     return (tuple((v, x) for v, x in store.items() if isinstance(v, PVar)),
             tuple(cells), tuple(nexts))
 
 
 def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
                      data: list[int], data_vars: set, check: _SatSearch,
-                     held: Optional[set]) -> Iterator[Model]:
+                     held: Optional[dict]
+                     ) -> Iterator[tuple[Model, Optional[dict]]]:
     # allocate canonical addresses per atom
     lens = iter(seg_lens)
     atom_cells: list[list[tuple]] = []
@@ -511,7 +553,6 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
     # an extension cell's next values, then its payloads
     ext_nexts = list(itertools.product(all_cells + [NIL_V], repeat=ext))
     ext_datas = list(itertools.product(data, repeat=ext))
-    blind = held is not None
 
     for var_combo in itertools.product(*choice_cands):
         env1 = dict(env)
@@ -529,12 +570,18 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
             continue
         nexts = [c for cs, endv in zip(atom_cells, ends)
                  for c in cs[1:] + [endv]]
-        # the shapes of this store still to build, one per extension next;
-        # a shape leaves the list once the consumer holds it
-        shapes = [(enx, _shape(env1, all_cells, nexts + list(enx))
-                   if blind else None) for enx in ext_nexts]
-        if held:
-            shapes = [s for s in shapes if s[1] not in held]
+        # the entries of this store's shapes still to build, one per
+        # extension next; a shape leaves the list once its entry matches
+        # every payload
+        if held is None:
+            shapes = [(enx, None) for enx in ext_nexts]
+        else:
+            shapes = []
+            for enx in ext_nexts:
+                entry = held.setdefault(
+                    _shape(env1, all_cells, nexts + list(enx)), {})
+                if () not in entry:
+                    shapes.append((enx, entry))
             if not shapes:
                 continue
         payloads: list[list[tuple]] = []
@@ -554,17 +601,25 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
             for pay_combo in itertools.product(*payloads):
                 if not shapes:
                     break
-                heap = dict(zip(cells, zip(
-                    nexts, itertools.chain.from_iterable(pay_combo))))
-                for enx, shape in tuple(shapes):
+                pays = tuple(itertools.chain.from_iterable(pay_combo))
+                heap = None
+                for enx, entry in tuple(shapes):
                     for ed in ext_datas:
+                        # a held model fixed the payloads its checks read
+                        if entry:
+                            cand = pays + ed
+                            if any(tuple(cand[i] for i in at) in seen
+                                   for at, seen in entry.items()):
+                                continue
+                        if heap is None:
+                            heap = dict(zip(cells, zip(nexts, pays)))
                         heap2 = dict(heap)
                         heap2.update(zip(ext_cells, zip(enx, ed)))
                         model = Model(env1, heap2)
                         if check.run(model, allow_leftover=False):
-                            yield model
-                            if blind and shape in held:
-                                shapes.remove((enx, shape))
+                            yield model, entry
+                            if entry is not None and () in entry:
+                                shapes.remove((enx, entry))
                                 break
 
 
@@ -580,9 +635,9 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
     Each side's logical variables are existentially quantified over that
     side alone, so the left model's logical-variable bindings are dropped
     before checking the right side.  Program variables free on the right
-    only are universal (a valuation is part of the model).  Against a
-    payload-blind right side, no left candidate is built of a shape whose
-    checks all held (see the module docstring).
+    only are universal (a valuation is part of the model).  No left
+    candidate is built whose shape and payloads at the cells the checks
+    read match a model whose checks all held (see the module docstring).
     """
     bounds = bounds or OracleBounds()
     data = _data_universe(lhs, rhs, n_spare=bounds.n_spare_data)
@@ -593,15 +648,16 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
     if len(univ) > 3:
         raise BoundsTooLarge("too many universally quantified variables")
     check = _SatSearch(rhs, data, bounds.max_steps)
-    # the shapes whose checks all held, where the right side is payload-blind
-    held: Optional[set] = (
-        None if any(a.data_terms for a in rhs.cells()) else set())
+    # per left shape, the payloads that models whose checks all held have
+    # at the cells those checks read (see _models)
+    held: dict = {}
     checked = 0
-    for m in _models(lhs, bounds, data, held):
+    for m, entry in _models(lhs, bounds, data, held):
         base_env = {v: val for v, val in m.env.items() if isinstance(v, PVar)}
         combos = itertools.product(
             sorted(m.heap) + [NIL_V, _addr(97)] + data,
             repeat=len(univ)) if univ else [()]
+        read: set = set()
         for combo in combos:
             checked += 1
             env2 = dict(base_env)
@@ -609,7 +665,8 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
             if not check.run(Model(env2, m.heap), allow_leftover=modulo_true):
                 return OracleVerdict(False, Model(dict(m.env), m.heap),
                                      checked)
-        if held is not None:
-            held.add(_shape(base_env, m.heap,
-                            (nx for nx, _ in m.heap.values())))
+            read |= check.read
+        at = tuple(i for i, c in enumerate(m.heap) if c in read)
+        pays = tuple(d for _, d in m.heap.values())
+        entry.setdefault(at, set()).add(tuple(pays[i] for i in at))
     return OracleVerdict(True, None, checked)

@@ -154,9 +154,10 @@ class ProofOutcome:
 # ---------------------------------------------------------------------------
 
 class _FreshNames:
-    """Generates primed logical variables distinct from every used name;
-    ``made`` lists them in the order they were made.  The set of used
-    names it is given becomes its own."""
+    """Generates logical variables whose names are distinct from every used
+    name; ``made`` lists them in the order they were made.  The set of used
+    names it is given becomes its own.  A name is kept unprimed, as in the
+    used names: an ``LVar`` adds the prime when it renders."""
 
     def __init__(self, used: set[str]):
         self._used = used
@@ -165,7 +166,7 @@ class _FreshNames:
 
     def make(self, prefix: str) -> LVar:
         while True:
-            name = f"{prefix}{next(self._counter)}'"
+            name = f"{prefix}{next(self._counter)}"
             if name not in self._used:
                 self._used.add(name)
                 v = LVar(name)

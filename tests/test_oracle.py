@@ -402,12 +402,14 @@ def checker_steps_digest(monkeypatch) -> str:
     return hashlib.sha256(" ".join(map(str, spent)).encode()).hexdigest()
 
 
-# recorded once oracle_entails built no left model of a shape whose checks
-# all held against a payload-blind right side: the runs left spend what they
-# spent before, and one query (seeded heap 9 against itself) no longer
-# exhausts max_models
+# recorded once oracle_entails built no left model whose payloads at the
+# cells the right-side checks read match those of a model of its shape whose
+# checks all held: every run left is one the step counts had before, in the
+# same order and spending the same steps, and one query (seeded heap 5,
+# y!=1 /\ x=3 /\ slseg(r,q,[2,6))*true, against itself) no longer exhausts
+# max_models
 CHECKER_STEPS_SHA256 = (
-    "25a46ca485fa2d7afc4d44834b93a7791a2a1f4ff88d32a41a2ae181fdfe87fb")
+    "cc1e7a2e88aa68c34f7718a96c7d24c35cab4605f157f8b7aa2f61e7689510ee")
 
 
 def test_checker_step_counts_are_unchanged_on_random_heaps(monkeypatch):
@@ -455,7 +457,7 @@ def test_checker_leaves_the_stores_it_is_handed_unchanged(monkeypatch, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
-# entailment against a payload-blind right side: each left shape once
+# entailment: each left shape, with the payloads its checks read, once
 # ---------------------------------------------------------------------------
 
 def _reference_entails(lhs, rhs, modulo_true, bounds):
@@ -489,16 +491,26 @@ def _reference_entails(lhs, rhs, modulo_true, bounds):
 _BLIND_RIGHTS = ["true", "emp", "node(r,nil,_) * true", "node(r,r,_) * true",
                  "y!=2 /\\ true", "u=u /\\ list(r,e') * true"]
 
+# payload-aware right sides: a node payload constant, a node payload that
+# is a universal program variable u, a contents key, a sorted segment and a
+# payload that a pure atom guards
+_PAYLOAD_RIGHTS = ["node(r,e',{1}) * true", "node(r,e',{u}) * true",
+                   "list(r,e',{x:1}) * true", "slseg(r,e',[0,9)) * true",
+                   "d'<2 /\\ node(r,e',{d'}) * true"]
+
 
 def test_skipping_held_shapes_changes_no_verdict():
-    """On the seeded heaps, against their own formula and the payload-blind
-    right sides, with and without modulo true, oracle_entails answers as a
-    loop over every model does, with the same countermodel and no more
-    checks; it skips a held shape before both kinds of verdict."""
+    """On the seeded heaps, against their own formula, the payload-blind
+    and the payload-aware right sides, with and without modulo true,
+    oracle_entails answers as a loop over every model does, with the same
+    countermodel and no more checks; against each kind of right side it
+    skips a candidate before both kinds of verdict."""
     skipped_before = set()
     for lhs in seeded_heaps(n=30):
-        for rhs in [lhs] + [H(r) for r in _BLIND_RIGHTS]:
-            for modulo_true in (False, True):
+        for kind, rights in (("self", [lhs]),
+                             ("blind", map(H, _BLIND_RIGHTS)),
+                             ("payload", map(H, _PAYLOAD_RIGHTS))):
+            for rhs, modulo_true in itertools.product(rights, (False, True)):
                 try:
                     holds_, counter, checked = _reference_entails(
                         lhs, rhs, modulo_true, WITH_TRUE)
@@ -509,19 +521,19 @@ def test_skipping_held_shapes_changes_no_verdict():
                         ) == (holds_, counter), (str(lhs), str(rhs))
                 assert v.models_checked <= checked
                 if v.models_checked < checked:
-                    skipped_before.add(v.holds)
-    assert skipped_before == {True, False}
+                    skipped_before.add((kind, v.holds))
+    assert {(kind, verdict) for kind in ("blind", "payload")
+            for verdict in (True, False)} <= skipped_before
 
 
-@pytest.mark.parametrize("text, blind", [
-    ("list(x,nil)", True),
-    ("node(x,y,_) * list(y,nil,{}) * true", True),
-    ("node(x,nil,{1})", False),
-    ("list(x,nil,{k:1})", False),
-    ("slseg(x,nil,[0,9))", False),
+@pytest.mark.parametrize("text", [
+    "list(x,nil)",
+    "node(x,y,_) * list(y,nil,{}) * true",
+    "node(x,nil,{1})",
+    "list(x,nil,{k:1})",
+    "slseg(x,nil,[0,9))",
 ])
-def test_only_a_right_side_without_data_positions_skips_held_shapes(
-        monkeypatch, text, blind):
+def test_every_right_side_skips_held_candidates(monkeypatch, text):
     helds = []
     enumerate_models = oracle._models
 
@@ -531,33 +543,120 @@ def test_only_a_right_side_without_data_positions_skips_held_shapes(
 
     monkeypatch.setattr(oracle, "_models", recording_models)
     oracle_entails(H("emp"), H(text))
-    assert [held is not None for held in helds] == [blind]
+    assert [type(held) for held in helds] == [dict]
+
+
+_A1, _A2, _A3 = ("a", 1), ("a", 2), ("a", 3)
+
+
+@pytest.mark.parametrize("text, read", [
+    ("list(x,nil)", set()),
+    ("node(x,y,{1}) * list(y,nil)", {_A1}),
+    ("list(x,nil,{k:1})", {_A1, _A2, _A3}),
+    ("slseg(x,nil,[0,9))", {_A1, _A2, _A3}),
+])
+def test_a_check_records_the_cells_whose_payloads_it_read(text, read):
+    """A node atom with a payload term reads its cell; a segment reads the
+    cells it walks where it has contents or is sorted, and no others."""
+    m = Model({PVar("x"): _A1, PVar("y"): _A2},
+              {_A1: (_A2, 1), _A2: (_A3, 1), _A3: (NIL_V, 1)})
+    check = oracle._SatSearch(H(text), [0, 1, 2], 1000)
+    assert check.run(m, allow_leftover=False) and check.read == read
+
+
+def _record_checks(monkeypatch) -> list:
+    """Patch the checker so that each run appends (search, model, steps
+    spent, cells read) to the list returned, where search numbers the
+    checkers from 0 in the order they are built after the patch."""
+    searches, runs = [], []
+    init = oracle._SatSearch.__init__
+
+    def recording_init(self, *args):
+        searches.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(oracle._SatSearch, "__init__", recording_init)
+    _record_runs(monkeypatch, lambda search, model, before: runs.append(
+        (searches.index(search), model, search.max_steps - search.steps,
+         frozenset(search.read))))
+    return runs
+
+
+def _pvar_shape(model: Model) -> tuple:
+    return oracle._shape(model.env, model.heap,
+                         (nx for nx, _ in model.heap.values()))
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ("node(x,y,_) * list(y,nil)", "node(x,y,{d'}) * list(y,nil)"),
+    ("node(x,nil,_) * true", "node(x,nil,{d'}) * true"),
+    ("slseg(x,y,[0,3)) * list(y,nil)", "slseg(x,y,[0,3)) * list(y,nil)"),
+])
+def test_each_skipped_candidate_holds_with_the_steps_of_its_entry(
+        monkeypatch, lhs, rhs):
+    """A candidate the enumerator leaves out, checked anyway, holds and
+    spends the steps of the model of its shape whose payloads at the cells
+    read it shares."""
+    lhs, rhs = H(lhs), H(rhs)
+    bounds = OracleBounds(max_cells=3, n_spare_data=1)
+    data = oracle._data_universe(lhs, rhs, n_spare=bounds.n_spare_data)
+    runs = _record_checks(monkeypatch)
+    # without a held map, the left check runs on every candidate
+    list(models(lhs, bounds, data_universe=data))
+    candidates = [m for _, m, _, _ in runs]
+    del runs[:]
+    # oracle_entails builds the right side's checker first: search 1
+    assert oracle_entails(lhs, rhs, bounds=bounds).holds
+    built = iter(m.render() for search, m, _, _ in runs if search == 2)
+    entries = [(m, steps, read) for search, m, steps, read in runs
+               if search == 1]
+    check = oracle._SatSearch(rhs, data, bounds.max_steps)
+    skipped = 0
+    next_built = next(built, None)
+    for c in candidates:
+        if c.render() == next_built:
+            next_built = next(built, None)
+            continue
+        skipped += 1
+        m, steps, read = next(
+            (m, steps, read) for m, steps, read in entries
+            if _pvar_shape(m) == _pvar_shape(c)
+            and all(m.heap[a][1] == c.heap[a][1] for a in read))
+        store = {v: x for v, x in c.env.items() if isinstance(v, PVar)}
+        assert check.run(Model(store, c.heap), allow_leftover=False)
+        assert check.max_steps - check.steps == steps
+    assert next_built is None and skipped
 
 
 def test_checker_searches_each_shape_once(monkeypatch):
     """Against a payload-blind right side, oracle_entails hands the right
     side's checker each left store and pointer shape once, and the verdict
     is the one every model gives."""
-    init, run = oracle._SatSearch.__init__, oracle._SatSearch.run
-    searches, shapes = [], []
-
-    def recording_init(self, *args):
-        searches.append(self)
-        init(self, *args)
-
-    def recording_run(self, model, allow_leftover):
-        if self is searches[0]:
-            shapes.append((tuple(model.env.items()), tuple(model.heap),
-                           tuple(nx for nx, _ in model.heap.values())))
-        return run(self, model, allow_leftover)
-
-    monkeypatch.setattr(oracle._SatSearch, "__init__", recording_init)
-    monkeypatch.setattr(oracle._SatSearch, "run", recording_run)
+    runs = _record_checks(monkeypatch)
     h = "list(x,nil) * list(y,nil)"
     bounds = OracleBounds(max_cells=3, n_spare_data=1)
-    # oracle_entails builds the right side's checker first
     v = oracle_entails(H(h), H(h), bounds=bounds)
+    # oracle_entails builds the right side's checker first: search 0
+    shapes = [_pvar_shape(m) for search, m, _, _ in runs if search == 0]
     # x and y head one or two cells each, within three cells; a loop over
     # every model makes 63 checks
     assert v.holds and v.models_checked == len(shapes) == len(set(shapes)) == 3
     assert _reference_entails(H(h), H(h), False, bounds) == (True, None, 63)
+
+
+def test_checker_searches_each_shape_and_read_payloads_once(monkeypatch):
+    """Against a payload-aware right side, oracle_entails hands the right
+    side's checker each left shape with each tuple of payloads at the
+    cells the check reads once, and the verdict is the one every model
+    gives."""
+    runs = _record_checks(monkeypatch)
+    lhs, rhs = H("node(x,y,_) * list(y,nil)"), H("node(x,y,{d'}) * list(y,nil)")
+    bounds = OracleBounds(max_cells=3, n_spare_data=1)
+    v = oracle_entails(lhs, rhs, bounds=bounds)
+    # oracle_entails builds the right side's checker first: search 0
+    checked = [(_pvar_shape(m), tuple((a, m.heap[a][1]) for a in sorted(read)))
+               for search, m, _, read in runs if search == 0]
+    # the check reads x's payload alone: two shapes (y heads one cell or
+    # two) times three payloads, where a loop over every model makes 36
+    assert v.holds and v.models_checked == len(checked) == len(set(checked)) == 6
+    assert _reference_entails(lhs, rhs, False, bounds) == (True, None, 36)

@@ -20,6 +20,7 @@ from shaperef.heaps import (
     normalize,
     star,
 )
+from shaperef.lang import ParseError
 from shaperef.oracle import (
     BoundsTooLarge,
     OracleBounds,
@@ -333,17 +334,61 @@ def test_unfold_sorted_empty_contents():
 
 def test_unfold_names_fresh_variables_in_order():
     # the names reach frame_infer's outputs: an untracked sorted head's
-    # value is named before the tail's source
+    # value is named before the tail's source.  A fresh variable renders
+    # with one prime, as every logical variable does.
     ctx = H("slseg(e,f,[0,9),{a:1,b:1})")
     assert _case_strs(unfold(ctx.spatial[0], ctx)) == [
-        "0<=a /\\ a<9 /\\ node(e,x1'',{a})*slseg(x1'',f,[a,9),{b:1})",
-        "0<=b /\\ b<9 /\\ node(e,x2'',{b})*slseg(x2'',f,[b,9),{a:1})",
-        "0<=d3'' /\\ d3''<9 /\\ "
-        "node(e,x4'',{d3''})*slseg(x4'',f,[d3'',9),{a:1,b:1})"]
+        "0<=a /\\ a<9 /\\ node(e,x1',{a})*slseg(x1',f,[a,9),{b:1})",
+        "0<=b /\\ b<9 /\\ node(e,x2',{b})*slseg(x2',f,[b,9),{a:1})",
+        "0<=d3' /\\ d3'<9 /\\ "
+        "node(e,x4',{d3'})*slseg(x4',f,[d3',9),{a:1,b:1})"]
     ctx = H("slseg(e,f,[0,9))")
     assert _case_strs(unfold(ctx.spatial[0], ctx)) == [
-        "0<=d1'' /\\ d1''<9 /\\ node(e,f,{d1''})",
-        "0<=d2'' /\\ d2''<9 /\\ node(e,x3'',{d2''})*slseg(x3'',f,[d2'',9))"]
+        "0<=d1' /\\ d1'<9 /\\ node(e,f,{d1'})",
+        "0<=d2' /\\ d2'<9 /\\ node(e,x3',{d2'})*slseg(x3',f,[d2',9))"]
+
+
+def test_unfold_names_no_variable_of_its_context():
+    # the context already has x1', so the tail's source is x2'
+    ctx = H("node(e,x1',_) * list(x1',f)")
+    seg = next(a for a in ctx.spatial if isinstance(a, ListSegAtom))
+    assert _case_strs(unfold(seg, ctx)) == [
+        "node(x1',f,_)", "node(x1',x2',_)*list(x2',f)"]
+
+
+def _made_heaps(seed: int, n: int = 60):
+    """Frames, anti-frames and unfold cases of seeded heaps: each heap's
+    frames against a node at the head of each of its cells and against
+    another seeded heap, the anti-frames that complete all but its first
+    cell to the whole, and the unfold cases of each of its cells."""
+    rng = random.Random(seed)
+    for i in range(n):
+        domain = ("mls", "rls", "sls")[i % 3]
+        lhs = random_heap(rng, domain=domain, max_atoms=3,
+                          with_true=i % 4 == 1)
+        rhs = random_heap(rng, domain=domain, max_atoms=2)
+        rights = [SymbolicHeap((), (NodeAtom(a.head, LVar("n"), None),))
+                  for a in lhs.cells()] + [rhs]
+        for r in rights:
+            yield from (o.frame for o in frame_infer(lhs, r))
+        yield from abduce(SymbolicHeap(lhs.pure, lhs.cells()[1:]), lhs)
+        for a in lhs.cells():
+            yield from unfold(a, lhs)
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_made_heaps_parse_back_to_themselves(seed):
+    """The variables the prover makes print as the parser reads them:
+    every frame, anti-frame and unfold case round-trips."""
+    def parses_back(h: SymbolicHeap) -> bool:
+        try:
+            return H(str(h)) == h
+        except ParseError:
+            return False
+
+    made = list(_made_heaps(seed))
+    assert len(made) > 300
+    assert [str(h) for h in made if not parses_back(h)] == []
 
 
 def _splice(context: SymbolicHeap, idx: int, case: SymbolicHeap) -> SymbolicHeap:
