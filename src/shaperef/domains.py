@@ -394,33 +394,3 @@ def abstract(h: SymbolicHeap,
         cur, size = after, after_size
     return cur, RewriteTrace(tuple(steps))
 
-
-# ---------------------------------------------------------------------------
-# Splitting sorted segments
-# ---------------------------------------------------------------------------
-
-def split_sorted_segment(seg: SortedSegAtom, cut: Term, facts: Facts,
-                         joint: LVar) -> tuple[SortedSegAtom, SortedSegAtom]:
-    """Split a sorted segment at an interior value into two segments glued
-    at a fresh address ``joint`` (caller guarantees freshness).
-
-    The cut must be provably strictly inside the interval, and every
-    content key must provably fall on one side; the keys are partitioned
-    accordingly so that rejoining the two results reproduces the original
-    claim exactly.
-    """
-    if not (facts.proves_lt(seg.lo, cut) and facts.proves_lt(cut, seg.hi)):
-        raise ValueError(f"cut {cut} is not provably interior to "
-                         f"[{seg.lo},{seg.hi})")
-    left_pairs: list[tuple[Term, int]] = []
-    right_pairs: list[tuple[Term, int]] = []
-    for k, n in seg.contents.items:
-        if facts.proves_lt(k, cut):
-            left_pairs.append((k, n))
-        elif facts.proves_leq(cut, k):
-            right_pairs.append((k, n))
-        else:
-            raise ValueError(f"cannot place content key {k} relative to "
-                             f"cut {cut}")
-    return (SortedSegAtom(seg.src, joint, seg.lo, cut, Multiset.of(left_pairs)),
-            SortedSegAtom(joint, seg.dst, cut, seg.hi, Multiset.of(right_pairs)))

@@ -57,7 +57,6 @@ from .terms import (
     shifted,
     subst_term,
     term_sort_key,
-    term_vars,
     var_of,
 )
 
@@ -691,10 +690,6 @@ class Disj:
 
     heaps: tuple[SymbolicHeap, ...] = ()
 
-    @property
-    def is_false(self) -> bool:
-        return not self.heaps
-
     def __iter__(self) -> Iterator[SymbolicHeap]:
         return iter(self.heaps)
 
@@ -741,7 +736,7 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
                 victim, repl = a, b
             elif isinstance(b, LVar):
                 victim, repl = b, a
-            if victim is None or victim in set(term_vars(repl)):
+            if victim is None or victim is var_of(repl):
                 continue
             m = {victim: repl}
             try:

@@ -83,7 +83,7 @@ class NondetC:
 
 @dataclass(frozen=True)
 class RelC:
-    op: str  # "==", "!=", "<=", "<"
+    op: str  # one of _RELOPS
     lhs: Expr
     rhs: Expr
 
@@ -301,6 +301,9 @@ class Cursor:
 # Parser (recursive descent)
 # ---------------------------------------------------------------------------
 
+_RELOPS = ("==", "!=", "<=", "<")
+
+
 class _Parser(Cursor):
     TOKEN = re.compile(
         rf"{SPACE}(?:(?P<sym>(?:{'|'.join(KEYWORDS)})\b"
@@ -410,12 +413,12 @@ class _Parser(Cursor):
         if t.kind == "!":
             self.next()
             return NotC(self.cond_primary())
-        if t.kind == "*" and self.peek(1).kind not in ("==", "!=", "<=", "<"):
+        if t.kind == "*" and self.peek(1).kind not in _RELOPS:
             self.next()
             return NondetC()
         lhs = self.expr()
         op_tok = self.peek()
-        if op_tok.kind not in ("==", "!=", "<=", "<"):
+        if op_tok.kind not in _RELOPS:
             self.fail("expected a comparison operator")
         self.next()
         rhs = self.expr()

@@ -23,10 +23,10 @@ walks and the pure part's address universe read the next values; the data
 universe is fixed per query.  A payload is consumed at three points only:
 by a node atom with a payload term, at its cell once its next value bound;
 and by the payload check of a segment with contents or of a sorted
-segment, at every cell its walk hands over.  A walk collects payloads and
-their frequencies, but they decide nothing until one of those checks
-consumes them, and with no contents a segment's payload check succeeds
-once, with one tick, whatever the payloads are.
+segment, at every cell its walk hands over.  A walk collects cells only;
+those checks look up the payloads of the cells they are handed, and with
+no contents a segment's payload check succeeds once, with one tick,
+whatever the payloads are.
 
 So take two models of one shape (``_shape``: the store the check is
 handed, the cells in order and their next values) that have the same
@@ -62,7 +62,7 @@ from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from .terms import (Const, LVar, NilTerm, Offset, PVar, PureAtom,
-                    Term, term_vars, var_of)
+                    Term, var_of)
 from .heaps import ListSegAtom, NodeAtom, SortedSegAtom, SymbolicHeap
 
 NIL_V = ("a", 0)
@@ -219,10 +219,10 @@ class _SatSearch:
     (see the module docstring): the cell of a node atom with a payload term
     once its next value bound, and the cells handed to the payload check of
     a sorted segment or of a segment with contents.  Nothing else reads a
-    payload: a walk's payloads and their frequencies decide nothing until
-    one of those checks consumes them.  So ``run`` on a model of the same
-    shape (``_shape``) with the same payloads at those cells makes the same
-    search, with the same verdict and steps.
+    payload: a walk collects cells, and only those checks look up their
+    payloads.  So ``run`` on a model of the same shape (``_shape``) with
+    the same payloads at those cells makes the same search, with the same
+    verdict and steps.
     """
 
     def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
@@ -291,29 +291,26 @@ class _SatSearch:
             self._tick()
             if v not in self.heap:
                 continue
-            # walk the chain, proposing each stop point.  The cells, their
-            # payloads and the payloads' frequencies grow in place once every
-            # placement of the shorter segment was tried.
+            # walk the chain, proposing each stop point.  The cells grow in
+            # place once every placement of the shorter segment was tried;
+            # a check that reads their payloads looks them up.
             cells: list = []
-            datas: list = []
-            freq: dict[object, int] = {}
             cur = v
             while True:
                 # keep walking past a stop: the chain may pass through the
                 # end and lasso back to it with more cells
                 if cells and (env2 := _bind(a.dst, cur, env0)) is not None:
-                    yield from check(a, env2, cells, datas, freq)
+                    yield from check(a, env2, cells)
                 if cur not in self.heap or cur in cells:
                     break
                 cells.append(cur)
-                cur, d = self.heap[cur]
-                datas.append(d)
-                freq[d] = freq.get(d, 0) + 1
+                cur = self.heap[cur][0]
                 self._tick()
 
-    def _sorted_check(self, a: SortedSegAtom, env: dict, cells: list,
-                      datas: list, freq: dict) -> Iterator[tuple[dict, list]]:
+    def _sorted_check(self, a: SortedSegAtom, env: dict,
+                      cells: list) -> Iterator[tuple[dict, list]]:
         self.read.update(cells)
+        datas = [self.heap[c][1] for c in cells]
         if any(not isinstance(d, int) for d in datas):
             return
         if any(datas[i] > datas[i + 1] for i in range(len(datas) - 1)):
@@ -325,7 +322,7 @@ class _SatSearch:
             for hi_v, env2 in self._bound_candidates(a.hi, env1, datas[-1] + 1):
                 if hi_v <= datas[-1]:
                     continue
-                yield from self._contents_check(a, env2, cells, datas, freq)
+                yield from self._contents_check(a, env2, cells)
 
     def _bound_candidates(self, t: Term, env: dict, natural: int) -> Iterator[tuple[int, dict]]:
         """The integer values of bound t, each with its store: t's own,
@@ -340,11 +337,18 @@ class _SatSearch:
             if isinstance(c, int) and (env2 := _bind(t, c, env)) is not None:
                 yield c, env2
 
-    def _contents_check(self, a, env: dict, cells: list, datas: list,
-                        freq: dict) -> Iterator[tuple[dict, list]]:
+    def _contents_check(self, a, env: dict,
+                        cells: list) -> Iterator[tuple[dict, list]]:
         ms = a.contents
-        if ms.items:  # without contents, no payload is read
-            self.read.update(cells)
+        if not ms.items:  # no payload is read; the one empty assignment
+            self._tick()  # costs a step, as in the loop below
+            yield env, cells
+            return
+        self.read.update(cells)
+        freq: dict[object, int] = {}
+        for c in cells:
+            d = self.heap[c][1]
+            freq[d] = freq.get(d, 0) + 1
         # the keys whose variable the store leaves unbound range over the
         # segment's payloads
         unassigned = [k for k, _ in ms.items
@@ -427,12 +431,12 @@ def models(h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
     bounds = bounds or OracleBounds()
     data = data_universe if data_universe is not None else _data_universe(
         h, n_spare=bounds.n_spare_data)
-    for m, _ in _models(h, bounds, data, None):
+    for m, _ in _models(h, bounds, data, {}):
         yield m
 
 
 def _models(h: SymbolicHeap, bounds: OracleBounds, data: list[int],
-            held: Optional[dict]) -> Iterator[tuple[Model, Optional[dict]]]:
+            held: dict) -> Iterator[tuple[Model, dict]]:
     """The models of h, in the order ``models`` yields them, each with the
     entry of its shape (see ``_shape``) in held, leaving out every candidate
     that an entry of its shape matches.
@@ -442,11 +446,11 @@ def _models(h: SymbolicHeap, bounds: OracleBounds, data: list[int],
     it when its payloads at some key's positions are in that key's set.
     Between two models the consumer may add to the last one's entry.  An
     empty key, whose payload tuple is empty too, matches every candidate,
-    so a shape that has one gets no more candidates.  held maps each shape
-    met to its entry; None skips nothing, and each entry yielded is None.
-    The skip is exact when the consumer adds to an entry only the payloads
-    of a model whose checks all held at the cells those checks read (see
-    the module docstring).
+    so a shape that has one gets no more candidates.  held, always a dict
+    (``models`` passes a fresh one), maps each shape met to its entry; an
+    empty entry skips nothing.  The skip is exact when the consumer adds to
+    an entry only the payloads of a model whose checks all held at the
+    cells those checks read (see the module docstring).
     """
     if h.is_false:
         return
@@ -476,7 +480,8 @@ def _data_position_vars(h: SymbolicHeap) -> set:
     """Variables that occur where only integer data values can live: an
     atom's data terms are integer-sorted, so a variable there may only
     range over ints when models are generated."""
-    return {v for a in h.spatial for t in a.data_terms for v in term_vars(t)}
+    return {v for a in h.spatial for t in a.data_terms
+            if (v := var_of(t)) is not None}
 
 
 def _seg_payloads(a, n: int, env: dict, data: list[int]) -> list[tuple]:
@@ -508,8 +513,7 @@ def _shape(store: dict, cells: Iterable, nexts: Iterable) -> tuple:
 
 def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
                      data: list[int], data_vars: set, check: _SatSearch,
-                     held: Optional[dict]
-                     ) -> Iterator[tuple[Model, Optional[dict]]]:
+                     held: dict) -> Iterator[tuple[Model, dict]]:
     # allocate canonical addresses per atom
     lens = iter(seg_lens)
     atom_cells: list[list[tuple]] = []
@@ -573,17 +577,14 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
         # the entries of this store's shapes still to build, one per
         # extension next; a shape leaves the list once its entry matches
         # every payload
-        if held is None:
-            shapes = [(enx, None) for enx in ext_nexts]
-        else:
-            shapes = []
-            for enx in ext_nexts:
-                entry = held.setdefault(
-                    _shape(env1, all_cells, nexts + list(enx)), {})
-                if () not in entry:
-                    shapes.append((enx, entry))
-            if not shapes:
-                continue
+        shapes = []
+        for enx in ext_nexts:
+            entry = held.setdefault(
+                _shape(env1, all_cells, nexts + list(enx)), {})
+            if () not in entry:
+                shapes.append((enx, entry))
+        if not shapes:
+            continue
         payloads: list[list[tuple]] = []
         for a, cs, endv in zip(atoms, atom_cells, ends):
             if isinstance(a, NodeAtom):
@@ -618,7 +619,7 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
                         model = Model(env1, heap2)
                         if check.run(model, allow_leftover=False):
                             yield model, entry
-                            if entry is not None and () in entry:
+                            if () in entry:
                                 shapes.remove((enx, entry))
                                 break
 

@@ -94,7 +94,7 @@ from .terms import (
     split_offset,
     subst_term,
     term_sort_key,
-    term_vars,
+    var_of,
 )
 from .heaps import (
     ADDR,
@@ -263,16 +263,6 @@ def _decide(facts: Facts, op: str, a: Optional[Term], b: Optional[Term],
         return True  # t < t never holds, nor an order atom on an address
     query, swap = queries[refute]
     return query(facts, b, a) if swap else query(facts, a, b)
-
-
-def proves_pure(facts: Facts, p: PureAtom) -> bool:
-    """Whether the derived facts entail one pure atom."""
-    return _decide(facts, p.op, p.lhs, p.rhs, refute=False)
-
-
-def refutes_pure(facts: Facts, p: PureAtom) -> bool:
-    """Whether the derived facts entail the negation of one pure atom."""
-    return _decide(facts, p.op, p.lhs, p.rhs, refute=True)
 
 
 def _shifted_leq(a: Term, ka: int, b: Term, kb: int) -> tuple[Term, Term]:
@@ -676,10 +666,7 @@ class _Search:
     def _try_case_split(self, r_atom: Spatial, g: _Goal) -> Iterator[_Leaf]:
         if g.ubud <= 0:
             return
-        want = r_atom.head
-        if want is None:
-            return
-        want = subst_term(want, g.theta)
+        want = subst_term(r_atom.head, g.theta)
         if want in self.rhs_evars:
             return
         ctx = self._context(g.pure, g.full)
@@ -727,7 +714,7 @@ class _Search:
                 if p.op == "=":
                     for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
                         if a in self.rhs_evars and a not in theta and \
-                                not self._free(term_vars(b), theta):
+                                not self._free((var_of(b),), theta):
                             theta[a] = b
                             changed = True
                             if isinstance(b, Offset):
@@ -920,9 +907,8 @@ def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[ProofOutcome]:
     return outcomes
 
 
-def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
-           modulo_true: bool = True) -> list[SymbolicHeap]:
-    """Find anti-frames A with lhs * A |- rhs (* true) and lhs * A
+def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[SymbolicHeap]:
+    """Find anti-frames A with lhs * A |- rhs * true and lhs * A
     consistent.  Falls back to [false] when nothing consistent works.
 
     Every returned candidate has been re-checked against the entailment;
@@ -932,13 +918,13 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     if lhs.is_false:
         return [FALSE_HEAP]
     candidates: list[SymbolicHeap] = []
-    for cand in _proposals(lhs, rhs, modulo_true):
+    for cand in _proposals(lhs, rhs):
         if any(_clashes(lhs, a.head) for a in cand.cells()):
             continue  # star(lhs, cand) is false: see the module docstring
         combined = star(lhs, cand)
         if combined.is_false:
             continue
-        if not entails(combined, rhs, modulo_true=modulo_true).holds:
+        if not entails(combined, rhs, modulo_true=True).holds:
             continue
         candidates.append(cand)
     if not candidates:
@@ -947,11 +933,10 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     return candidates
 
 
-def _proposals(lhs: SymbolicHeap, rhs: SymbolicHeap,
-               modulo_true: bool) -> list[SymbolicHeap]:
+def _proposals(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[SymbolicHeap]:
     """The distinct anti-frames the search proposes for a normalized,
     consistent lhs, in the order it finds them, before any re-check."""
-    st = _Search(lhs, rhs, "abduce", modulo_true)
+    st = _Search(lhs, rhs, "abduce", True)
     inverse = {v: k for k, v in st.renaming.items()}
     try:
         leaves = list(st.run())
@@ -1029,6 +1014,6 @@ class Prover:
                     rhs: SymbolicHeap) -> list[ProofOutcome]:
         return self._cached(frame_infer, lhs, rhs)
 
-    def abduce(self, lhs: SymbolicHeap, rhs: SymbolicHeap,
-               modulo_true: bool = True) -> list[SymbolicHeap]:
-        return self._cached(abduce, lhs, rhs, modulo_true=modulo_true)
+    def abduce(self, lhs: SymbolicHeap,
+               rhs: SymbolicHeap) -> list[SymbolicHeap]:
+        return self._cached(abduce, lhs, rhs)

@@ -1,11 +1,10 @@
-"""Parser for the canonical textual form of terms, heaps and disjunctions.
+"""Parser for the canonical textual form of terms and heaps.
 
 The renderer is the ``__str__`` of each class; this module provides the
 inverse.  Round trip: ``parse_heap(str(h)) == h`` for normalized heaps.
 
 Grammar (ID, INT and whitespace as in ``shaperef.lang``):
 
-    disj    := heap ("\\/" heap)*
     heap    := (pure "/\\")* spatial | pure ("/\\" pure)*
     spatial := satom ("*" satom)*
     satom   := "emp" | "true"
@@ -21,8 +20,7 @@ Grammar (ID, INT and whitespace as in ``shaperef.lang``):
 
 Its own tokens: LVAR is ``ID'``, a logical variable (a plain ID is a
 program variable); SINT is an INT with an optional "-"; "/\\" joins the
-parts of a heap and "\\/" the heaps of a disjunction; "_", the unknown
-payload, is an ID everywhere else.
+parts of a heap; "_", the unknown payload, is an ID everywhere else.
 """
 
 from __future__ import annotations
@@ -41,10 +39,10 @@ from .terms import (
     Term,
     TRUE_ATOM,
     FALSE_ATOM,
+    _PURE_OPS,
     shifted,
 )
 from .heaps import (
-    Disj,
     ListSegAtom,
     NodeAtom,
     SortedSegAtom,
@@ -54,12 +52,9 @@ from .heaps import (
 )
 
 
-_RELATIONS = ("=", "!=", "<=", "<")
-
-
 class _Parser(Cursor):
     TOKEN = re.compile(
-        rf"{SPACE}(?:(?P<sym>/\\|\\/|!=|<=|[=<+*,:(){{}}\[\]])"
+        rf"{SPACE}(?:(?P<sym>/\\|!=|<=|[=<+*,:(){{}}\[\]])"
         rf"|(?P<lvar>{ID}')|(?P<id>{ID})|(?P<int>{INT})|(?P<neg>-{INT}))")
 
     # -- terms ---------------------------------------------------------------
@@ -93,7 +88,7 @@ class _Parser(Cursor):
             self.next()
             return FALSE_ATOM
         lhs = self.term()
-        if self.peek().kind not in _RELATIONS:
+        if self.peek().kind not in _PURE_OPS:
             self.fail("expected a relation")
         op = self.next().kind
         return PureAtom(op, lhs, self.term())
@@ -104,7 +99,7 @@ class _Parser(Cursor):
         save = self.pos
         try:
             self.term()
-            return self.peek().kind in _RELATIONS
+            return self.peek().kind in _PURE_OPS
         except ParseError:
             return self.pos > save
         finally:
@@ -187,7 +182,7 @@ class _Parser(Cursor):
                     self.next()
                     pure.append(p)
                     continue
-                if self.peek().kind in ("eof", "\\/"):
+                if self.peek().kind == "eof":
                     if p == TRUE_ATOM:
                         # a trailing bare "true" is the arbitrary-heap atom
                         return SymbolicHeap(tuple(pure), (TRUE_SPATIAL,))
@@ -211,13 +206,6 @@ class _Parser(Cursor):
             break
         return SymbolicHeap(tuple(pure), tuple(spatial))
 
-    def disj(self) -> Disj:
-        heaps = [self.heap()]
-        while self.peek().kind == "\\/":
-            self.next()
-            heaps.append(self.heap())
-        return Disj(tuple(heaps))
-
 
 def _parse(text: str, rule, what: str):
     p = _Parser(text)
@@ -233,7 +221,3 @@ def parse_term(text: str) -> Term:
 
 def parse_heap(text: str) -> SymbolicHeap:
     return _parse(text, _Parser.heap, "heap")
-
-
-def parse_disj(text: str) -> Disj:
-    return _parse(text, _Parser.disj, "disjunction")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property, total_ordering
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +226,6 @@ def var_of(t: Optional[Term]) -> Optional[Union[PVar, LVar]]:
     if isinstance(t, Offset):
         return t.base
     return t if isinstance(t, (PVar, LVar)) else None
-
-
-def term_vars(t: Term) -> Iterator[Union[PVar, LVar]]:
-    v = var_of(t)
-    if v is not None:
-        yield v
 
 
 # ---------------------------------------------------------------------------

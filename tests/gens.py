@@ -252,8 +252,8 @@ def _random_atom(rng, domain, src, dst, idx):
 def count_variable_lookups(monkeypatch) -> list[int]:
     """Count calls of ``terms.var_of`` from here on; the one-element list
     holds the count.  Every walk over terms' variables asks ``var_of`` once
-    per term, ``term_vars`` included, so the count measures how many term
-    positions the program walked for their variables."""
+    per term, so the count measures how many term positions the program
+    walked for their variables."""
     from shaperef import domains, heaps, oracle, prover, terms
     real = terms.var_of
     calls = [0]

@@ -20,14 +20,12 @@ from shaperef.domains import (
     abstract,
     measure,
     project_contents,
-    split_sorted_segment,
 )
 from shaperef.heaps import NodeAtom, SortedSegAtom, SymbolicHeap, normalize
-from shaperef.oracle import OracleBounds, models, oracle_entails
 from shaperef.syntax import parse_heap
 from shaperef.prover import entails
 from shaperef.terms import (Const, LVar, Multiset, NIL, PVar, PureAtom, eq,
-                            shifted, term_vars)
+                            shifted, var_of)
 
 from gens import (
     DATA_TERMS,
@@ -41,9 +39,6 @@ from gens import (
 
 MS = Multiset.of
 A, B, R, X, Y = PVar("a"), PVar("b"), PVar("r"), PVar("x"), PVar("y")
-
-SMALL_BOUNDS = OracleBounds(max_cells=4, max_extension=1, n_spare_data=1,
-                            max_models=3000, max_steps=150000)
 
 
 def facts_of(*pure: PureAtom):
@@ -326,7 +321,7 @@ def _lvars_beyond(h: SymbolicHeap, idx: tuple[int, ...],
     extra terms, by a walk over every other atom."""
     rest = [a for i, a in enumerate(h.spatial) if i not in idx]
     vs = {v for atom in h.pure + tuple(rest) for v in atom.vars()}
-    vs.update(v for t in terms for v in term_vars(t))
+    vs.update(map(var_of, terms))
     return {v for v in vs if isinstance(v, LVar)}
 
 
@@ -375,8 +370,8 @@ def test_abstract_corpus_stays_within_its_variable_walk_budget(monkeypatch):
     # 120 seeded heaps per domain, abstracted and checked against their
     # abstraction as the benchmark's abstract workload does.  The budget is
     # the count recorded when the rules first counted each heap's variable
-    # occurrences once; before that, this corpus made 27,563 term_vars
-    # calls, one per term position walked
+    # occurrences once; before that, this corpus made 27,563 variable
+    # lookups, one per term position walked
     rng = random.Random(29)
     corpus = []
     for _ in range(120):
@@ -496,68 +491,3 @@ def test_sorted_outputs_respect_interval_invariant():
                     assert f.proves_leq(a.lo, k), (h, out, k)
                     assert f.proves_lt(k, a.hi), (h, out, k)
 
-
-# ---------------------------------------------------------------------------
-# Sorted-segment splitting
-# ---------------------------------------------------------------------------
-
-def _seg(contents) -> SortedSegAtom:
-    return SortedSegAtom(R, NIL, Const(0), Const(10), contents)
-
-
-def test_split_partitions_interval_and_contents():
-    left, right = split_sorted_segment(
-        _seg(MS([(Const(3), 1), (Const(7), 1)])), Const(5), facts_of(),
-        LVar("m"))
-    assert str(left) == "slseg(r,m',[0,5),{3:1})"
-    assert str(right) == "slseg(m',nil,[5,10),{7:1})"
-
-
-def test_split_of_empty_contents():
-    left, right = split_sorted_segment(_seg(MS()), Const(5), facts_of(),
-                                       LVar("m"))
-    assert left.contents.is_empty() and right.contents.is_empty()
-    assert (left.lo, left.hi, right.lo, right.hi) \
-        == (Const(0), Const(5), Const(5), Const(10))
-
-
-def test_split_rejects_boundary_cut():
-    with pytest.raises(ValueError):
-        split_sorted_segment(_seg(MS()), Const(0), facts_of(), LVar("m"))
-
-
-def test_split_rejects_unplaceable_key():
-    with pytest.raises(ValueError):
-        split_sorted_segment(_seg(MS([(Y, 1)])), Const(5), facts_of(),
-                             LVar("m"))
-
-
-def test_split_with_symbolic_keys_uses_order_facts():
-    f = facts_of(PureAtom("<", X, Const(5)), PureAtom("<=", Const(5), Y),
-                 PureAtom("<", Const(0), X), PureAtom("<", Y, Const(10)))
-    left, right = split_sorted_segment(_seg(MS([(X, 1), (Y, 1)])), Const(5),
-                                       f, LVar("m"))
-    assert left.contents == MS([(X, 1)])
-    assert right.contents == MS([(Y, 1)])
-
-
-def test_split_halves_rejoin_to_the_original_claim():
-    seg = _seg(MS([(Const(3), 1), (Const(7), 1)]))
-    left, right = split_sorted_segment(seg, Const(5), facts_of(), LVar("m"))
-    split_h = normalize(SymbolicHeap((), (left, right)))
-    orig_h = normalize(SymbolicHeap((), (seg,)))
-    assert oracle_entails(split_h, orig_h, bounds=SMALL_BOUNDS).holds
-    assert any(True for _ in models(split_h, SMALL_BOUNDS))
-    # with contents pinning both halves nonempty the directions coincide
-    assert oracle_entails(orig_h, split_h, bounds=SMALL_BOUNDS).holds
-
-
-def test_split_is_a_strict_strengthening_without_contents():
-    # a one-cell segment satisfies the original but no two-part split, so
-    # splitting may only ever be offered as an extra disjunct
-    left, right = split_sorted_segment(_seg(MS()), Const(5), facts_of(),
-                                       LVar("m"))
-    split_h = normalize(SymbolicHeap((), (left, right)))
-    orig_h = normalize(SymbolicHeap((), (_seg(MS()),)))
-    assert oracle_entails(split_h, orig_h, bounds=SMALL_BOUNDS).holds
-    assert not oracle_entails(orig_h, split_h, bounds=SMALL_BOUNDS).holds

@@ -11,7 +11,7 @@ import pytest
 
 from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, NIL, PVar,
                             PureAtom, eq, leq, lt, neq, shifted, term_sort_key,
-                            term_vars)
+                            var_of)
 from shaperef.heaps import (
     FALSE_HEAP,
     Facts,
@@ -315,6 +315,10 @@ def _pure_terms(p: PureAtom) -> list:
     return [t for t in (p.lhs, p.rhs) if t is not None]
 
 
+def _vars_of(terms) -> tuple:
+    return tuple(v for v in map(var_of, terms) if v is not None)
+
+
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_kept_keys_equal_a_fresh_computation(domain):
     # atoms and multisets are interned and keep their rendering, variables
@@ -326,8 +330,7 @@ def test_kept_keys_equal_a_fresh_computation(domain):
                         with_true=rng.random() < 0.3, n_pure=3)
         for p in h.pure:
             assert str(p) == _fresh(p, "_str")
-            assert p.vars() == tuple(v for t in _pure_terms(p)
-                                     for v in term_vars(t))
+            assert p.vars() == _vars_of(_pure_terms(p))
             if p.op in ("true", "false"):
                 key = (p.op, (), ())
             else:
@@ -335,18 +338,15 @@ def test_kept_keys_equal_a_fresh_computation(domain):
             assert p.sort_key() == _fresh(p, "_sort_key") == key
         for a in h.spatial:
             assert str(a) == _fresh(a, "_str")
-            assert a.vars() == tuple(v for t in _field_terms(a)
-                                     for v in term_vars(t))
+            assert a.vars() == _vars_of(_field_terms(a))
             if isinstance(a, (ListSegAtom, SortedSegAtom)):
                 ms = a.contents
                 assert str(ms) == _fresh(ms, "_str")
-                assert ms._vars == tuple(v for t in ms.keys()
-                                         for v in term_vars(t))
+                assert ms._vars == _vars_of(ms.keys())
         assert str(h) == _fresh(h, "_str")
-        assert h.vars() == tuple(dict.fromkeys(
-            v for t in [t for p in h.pure for t in _pure_terms(p)]
-            + [t for a in h.spatial for t in _field_terms(a)]
-            for v in term_vars(t)))
+        assert h.vars() == tuple(dict.fromkeys(_vars_of(
+            [t for p in h.pure for t in _pure_terms(p)]
+            + [t for a in h.spatial for t in _field_terms(a)])))
         assert h.cells() == tuple(a for a in h.spatial
                                   if not isinstance(a, TrueAtom))
         assert h.has_true() == (TRUE_SPATIAL in h.spatial)
@@ -375,7 +375,7 @@ def test_positions_follow_field_order(kind):
             assert (a.head, a.tail, a.data_terms) == (None, None, ())
         else:
             assert (a.head, a.tail, *a.data_terms) == tuple(terms)
-        assert list(a.vars()) == [v for t in terms for v in term_vars(t)]
+        assert a.vars() == _vars_of(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,6 @@ from shaperef.prover import (
     choose,
     entails,
     frame_infer,
-    proves_pure,
-    refutes_pure,
     unfold,
 )
 from shaperef.syntax import parse_heap as H
@@ -554,7 +552,7 @@ def test_abduce_candidates_all_pass_recheck():
 def _abduce_rechecking_every_proposal(lhs, rhs):
     """abduce with no candidate dropped before the re-check."""
     lhs = normalize(lhs)
-    kept = [c for c in prover._proposals(lhs, rhs, True)
+    kept = [c for c in prover._proposals(lhs, rhs)
             if not star(lhs, c).is_false
             and entails(star(lhs, c), rhs, modulo_true=True).holds]
     return sorted(kept, key=prover._candidate_key) or [FALSE_HEAP]
@@ -568,7 +566,7 @@ def test_abduce_drops_only_candidates_the_recheck_drops():
                           max_atoms=3, n_pure=2)
         for y in sorted(v for v in lhs.vars() if isinstance(v, PVar)):
             rhs = H(f"node({y},n',d')")
-            for cand in prover._proposals(lhs, rhs, True):
+            for cand in prover._proposals(lhs, rhs):
                 if any(prover._clashes(lhs, a.head) for a in cand.cells()):
                     skipped += 1
                     assert star(lhs, cand).is_false, (str(lhs), str(cand))
@@ -585,12 +583,24 @@ def test_offset_of_nil_gives_no_answer_but_no(rhs):
         assert not oracle_entails(lhs, rhs, modulo_true=modulo,
                                   bounds=TIGHT).holds
         assert not entails(lhs, rhs, modulo_true=modulo).holds
-        assert abduce(lhs, rhs, modulo_true=modulo) == [FALSE_HEAP]
+    assert abduce(lhs, rhs) == [FALSE_HEAP]
     assert frame_infer(lhs, rhs) == []
     prover = Prover()
     assert not prover.entails(lhs, rhs).holds
     assert prover.frame_infer(lhs, rhs) == []
     assert prover.abduce(lhs, rhs) == [FALSE_HEAP]
+
+
+def test_an_inconsistent_left_side_has_the_false_frame_and_anti_frame():
+    # x = nil, and a cell at x: the left side has no model
+    lhs, rhs = H("x=nil /\\ node(x,nil,_)"), H("emp")
+    prover = Prover()
+    for infer in (frame_infer, prover.frame_infer):
+        outs = infer(lhs, rhs)
+        assert len(outs) == 1 and outs[0].holds
+        assert outs[0].frame == FALSE_HEAP
+    for find in (abduce, prover.abduce):
+        assert find(lhs, rhs) == [FALSE_HEAP]
 
 
 def test_offset_of_an_address_proves_no_disequality():
@@ -819,6 +829,11 @@ PURE_CASES = {
 }
 
 
+def _proved_refuted(facts: Facts, atom: PureAtom) -> tuple[bool, bool]:
+    return tuple(prover._decide(facts, atom.op, atom.lhs, atom.rhs, refute)
+                 for refute in (False, True))
+
+
 @pytest.mark.parametrize("atom,proved,refuted,neither", PURE_CASES.values(),
                          ids=list(PURE_CASES))
 def test_pure_atoms_are_proved_or_refuted_by_the_facts(atom, proved, refuted,
@@ -828,15 +843,14 @@ def test_pure_atoms_are_proved_or_refuted_by_the_facts(atom, proved, refuted,
         if text is None:
             continue
         facts = H(text).facts
-        assert (proves_pure(facts, atom), refutes_pure(facts, atom)) == want, \
-            text
+        assert _proved_refuted(facts, atom) == want, text
 
 
 def test_true_is_always_proved_and_false_always_refuted():
     for text in ("emp", "x=y /\\ emp", "x<y /\\ emp"):
         facts = H(text).facts
-        assert proves_pure(facts, TRUE_ATOM) and not refutes_pure(facts, TRUE_ATOM)
-        assert refutes_pure(facts, FALSE_ATOM) and not proves_pure(facts, FALSE_ATOM)
+        assert _proved_refuted(facts, TRUE_ATOM) == (True, False)
+        assert _proved_refuted(facts, FALSE_ATOM) == (False, True)
 
 
 # ---------------------------------------------------------------------------

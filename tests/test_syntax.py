@@ -8,7 +8,7 @@ import pytest
 
 from shaperef import lang
 from shaperef.heaps import normalize
-from shaperef.syntax import ParseError, parse_disj, parse_heap, parse_term
+from shaperef.syntax import ParseError, parse_heap, parse_term
 from shaperef.terms import PVar
 
 from gens import random_heap
@@ -45,14 +45,6 @@ def test_round_trip_random_normalized_heaps():
         for dom in ("mls", "rls", "sls"):
             h = random_heap(rng, dom)
             assert parse_heap(str(h)) == h
-
-
-def test_parse_disj():
-    d = parse_disj("d=x /\\ true \\/ t'!=nil /\\ res=0 /\\ node(t,t',{d'}) * true")
-    assert len(d.heaps) == 2
-    with pytest.raises(ParseError):
-        parse_disj("TOP")
-    assert parse_disj(str(d)) == d
 
 
 def test_parse_judgment():
