@@ -10,17 +10,26 @@ proceeds.  The search has four moves:
 * unfolding a right-hand segment whose emitted head node is immediately
   consumed by an allocated left-hand cell;
 * chaining: a left-hand segment is consumed as a prefix of a longer
-  right-hand segment, leaving the remainder as a new obligation;
+  right-hand segment, leaving the remainder as a new obligation; the
+  right segment's target must be nil or the head of another unconsumed
+  left atom, and a target that is an unbound right-hand existential is
+  bound to each such head in turn, in the order of the left atoms;
 * case analysis: a left-hand segment is unfolded into its disjuncts and
   every consistent disjunct must be proved (entailment and frame inference
   only; never during abduction).
+
+Binding an existential is sound by existential introduction: each branch
+searches the query with that existential instantiated, and a proof of
+``lhs |- rhs[v := t]`` proves ``lhs |- exists v. rhs``, whichever t the
+branch chose.  The choice of t matters for completeness only.
 
 Every comparison of a left term l with a right term r follows one rule: an
 r that is an unbound right-hand existential is bound to l; otherwise the
 left facts must prove the atom, or, in abduction only, the atom becomes a
 pure hypothesis unless the facts refute it.  An r that is v+k, with v an
 unbound right-hand existential, first binds v so that v+k is l, where l is
-a constant c (v := c-k) or t+j with j >= k (v := t+(j-k)); never to nil.
+a constant c or has one in its class (v := c-k), or is t+j with j >= k
+(v := t+(j-k)); never to nil (``_offset_witness``).
 The atoms, by position:
 
 * heads, tails and payloads: l = r; a wild left payload has no l, so it
@@ -30,8 +39,10 @@ The atoms, by position:
   matched (the right interval contains the left), r.lo <= l.lo when the
   left segment is chained as a prefix;
 * at a leaf, the right side's pure atoms as written, once the existentials
-  they fix by equality are bound; an existential bound to an offset t+k
-  leaves t+k = t+k, which holds only where t+k has a value;
+  they fix by equality are bound: v = t binds v to t, and v+k = t binds v
+  by the rule above; an existential bound to an offset t+k leaves
+  t+k = t+k, and v+k = t is kept, which hold only where the terms have a
+  value;
 * an existential still free there: a <= b for each lower bound a and
   upper bound b of it, and a <= a for a bound a with no partner, which
   holds only where a has an integer value.
@@ -265,6 +276,22 @@ def _decide(facts: Facts, op: str, a: Optional[Term], b: Optional[Term],
     return query(facts, b, a) if swap else query(facts, a, b)
 
 
+def _offset_witness(t: Term, k: int, facts: Facts) -> Optional[Term]:
+    """The value of v that makes v+k equal t: c-k where t is a constant c
+    or t's class holds one, t'+(j-k) where t is t'+j with j >= k, and None
+    otherwise (t is nil, or has no constant and an offset below k)."""
+    base, j = split_offset(t)
+    if base is not None and base is not NIL and j < k:
+        c = facts.rep(base)  # the constant of base's class, if any
+        if isinstance(c, Const):
+            base, j = None, c.value + j
+    if base is None:
+        return Const(j - k)
+    if j >= k and base is not NIL:
+        return shifted(base, j - k)
+    return None
+
+
 def _shifted_leq(a: Term, ka: int, b: Term, kb: int) -> tuple[Term, Term]:
     """The operands of a + ka <= b + kb, shifted on one side only."""
     delta = kb - ka
@@ -402,15 +429,9 @@ class _Search:
         if isinstance(r, Offset) and r.base in self.rhs_evars:
             # bind v' of v'+k so that v'+k is lterm, then relate lterm to
             # itself: that holds only where lterm has a value
-            base, j = split_offset(lterm)
-            if base is not None and base is not NIL and j < r.delta:
-                c = facts.rep(base)  # the constant of base's class, if any
-                if isinstance(c, Const):
-                    base, j = None, c.value + j
-            if base is None:
-                theta, r = {**theta, r.base: Const(j - r.delta)}, lterm
-            elif j >= r.delta and base is not NIL:
-                theta, r = {**theta, r.base: shifted(base, j - r.delta)}, lterm
+            value = _offset_witness(lterm, r.delta, facts)
+            if value is not None:
+                theta, r = {**theta, r.base: value}, lterm
         a, b = (r, lterm) if swap else (lterm, r)
         hyps = self._admit(facts, op, a, b, hyps)
         return [] if hyps is None else [(theta, hyps)]
@@ -579,24 +600,28 @@ class _Search:
             return
         facts = self._facts(g.pure, g.full)
         tgt = subst_term(r_atom.dst, g.theta)
-        if tgt in self.rhs_evars:
-            return
+        unbound = tgt in self.rhs_evars
         for li, l_atom in enumerate(g.rem):
             if type(l_atom) is not type(r_atom):
                 continue
             rem_after = g.rem[:li] + g.rem[li + 1:]
             # appending behind the prefix is only sound when the final
-            # target is nil or still allocated elsewhere
-            anchored = facts.equal(tgt, NIL) or any(
-                facts.equal(a.head, tgt) for a in rem_after)
-            if not anchored:
+            # target is nil or still allocated elsewhere; an unbound target
+            # is bound to each such head in turn
+            if unbound:
+                thetas = [{**g.theta, tgt: a.head} for a in rem_after]
+            elif facts.equal(tgt, NIL) or any(
+                    facts.equal(a.head, tgt) for a in rem_after):
+                thetas = [g.theta]
+            else:
                 continue
-            for th, hy in self._relate("=", l_atom.head, r_atom.head,
-                                       g.theta, g.hyps, facts):
-                if facts.equal(l_atom.dst, subst_term(r_atom.dst, th)):
-                    continue  # a direct match, not a strict prefix
-                yield from self._chain_with(l_atom, r_atom, rem_after, rest,
-                                            g, th, hy, facts)
+            for theta in thetas:
+                for th, hy in self._relate("=", l_atom.head, r_atom.head,
+                                           theta, g.hyps, facts):
+                    if facts.equal(l_atom.dst, subst_term(r_atom.dst, th)):
+                        continue  # a direct match, not a strict prefix
+                    yield from self._chain_with(l_atom, r_atom, rem_after,
+                                                rest, g, th, hy, facts)
 
     def _chain_with(self, l_atom, r_atom, rem_after, rest, g, theta, hyps,
                     facts) -> Iterator[_Leaf]:
@@ -704,26 +729,34 @@ class _Search:
         hyps = g.hyps
         pending = [p.subst(theta) for p in g.rhs_pure]
 
-        # bind existentials fixed by equality obligations
+        # bind existentials fixed by equality obligations: v = b binds v to
+        # b, and v+k = b binds v as _relate does
         changed = True
         while changed:
             changed = False
             nxt = []
             for p in pending:
                 p = p.subst(theta)
+                kept = True
                 if p.op == "=":
                     for a, b in ((p.lhs, p.rhs), (p.rhs, p.lhs)):
-                        if a in self.rhs_evars and a not in theta and \
-                                not self._free((var_of(b),), theta):
+                        if self._free((var_of(b),), theta):
+                            continue
+                        if a in self.rhs_evars:
                             theta[a] = b
-                            changed = True
-                            if isinstance(b, Offset):
-                                nxt.append(p)  # b = b: b must have a value
-                            break
-                    else:
-                        nxt.append(p)
-                    continue
-                nxt.append(p)
+                            kept = isinstance(b, Offset)  # b must have a value
+                        elif isinstance(a, Offset) and a.base in self.rhs_evars:
+                            value = _offset_witness(
+                                b, a.delta, self._facts(g.pure, g.full))
+                            if value is None:
+                                continue
+                            theta[a.base] = value  # kept: b must have a value
+                        else:
+                            continue
+                        changed = True
+                        break
+                if kept:
+                    nxt.append(p)
             pending = nxt
 
         # the leaf's closure is built only when an obligation reads it

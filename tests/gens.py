@@ -226,6 +226,87 @@ def canonical_chain_forms(domain: str, tracked: Multiset, lengths,
     return forms
 
 
+def fold_query(rng: random.Random,
+               domain: str) -> tuple[SymbolicHeap, SymbolicHeap]:
+    """An entailment whose right side folds a run of a left chain into one
+    segment that ends in the existential v'.
+
+    The left chain r -> j1' -> ... holds 2-4 atoms and ends at nil, at q,
+    at an existential or, as a lasso, at one of its own heads; in ``sls``
+    its values ascend, except in about one chain in five.  The right side
+    folds a run of at least two atoms into one segment of the domain's
+    kind, from the run's head to v', and keeps the other atoms with v' for
+    the run's end.  About four queries in ten rename a head or end drawn
+    at random to v' instead, which the run may not reach, or only through
+    the left atoms the right keeps; an ``mls`` segment may claim a value
+    the run lacks, and an ``sls`` interval may miss one of the run's
+    values.
+    """
+    n = rng.randint(2, 4)
+    heads = [PVar("r")] + [LVar(f"j{k}") for k in range(1, n)]
+    roll = rng.random()
+    end = (NIL if roll < 0.4 else PVar("q") if roll < 0.6
+           else LVar("e") if roll < 0.7 else rng.choice(heads))
+    ends = heads[1:] + [end]
+    if domain == "sls":
+        left = _sorted_chain(rng, heads, ends)
+    else:  # at most one value per segment, so that 4 cells can hold a model
+        left = [NodeAtom(src, dst, _payload(rng)) if rng.random() < 0.5
+                else ListSegAtom(src, dst, random_multiset(rng, 1, 1)
+                                 if domain == "mls" else Multiset())
+                for src, dst in zip(heads, ends)]
+    i = rng.randint(0, n - 2)
+    j = rng.randint(i + 2, n)
+    run = left[i:j]
+    v = LVar("v")
+    values = [t for a in run for t in (
+        (a.data,) if isinstance(a, NodeAtom) else a.contents.keys())
+        if t is not None]
+    keys = [t for t in values if rng.random() < 0.6]
+    if domain != "rls" and rng.random() < 0.2:
+        keys.append(rng.choice(DATA_TERMS))
+    if domain == "sls":
+        bounds = [(a.data, a.data) if isinstance(a, NodeAtom)
+                  else (a.lo, a.hi) for a in run]
+        lo = min((b[0].value for b in bounds if b[0] is not None), default=0)
+        hi = max((b[1].value for b in bounds if b[1] is not None), default=0)
+        # hi is exclusive; either bound may miss one of the run's values
+        lo += 1 if rng.random() < 0.15 else 0
+        hi += 0 if rng.random() < 0.15 else 1
+        keys = [k for k in keys if isinstance(k, Const)]
+        seg = SortedSegAtom(heads[i], v, Const(lo), Const(max(hi, lo + 1)),
+                            Multiset.of((k, 1) for k in keys))
+    else:
+        seg = ListSegAtom(heads[i], v, Multiset.of((k, 1) for k in keys))
+    target = ends[j - 1] if rng.random() < 0.6 else rng.choice(heads + ends)
+    kept = tuple(a.subst({target: v}) for a in left[:i] + left[j:])
+    return (normalize(SymbolicHeap((), tuple(left))),
+            SymbolicHeap((), kept + (seg,)))
+
+
+def _sorted_chain(rng, heads, ends) -> list:
+    """Nodes and sorted segments from heads to ends.  Each atom's values lie
+    at or above the last one's, except that about one atom in four after a
+    segment starts two below its bound, and about one chain in five is
+    reversed; a node may hold a wild payload."""
+    c, fields = rng.randint(0, 2), []
+    for _ in heads:
+        if rng.random() < 0.5:
+            fields.append((None if rng.random() < 0.1 else Const(c),))
+            c += rng.randint(0, 1)
+        else:
+            hi = c + rng.randint(1, 2)
+            ms = Multiset.of([(Const(hi - 1), 1)] if rng.random() < 0.4
+                             else [])
+            fields.append((Const(c), Const(hi), ms))
+            c = hi + rng.choice((-2, 0, 0, 1))
+    if rng.random() < 0.2:
+        fields.reverse()
+    return [NodeAtom(src, dst, *f) if len(f) == 1
+            else SortedSegAtom(src, dst, *f)
+            for f, src, dst in zip(fields, heads, ends)]
+
+
 def _random_atom(rng, domain, src, dst, idx):
     if domain == "sls":
         if rng.random() < 0.45:

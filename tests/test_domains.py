@@ -425,6 +425,35 @@ def test_abstraction_sound_on_random_heaps(domain):
     assert skips < 40  # the loop must mostly measure, not skip
 
 
+# ROADMAP 4(b)'s corpus: 300 seed-7 heaps per domain of up to 4 atoms and 3
+# pure atoms, each with a random T: how many rewrite steps it takes, and
+# how many h |- alpha(h) the prover still fails
+STEP_CORPUS = {"mls": (429, 25), "rls": (358, 33), "sls": (179, 0)}
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_every_rewrite_step_is_proved(domain):
+    rng = random.Random(7)
+    steps, unproved = 0, []
+    for _ in range(300):
+        h = random_heap(rng, domain=domain, max_atoms=4, n_pure=3)
+        alpha, trace = abstract(h, AbstractionParam(
+            domain, random_param_multiset(rng)))
+        for s in trace.steps:
+            steps += 1
+            assert entails(s.before, s.after).holds, (s.rule, str(s.before),
+                                                      str(s.after))
+        if not entails(h, alpha).holds:
+            unproved.append((h, alpha, trace))
+    assert (steps, len(unproved)) == STEP_CORPUS[domain]
+    # each failure folds a 4-atom chain at nil into one segment: proving
+    # that takes 4 budgeted moves, one more than MAX_UNFOLD_DEPTH
+    for h, alpha, trace in unproved:
+        assert (len(h.cells()), len(alpha.cells())) == (4, 1), (str(h),
+                                                               str(alpha))
+        assert [s.rule for s in trace.steps] == ["fold-at-nil"] * 3
+
+
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_abstraction_monotone_in_tracked_multiset(domain):
     rng = random.Random(_SEEDS[domain] + 1)

@@ -39,9 +39,10 @@ from shaperef.prover import (
 )
 from shaperef.syntax import parse_heap as H
 from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, NIL, PVar,
-                             PureAtom, TRUE_ATOM, eq, leq, lt, neq, shifted)
+                             PureAtom, TRUE_ATOM, eq, leq, lt, neq, shifted,
+                             subst_term)
 
-from gens import random_heap, random_param_multiset
+from gens import fold_query, random_heap, random_param_multiset
 
 TIGHT = OracleBounds(max_cells=3, max_extension=1, n_spare_data=1,
                      max_models=20000, max_steps=200000)
@@ -677,15 +678,20 @@ EXISTENTIAL_ROWS = [
     ("emp", "v'<w' /\\ w'<v' /\\ emp", False),
     ("x=nil /\\ emp", "v'+1=x /\\ emp", False),
     ("emp", "nil<=v' /\\ emp", False),
+    # an equality binds v' of v'+1 as matching does, then must hold
+    ("x=3 /\\ emp", "v'+1=x /\\ v'!=2 /\\ emp", False),
+    ("x=3 /\\ emp", "v'+1=x /\\ 3<=v' /\\ emp", False),
     # and the one it lets pass: two free existentials may coincide
     ("emp", "v'=w' /\\ emp", True),
 ]
 # valid rows whose witness lies outside the oracle's data universe (x-1
-# below its least value, y+1 between two of its values), so the oracle
-# cannot confirm them
+# below its least value, y+1 and 3-1 between two of its values), so the
+# oracle cannot confirm them
 ORACLE_BLIND_ROWS = [
     ("x<=y /\\ emp", "x<=v'+1 /\\ v'+1<=y /\\ emp", True),
     ("y<=3 /\\ emp", "v'=y+1 /\\ emp", True),
+    ("x=3 /\\ emp", "v'+1=x /\\ emp", True),
+    ("x=3 /\\ emp", "x=v'+1 /\\ emp", True),
 ]
 
 
@@ -746,6 +752,11 @@ def test_an_offset_binding_instantiates_the_existential():
     assert out.instantiation == {LVar("b"): shifted(PVar("d"), 1)}
     out = entails(H("d=3 /\\ node(r,nil,{d})"), H("node(r,nil,{b'+1})"))
     assert out.instantiation == {LVar("b"): Const(2)}
+    # a pure equality binds by the same rule
+    out = entails(H("x=3 /\\ emp"), H("v'+1=x /\\ emp"))
+    assert out.instantiation == {LVar("v"): Const(2)}
+    out = entails(H("y<=3 /\\ emp"), H("v'+1=y+2 /\\ emp"))
+    assert out.instantiation == {LVar("v"): shifted(PVar("y"), 1)}
 
 
 def test_interval_bounds_bind_or_become_hypotheses():
@@ -945,3 +956,63 @@ def test_entailment_differential_against_oracle(domain):
     assert total >= 250
     print(f"\n[{domain}] {total} pairs, {agree} agree, "
           f"{incomplete} incomplete ({incomplete / total:.1%})")
+
+
+# ---------------------------------------------------------------------------
+# Chaining into an unbound segment target
+# ---------------------------------------------------------------------------
+
+def test_chaining_binds_an_unbound_target_to_a_left_head():
+    # ROADMAP 4(b)'s fold-at-witness step: the folded segment ends at the
+    # witness's head j2', which the right side does not bind before chaining
+    lhs = H("node(j2',q,{2})*list(j1',j2')*list(r,j1')*true")
+    out = entails(lhs, H("node(j2',q,{2})*list(r,j2')*true"))
+    assert out.holds and out.instantiation == {}  # j2' := j2', the identity
+    out = entails(lhs, H("node(v',q,{2})*list(r,v')*true"))
+    assert out.holds and out.instantiation == {LVar("v"): LVar("j2")}
+    # the chain must reach the cell the right side puts at v'
+    assert not entails(lhs, H("node(v',nil,{2})*list(r,v')*true")).holds
+    assert not entails(lhs, H("node(v',q,{3})*list(r,v')*true")).holds
+
+
+FOLD_BOUNDS = OracleBounds(max_cells=4, max_extension=1, n_spare_data=1,
+                           max_models=20000, max_steps=200000)
+FOLD_SEEDS = {"mls": 4101, "rls": 4102, "sls": 4103}
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_chaining_into_an_unbound_target_is_sound(domain, monkeypatch):
+    """On chain queries whose right segment ends in an existential, valid
+    and not (gens.fold_query), a prover "holds" is an oracle "holds"."""
+    chained = []
+    real = prover._Search._try_chain
+
+    def spy(self, r_atom, rest, g):
+        unbound = subst_term(r_atom.dst, g.theta) in self.rhs_evars
+        for leaf in real(self, r_atom, rest, g):
+            chained.append(unbound)
+            yield leaf
+
+    monkeypatch.setattr(prover._Search, "_try_chain", spy)
+    rng = random.Random(FOLD_SEEDS[domain])
+    violations = []
+    total = proved = bound = refuted = 0
+    for _ in range(300):
+        lhs, rhs = fold_query(rng, domain)
+        verdict = oracle_entails(lhs, rhs, bounds=FOLD_BOUNDS)
+        if verdict.holds and verdict.models_checked == 0:
+            continue  # no model within the bounds: a vacuous pair
+        chained.clear()
+        claimed = entails(lhs, rhs).holds
+        total += 1
+        proved += claimed
+        bound += claimed and any(chained)
+        refuted += not verdict.holds
+        if claimed and not verdict.holds:
+            violations.append((lhs, rhs, verdict.countermodel))
+    assert not violations, "\n".join(f"{l} |- {r} refuted by {cm.render()}"
+                                     for l, r, cm in violations[:3])
+    assert total >= 250 and refuted >= 15
+    assert bound >= 10  # proofs that bound an unbound target by chaining
+    print(f"\n[{domain}] {total} pairs, {proved} proved ({bound} binding "
+          f"an unbound target), {refuted} refuted by the oracle")
