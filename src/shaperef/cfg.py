@@ -300,6 +300,69 @@ class Cfg:
         return "\n".join(lines) + "\n"
 
 
+class _CfgDraft:
+    """The nodes, edges and loop heads of a graph under construction.  Its
+    methods are not closures, so a built graph holds no reference cycle and
+    is freed by reference counting alone."""
+
+    def __init__(self):
+        self.nodes: list[str] = ["start"]
+        self.edges: list[Edge] = []
+        self.loop_heads: set[str] = set()
+
+    def fresh(self) -> str:
+        name = f"l{len(self.nodes)}"
+        self.nodes.append(name)
+        return name
+
+    def seq(self, stmts, entry: str, target: str) -> None:
+        cur = entry
+        for i, s in enumerate(stmts):
+            cur = self.one(s, cur, target if i == len(stmts) - 1 else None)
+
+    def one(self, s, entry: str, target: Optional[str]) -> str:
+        edges = self.edges
+        if isinstance(s, (Assign, AllocNode, Load, Store, Assert)):
+            out = target or self.fresh()
+            edges.append((entry, out, spec_of(s)))
+            return out
+        if isinstance(s, While):
+            head = entry
+            self.loop_heads.add(head)
+            if s.body:
+                body_entry = self.fresh()
+                edges.append((head, body_entry, spec_of(Assume(s.cond))))
+                self.seq(s.body, body_entry, head)
+            else:
+                edges.append((head, head, spec_of(Assume(s.cond))))
+            out = target or self.fresh()
+            edges.append((head, out, spec_of(Assume(negate(s.cond)))))
+            return out
+        if isinstance(s, If):
+            head = entry
+            join = target or self.fresh()
+            if s.then:
+                then_entry = self.fresh()
+                edges.append((head, then_entry, spec_of(Assume(s.cond))))
+                self.seq(s.then, then_entry, join)
+            if s.els:
+                else_entry = self.fresh()
+                edges.append((head, else_entry,
+                              spec_of(Assume(negate(s.cond)))))
+                self.seq(s.els, else_entry, join)
+            if not s.then:
+                if s.els:
+                    edges.append((head, join, spec_of(Assume(s.cond))))
+                else:
+                    mid = self.fresh()
+                    edges.append((head, mid, spec_of(Assume(s.cond))))
+                    edges.append((mid, join, spec_of(Skip())))
+            if not s.els:
+                edges.append((head, join, spec_of(Assume(negate(s.cond)))))
+            return join
+        raise TypeError(f"not a statement: {s}")
+
+
 def build_cfg(ast: lang.Ast) -> Cfg:
     """Compile a program to its control-flow graph.
 
@@ -309,68 +372,13 @@ def build_cfg(ast: lang.Ast) -> Cfg:
     an assume(not cond) edge past the loop, and receives the body's final
     edge back.  Loop heads are recorded as the abstraction points.
     """
-    nodes: list[str] = ["start"]
-    edges: list[Edge] = []
-    loop_heads: set[str] = set()
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        name = f"l{counter[0]}"
-        nodes.append(name)
-        return name
-
-    def seq(stmts, entry: str, target: str) -> None:
-        cur = entry
-        for i, s in enumerate(stmts):
-            cur = one(s, cur, target if i == len(stmts) - 1 else None)
-
-    def one(s, entry: str, target: Optional[str]) -> str:
-        if isinstance(s, (Assign, AllocNode, Load, Store, Assert)):
-            out = target or fresh()
-            edges.append((entry, out, spec_of(s)))
-            return out
-        if isinstance(s, While):
-            head = entry
-            loop_heads.add(head)
-            if s.body:
-                body_entry = fresh()
-                edges.append((head, body_entry, spec_of(Assume(s.cond))))
-                seq(s.body, body_entry, head)
-            else:
-                edges.append((head, head, spec_of(Assume(s.cond))))
-            out = target or fresh()
-            edges.append((head, out, spec_of(Assume(negate(s.cond)))))
-            return out
-        if isinstance(s, If):
-            head = entry
-            join = target or fresh()
-            if s.then:
-                then_entry = fresh()
-                edges.append((head, then_entry, spec_of(Assume(s.cond))))
-                seq(s.then, then_entry, join)
-            if s.els:
-                else_entry = fresh()
-                edges.append((head, else_entry,
-                              spec_of(Assume(negate(s.cond)))))
-                seq(s.els, else_entry, join)
-            if not s.then:
-                if s.els:
-                    edges.append((head, join, spec_of(Assume(s.cond))))
-                else:
-                    mid = fresh()
-                    edges.append((head, mid, spec_of(Assume(s.cond))))
-                    edges.append((mid, join, spec_of(Skip())))
-            if not s.els:
-                edges.append((head, join, spec_of(Assume(negate(s.cond)))))
-            return join
-        raise TypeError(f"not a statement: {s}")
-
+    draft = _CfgDraft()
     if ast.stmts:
-        seq(ast.stmts, "start", "end")
+        draft.seq(ast.stmts, "start", "end")
     else:
-        edges.append(("start", "end", spec_of(Skip())))
-    nodes.append("end")
+        draft.edges.append(("start", "end", spec_of(Skip())))
+    draft.nodes.append("end")
+    nodes, edges, loop_heads = draft.nodes, draft.edges, draft.loop_heads
 
     seen_pairs = set()
     for src, dst, _ in edges:

@@ -164,61 +164,70 @@ class Ast:
 
     def count_statements(self) -> int:
         """Number of statements, counting loop/branch bodies recursively."""
-        def walk(stmts) -> int:
-            n = 0
-            for s in stmts:
-                n += 1
-                if isinstance(s, While):
-                    n += walk(s.body)
-                elif isinstance(s, If):
-                    n += walk(s.then) + walk(s.els)
-            return n
-        return walk(self.stmts)
+        return _count_statements(self.stmts)
 
     def variables(self) -> tuple[str, ...]:
         """Program variables in order of first occurrence."""
         seen: dict[str, None] = {}
-
-        def expr(e):
-            if isinstance(e, VarE):
-                seen.setdefault(e.name)
-
-        def cond(c):
-            if isinstance(c, RelC):
-                expr(c.lhs)
-                expr(c.rhs)
-            elif isinstance(c, (AndC, OrC)):
-                cond(c.lhs)
-                cond(c.rhs)
-            elif isinstance(c, NotC):
-                cond(c.sub)
-
-        def walk(stmts):
-            for s in stmts:
-                if isinstance(s, Assign):
-                    seen.setdefault(s.var)
-                    expr(s.expr)
-                elif isinstance(s, AllocNode):
-                    seen.setdefault(s.var)
-                    expr(s.nxt)
-                    expr(s.data)
-                elif isinstance(s, Load):
-                    seen.setdefault(s.var)
-                    seen.setdefault(s.src)
-                elif isinstance(s, Store):
-                    seen.setdefault(s.dst)
-                    expr(s.expr)
-                elif isinstance(s, While):
-                    cond(s.cond)
-                    walk(s.body)
-                elif isinstance(s, If):
-                    cond(s.cond)
-                    walk(s.then)
-                    walk(s.els)
-                elif isinstance(s, Assert):
-                    cond(s.cond)
-        walk(self.stmts)
+        _stmt_variables(self.stmts, seen)
         return tuple(seen)
+
+
+# The walks over statements are module functions, not closures: a
+# self-recursive closure is a reference cycle that only the cyclic garbage
+# collector frees.
+
+def _count_statements(stmts) -> int:
+    n = 0
+    for s in stmts:
+        n += 1
+        if isinstance(s, While):
+            n += _count_statements(s.body)
+        elif isinstance(s, If):
+            n += _count_statements(s.then) + _count_statements(s.els)
+    return n
+
+
+def _expr_variables(e, seen: dict[str, None]) -> None:
+    if isinstance(e, VarE):
+        seen.setdefault(e.name)
+
+
+def _cond_variables(c, seen: dict[str, None]) -> None:
+    if isinstance(c, RelC):
+        _expr_variables(c.lhs, seen)
+        _expr_variables(c.rhs, seen)
+    elif isinstance(c, (AndC, OrC)):
+        _cond_variables(c.lhs, seen)
+        _cond_variables(c.rhs, seen)
+    elif isinstance(c, NotC):
+        _cond_variables(c.sub, seen)
+
+
+def _stmt_variables(stmts, seen: dict[str, None]) -> None:
+    for s in stmts:
+        if isinstance(s, Assign):
+            seen.setdefault(s.var)
+            _expr_variables(s.expr, seen)
+        elif isinstance(s, AllocNode):
+            seen.setdefault(s.var)
+            _expr_variables(s.nxt, seen)
+            _expr_variables(s.data, seen)
+        elif isinstance(s, Load):
+            seen.setdefault(s.var)
+            seen.setdefault(s.src)
+        elif isinstance(s, Store):
+            seen.setdefault(s.dst)
+            _expr_variables(s.expr, seen)
+        elif isinstance(s, While):
+            _cond_variables(s.cond, seen)
+            _stmt_variables(s.body, seen)
+        elif isinstance(s, If):
+            _cond_variables(s.cond, seen)
+            _stmt_variables(s.then, seen)
+            _stmt_variables(s.els, seen)
+        elif isinstance(s, Assert):
+            _cond_variables(s.cond, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -474,22 +483,23 @@ def render_stmt(s: Stmt) -> str:
 def render(ast: Ast) -> str:
     """Pretty-print a program; parse(render(a)) == a for parser output."""
     out: list[str] = []
-
-    def walk(stmts, depth):
-        pad = "  " * depth
-        for s in stmts:
-            if isinstance(s, While):
-                out.append(f"{pad}while ({render_cond(s.cond)}) {{")
-                walk(s.body, depth + 1)
-                out.append(pad + "}")
-            elif isinstance(s, If):
-                out.append(f"{pad}if ({render_cond(s.cond)}) {{")
-                walk(s.then, depth + 1)
-                if s.els:
-                    out.append(pad + "} else {")
-                    walk(s.els, depth + 1)
-                out.append(pad + "}")
-            else:
-                out.append(pad + render_stmt(s))
-    walk(ast.stmts, 0)
+    _render_block(ast.stmts, 0, out)
     return "\n".join(out) + ("\n" if out else "")
+
+
+def _render_block(stmts, depth: int, out: list[str]) -> None:
+    pad = "  " * depth
+    for s in stmts:
+        if isinstance(s, While):
+            out.append(f"{pad}while ({render_cond(s.cond)}) {{")
+            _render_block(s.body, depth + 1, out)
+            out.append(pad + "}")
+        elif isinstance(s, If):
+            out.append(f"{pad}if ({render_cond(s.cond)}) {{")
+            _render_block(s.then, depth + 1, out)
+            if s.els:
+                out.append(pad + "} else {")
+                _render_block(s.els, depth + 1, out)
+            out.append(pad + "}")
+        else:
+            out.append(pad + render_stmt(s))

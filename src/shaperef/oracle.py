@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from .terms import (Const, LVar, NilTerm, Offset, PVar, PureAtom,
@@ -200,8 +199,8 @@ def _data_universe(*heaps: SymbolicHeap, n_spare: int = 2) -> list[int]:
 class _SatSearch:
     """Satisfaction of one formula, checked against one model at a time.
 
-    What depends on the formula alone (its cells and the placement routine
-    of each, spatial true, variables and data universe) is computed once;
+    What depends on the formula alone (its cells and the payload check of
+    each segment, spatial true, variables and data universe) is computed once;
     ``run`` does the per-model search.
 
     Stores are shared, never written: a routine copies a store before it
@@ -226,13 +225,16 @@ class _SatSearch:
     """
 
     def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
-        # the placement routine of each cell, picked once per formula: a
-        # segment's also gets the check of its payloads
-        self.placers = tuple(
-            partial(self._place_node, a) if isinstance(a, NodeAtom)
-            else partial(self._place_seg, a, self._sorted_check
-                         if isinstance(a, SortedSegAtom) else self._contents_check)
-            for a in h.cells())
+        # each cell, and the check of a segment's payloads, picked once per
+        # formula (None for a node).  The checks are plain functions, called
+        # with the search: a bound method kept here would make the search a
+        # reference cycle.
+        self.atoms = h.cells()
+        self.checks = tuple(
+            None if isinstance(a, NodeAtom)
+            else _SatSearch._sorted_check if isinstance(a, SortedSegAtom)
+            else _SatSearch._contents_check
+            for a in self.atoms)
         self.has_true = h.has_true()
         self.vars = h.vars()
         self.pure = h.pure
@@ -256,9 +258,11 @@ class _SatSearch:
 
     def _place(self, i: int, env: dict, used: frozenset, cover_all: bool) -> bool:
         self._tick()
-        if i == len(self.placers):
+        if i == len(self.atoms):
             return self._finish_pure(env, used, cover_all)
-        for env2, cells in self.placers[i](env):
+        a, check = self.atoms[i], self.checks[i]
+        for env2, cells in (self._place_node(a, env) if check is None
+                            else self._place_seg(a, check, env)):
             if used.isdisjoint(cells) and self._place(
                     i + 1, env2, used.union(cells), cover_all):
                 return True
@@ -300,7 +304,7 @@ class _SatSearch:
                 # keep walking past a stop: the chain may pass through the
                 # end and lasso back to it with more cells
                 if cells and (env2 := _bind(a.dst, cur, env0)) is not None:
-                    yield from check(a, env2, cells)
+                    yield from check(self, a, env2, cells)
                 if cur not in self.heap or cur in cells:
                     break
                 cells.append(cur)

@@ -23,6 +23,12 @@ searches the query with that existential instantiated, and a proof of
 ``lhs |- rhs[v := t]`` proves ``lhs |- exists v. rhs``, whichever t the
 branch chose.  The choice of t matters for completeness only.
 
+The right side's existentials are renamed apart from the left side's
+variables only where one of them is also a left variable; otherwise their
+names are apart already.  Fresh variables come from one counter, which
+passes over the names the renaming would have taken, so a search makes the
+same fresh names either way.
+
 Every comparison of a left term l with a right term r follows one rule: an
 r that is an unbound right-hand existential is bound to l; otherwise the
 left facts must prove the atom, or, in abduction only, the atom becomes a
@@ -53,12 +59,21 @@ is re-checked (``lhs * candidate |- rhs`` must hold and the conjunction
 must stay consistent) before it is returned, so callers may rely on the
 results even though hypothesis generation itself is heuristic.
 
-A candidate with a cell whose head the left closure proves equal to nil
-or to the head of a left cell is dropped before the re-check: the
-re-check would drop it too.  ``star(lhs, candidate)`` is false for it,
-as the closure of the conjunction keeps every fact of the left closure
+No cell fits beside the left side at a head that the left closure proves
+equal to nil or to the head of a left cell (the head clashes).
+``star(lhs, candidate)`` is false for a candidate with such a cell, as
+the closure of the conjunction keeps every fact of the left closure
 (normalize's substitutions keep equalities), and heads are non-nil and
-pairwise distinct.
+pairwise distinct: the re-check would drop it.  So the residue move is not
+taken for an obligation whose head clashes under the bindings so far:
+theta only grows, so every anti-frame through the move would hold that
+cell.  A head that is still an unbound existential never clashes, as the
+left closure does not mention it; one bound after the move is checked on
+the finished candidate, before the re-check.  Where the only obligation is
+one right node, this drops just the candidates that check would drop.
+Elsewhere the search may find more: the residue move is tried only where
+no other move reached a leaf, and a leaf whose candidate clashes no longer
+counts as one.
 
 Strict entailment (``entails`` without ``modulo_true`` and without true on
 the right) prunes by a lower bound on the moves a goal still needs.  A leaf
@@ -87,7 +102,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .terms import (
     Const,
@@ -166,20 +182,33 @@ class ProofOutcome:
 
 class _FreshNames:
     """Generates logical variables whose names are distinct from every used
-    name; ``made`` lists them in the order they were made.  The set of used
-    names it is given becomes its own.  A name is kept unprimed, as in the
-    used names: an ``LVar`` adds the prime when it renders."""
+    name; ``made`` lists them in the order they were made.  ``names`` gives
+    the set of used names, which becomes the generator's own; it is called
+    when the first name is made.  The counter then first passes over
+    ``reserved`` names v1, v2, ... as ``make("v")`` would, so that the names
+    made next are those a search that renamed its right side would make.  A
+    name is kept unprimed, as in the used names: an ``LVar`` adds the prime
+    when it renders."""
 
-    def __init__(self, used: set[str]):
-        self._used = used
+    def __init__(self, names: Callable[[], set[str]], reserved: int = 0):
+        self._names = names
+        self._used: Optional[set[str]] = None
+        self._reserved = reserved
         self._counter = itertools.count(1)
         self.made: list[LVar] = []
 
     def make(self, prefix: str) -> LVar:
+        used = self._used
+        if used is None:
+            used = self._used = self._names()
+            # pass over the names make("v") would take, one per reserved
+            for _ in range(self._reserved):
+                while f"v{next(self._counter)}" in used:
+                    pass
         while True:
             name = f"{prefix}{next(self._counter)}"
-            if name not in self._used:
-                self._used.add(name)
+            if name not in used:
+                used.add(name)
                 v = LVar(name)
                 self.made.append(v)
                 return v
@@ -209,9 +238,8 @@ def unfold(atom: Spatial, context: SymbolicHeap,
     if not isinstance(atom, (ListSegAtom, SortedSegAtom)):
         raise TypeError(f"cannot unfold {atom!r}")
     if fresh is None:
-        used = _used_names(context)
-        used.update(v.name for v in atom.vars())
-        fresh = _FreshNames(used)
+        fresh = _FreshNames(lambda: _used_names(context).union(
+            v.name for v in atom.vars()))
     ordered = isinstance(atom, SortedSegAtom)
     e, f, s = atom.src, atom.dst, atom.contents
 
@@ -375,21 +403,27 @@ class _Search:
         # every left atom must be consumed: the move bound applies
         self.strict = mode == "entails" and not self.modulo
 
+        self.lhs = lhs
         self.base_pure = lhs.pure
-        used = _used_names(lhs, rhs)
-        self.fresh = _FreshNames(used)
-
-        # rename the right side's existentials apart from everything
-        self.renaming: dict[LVar, LVar] = {
-            v: self.fresh.make("v")
-            for v in sorted(rhs.evars(), key=lambda v: v.name)}
+        evars = rhs.evars()
+        # rename the right side's existentials apart only where one is also
+        # a left variable; otherwise the names are apart already
+        rename = any(map(lhs.vars().__contains__, evars))
+        self.fresh = _FreshNames(lambda: _used_names(lhs, rhs),
+                                 0 if rename else len(evars))
+        rhs_pure = tuple(p for p in rhs.pure if p.op != "true")
+        # the search's name of each right existential
+        self.renaming: dict[LVar, LVar]
+        if rename:
+            self.renaming = {v: self.fresh.make("v")
+                             for v in sorted(evars, key=lambda v: v.name)}
+            rhs_spatial = tuple(a.subst(self.renaming) for a in rhs_spatial)
+            rhs_pure = tuple(p.subst(self.renaming) for p in rhs_pure)
+        else:
+            self.renaming = dict(zip(evars, evars))
         # a term in rhs_evars, once theta is applied, is an unbound
         # existential
         self.rhs_evars: set[LVar] = set(self.renaming.values())
-        rhs_pure = tuple(p for p in rhs.pure if p.op != "true")
-        if self.renaming:
-            rhs_spatial = tuple(a.subst(self.renaming) for a in rhs_spatial)
-            rhs_pure = tuple(p.subst(self.renaming) for p in rhs_pure)
 
         self.root = _Goal(lhs.pure, lhs_spatial, lhs_spatial,
                           tuple(sorted(rhs_spatial, key=spatial_sort_key)),
@@ -527,11 +561,19 @@ class _Search:
             return
         if self.mode == "abduce":
             # the obligation becomes part of the anti-frame
+            if self._residue_clashes(r_atom, g.theta):
+                return
             g2 = _Goal(g.pure, g.full, g.rem, rest, g.rhs_pure, g.theta,
                        g.hyps, g.residue + (r_atom,), g.ubud)
             yield from self._solve(g2)
         else:
             yield from self._try_case_split(r_atom, g)
+
+    def _residue_clashes(self, r_atom: Spatial, theta: dict) -> bool:
+        """Whether no cell fits beside the left side at r_atom's head under
+        theta (``_clashes``): every anti-frame that holds r_atom would be
+        dropped before the re-check."""
+        return _clashes(self.lhs, subst_term(r_atom.head, theta))
 
     # -- move 1: direct atom match -----------------------------------------
 
@@ -778,8 +820,11 @@ class _Search:
         if self.mode != "frame" and not self.modulo and g.rem:
             return  # strict entailment must consume the whole left heap
         leftover = tuple(sorted(g.rem, key=spatial_sort_key))
-        base = set(self.base_pure)
-        extra_pure = tuple(p for p in g.pure if p not in base)
+        # case splits append to the left pure part
+        extra_pure = g.pure[len(self.base_pure):]
+        if extra_pure:
+            base = set(self.base_pure)
+            extra_pure = tuple(p for p in extra_pure if p not in base)
         residue = tuple(a.subst(theta) for a in g.residue)
         yield _Leaf(theta, leftover, extra_pure, hyps, residue)
 
@@ -850,13 +895,15 @@ class _Search:
 # ---------------------------------------------------------------------------
 
 def _invert_instantiation(leaf: _Leaf, renaming: dict[LVar, LVar],
-                          lhs_vars: set[Union[PVar, LVar]],
+                          lhs_vars: Sequence[Union[PVar, LVar]],
                           ) -> tuple[dict[LVar, Term], dict[Term, Term]]:
     """Map bindings back to the original right-hand names.
 
     Returns (instantiation on original names, rendering substitution that
     replaces internal witnesses by the right-hand existential they stand
-    for)."""
+    for); both are empty when the leaf bound nothing."""
+    if not leaf.theta:
+        return {}, {}
     inst: dict[LVar, Term] = {}
     render: dict[Term, Term] = {}
     for orig in sorted(renaming, key=lambda v: v.name):
@@ -904,7 +951,7 @@ def entails(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
         leaf = None
     if leaf is None:
         return ProofOutcome(False)
-    inst, _ = _invert_instantiation(leaf, st.renaming, set(lhs.vars()))
+    inst, _ = _invert_instantiation(leaf, st.renaming, lhs.vars())
     return ProofOutcome(True, instantiation=inst)
 
 
@@ -923,12 +970,13 @@ def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[ProofOutcome]:
         leaves = list(st.run())
     except ValueError:  # a term it needs has no value
         return []
-    lhs_vars = set(lhs.vars())
     outcomes: list[ProofOutcome] = []
     seen: set[tuple[SymbolicHeap, frozenset]] = set()
     for leaf in leaves:
-        inst, render = _invert_instantiation(leaf, st.renaming, lhs_vars)
-        frame = SymbolicHeap(leaf.extra_pure, leaf.leftover).subst(render)
+        inst, render = _invert_instantiation(leaf, st.renaming, lhs.vars())
+        frame = SymbolicHeap(leaf.extra_pure, leaf.leftover)
+        if render:
+            frame = frame.subst(render)
         if st.lhs_had_true:
             frame = SymbolicHeap(frame.pure,
                                  frame.spatial + (TRUE_SPATIAL,))
@@ -970,18 +1018,21 @@ def _proposals(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[SymbolicHeap]:
     """The distinct anti-frames the search proposes for a normalized,
     consistent lhs, in the order it finds them, before any re-check."""
     st = _Search(lhs, rhs, "abduce", True)
-    inverse = {v: k for k, v in st.renaming.items()}
+    inverse = {v: k for k, v in st.renaming.items() if v is not k}
     try:
         leaves = list(st.run())
     except (BudgetExceeded, ValueError):  # ValueError: see above entails
         leaves = []
     proposals: dict[SymbolicHeap, None] = {}
     for leaf in leaves:
-        # unbound existentials keep their original right-hand names
-        unbound = {v: inverse[v] for v in st.rhs_evars
-                   if v not in leaf.theta and v in inverse}
-        pure = [p.subst(leaf.theta).subst(unbound) for p in leaf.hyps]
-        spatial = [a.subst(leaf.theta).subst(unbound) for a in leaf.residue]
+        # unbound existentials keep their original right-hand names; the
+        # residue is already instantiated (_finish)
+        unbound = {v: k for v, k in inverse.items() if v not in leaf.theta}
+        pure = [p.subst(leaf.theta) for p in leaf.hyps]
+        spatial = list(leaf.residue)
+        if unbound:
+            pure = [p.subst(unbound) for p in pure]
+            spatial = [a.subst(unbound) for a in spatial]
         proposals.setdefault(SymbolicHeap(
             tuple(sorted(set(pure), key=lambda p: p.sort_key())),
             tuple(sorted(spatial, key=spatial_sort_key))))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from shaperef import prover
+from shaperef.cfg import build_cfg
 from shaperef.domains import DOMAINS, AbstractionParam, abstract
 from shaperef.heaps import (
     Disj,
@@ -20,7 +22,7 @@ from shaperef.heaps import (
     normalize,
     star,
 )
-from shaperef.lang import ParseError
+from shaperef.lang import ParseError, parse
 from shaperef.oracle import (
     BoundsTooLarge,
     OracleBounds,
@@ -559,21 +561,64 @@ def _abduce_rechecking_every_proposal(lhs, rhs):
     return sorted(kept, key=prover._candidate_key) or [FALSE_HEAP]
 
 
-def test_abduce_drops_only_candidates_the_recheck_drops():
+def test_abduce_prunes_only_anti_frames_the_recheck_drops(monkeypatch):
+    """The search moves no obligation whose head clashes into the
+    anti-frame; abduce's answers are those of the unpruned search with
+    every proposal re-checked."""
     rng = random.Random(31)
-    skipped = 0
+    corpus = []
     for i in range(120):
         lhs = random_heap(rng, domain=("mls", "rls", "sls")[i % 3],
                           max_atoms=3, n_pure=2)
-        for y in sorted(v for v in lhs.vars() if isinstance(v, PVar)):
-            rhs = H(f"node({y},n',d')")
-            for cand in prover._proposals(lhs, rhs):
-                if any(prover._clashes(lhs, a.head) for a in cand.cells()):
-                    skipped += 1
-                    assert star(lhs, cand).is_false, (str(lhs), str(cand))
-            assert abduce(lhs, rhs) == \
-                _abduce_rechecking_every_proposal(lhs, rhs), (str(lhs), y)
-    assert skipped > 0
+        corpus += [(lhs, H(f"node({y},n',d')"))
+                   for y in sorted(v for v in lhs.vars()
+                                   if isinstance(v, PVar))]
+    pruned = 0
+    real = prover._Search._residue_clashes
+
+    def counting(self, r_atom, theta):
+        nonlocal pruned
+        clash = real(self, r_atom, theta)
+        pruned += clash
+        return clash
+
+    monkeypatch.setattr(prover._Search, "_residue_clashes", counting)
+    answers = [abduce(lhs, rhs) for lhs, rhs in corpus]
+    for lhs, rhs in corpus:
+        # the right side fixes every cell's head (y): none may clash
+        for cand in prover._proposals(lhs, rhs):
+            assert not any(prover._clashes(lhs, a.head)
+                           for a in cand.cells()), (str(lhs), str(cand))
+    assert pruned > 0
+    monkeypatch.setattr(prover._Search, "_residue_clashes",
+                        lambda self, r_atom, theta: False)
+    for (lhs, rhs), answer in zip(corpus, answers):
+        assert answer == _abduce_rechecking_every_proposal(lhs, rhs), \
+            (str(lhs), str(rhs))
+
+
+def test_abduce_pruning_keeps_every_anti_frame_of_the_unpruned_search(
+        monkeypatch):
+    """Beyond one right node, a pruned branch no longer cuts off the moves
+    after it: the residue move is tried only where no other move reached a
+    leaf, and a leaf whose anti-frame clashes used to count.  So abduce
+    keeps every answer of the unpruned search and may find more."""
+    rng = random.Random(4243)
+    corpus = []
+    for i in range(150):
+        domain = ("mls", "rls", "sls")[i % 3]
+        corpus.append((random_heap(rng, domain=domain, max_atoms=2, n_pure=1),
+                       random_heap(rng, domain=domain, max_atoms=2, n_pure=1)))
+    answers = [abduce(lhs, rhs) for lhs, rhs in corpus]
+    monkeypatch.setattr(prover._Search, "_residue_clashes",
+                        lambda self, r_atom, theta: False)
+    gained = 0
+    for (lhs, rhs), answer in zip(corpus, answers):
+        unpruned = _abduce_rechecking_every_proposal(lhs, rhs)
+        if unpruned != [FALSE_HEAP]:
+            assert set(unpruned) <= set(answer), (str(lhs), str(rhs))
+        gained += answer != unpruned
+    assert gained > 0
 
 
 @pytest.mark.parametrize("rhs", ["list(r,nil,{x+1:1})", "node(r,nil,{x+1})"])
@@ -959,6 +1004,116 @@ def test_entailment_differential_against_oracle(domain):
 
 
 # ---------------------------------------------------------------------------
+# Pinned answers
+# ---------------------------------------------------------------------------
+
+def _footprint_pres(text: str) -> list[SymbolicHeap]:
+    """The pres of a program's load, store and assert edges, as the
+    analyzer's transfer function asks for them."""
+    pres = []
+    for _, _, spec in build_cfg(parse(text)).edges:
+        if spec.kind in ("load", "store", "assert"):
+            pres.extend(spec.pre.heaps if isinstance(spec.pre, Disj)
+                        else (spec.pre,))
+    return pres
+
+
+def _render_answers(lhs: SymbolicHeap, rhs: SymbolicHeap) -> str:
+    """frame_infer, abduce with choose, and entails of one query, as
+    rendered; a query that exhausts its budget renders as "budget"."""
+    def inst(m):
+        return ",".join(f"{k}:={v}" for k, v in
+                        sorted(m.items(), key=lambda e: e[0].name))
+
+    def ask(query):
+        try:
+            return query()
+        except BudgetExceeded:
+            return "budget"
+
+    frames = ask(lambda: " | ".join(f"{o.frame} [{inst(o.instantiation)}]"
+                                    for o in frame_infer(lhs, rhs)))
+    cands = ask(lambda: abduce(lhs, rhs))
+    lines = [f"{lhs} |- {rhs}", f"frames {frames}"]
+    if cands == "budget":
+        lines += ["abduce budget", "chosen budget"]
+    else:
+        lines += ["abduce " + " | ".join(map(str, cands)),
+                  f"chosen {choose(cands)}"]
+    for modulo in (False, True):
+        p = ask(lambda: entails(lhs, rhs, modulo_true=modulo))
+        lines.append(p if p == "budget"
+                     else f"entails {p.holds} [{inst(p.instantiation)}]")
+    return "\n".join(lines) + "\n"
+
+
+def _clashing_rhs(rng: random.Random, lhs: SymbolicHeap) -> SymbolicHeap:
+    """A right node with pure atoms whose existentials are mostly the left
+    side's own logical variables, so that renaming them apart matters."""
+    names = sorted(str(v) for v in lhs.vars() if isinstance(v, LVar))
+    names += ["a'", "b'"]
+    ptrs = ["r", "s", "t"] + names
+    pure = [f"{rng.choice(names)}{op}{rng.choice(names + operands)}"
+            for op, operands in (rng.choice([("=", ["r", "nil", "x"]),
+                                             ("!=", ["s", "nil", "y"]),
+                                             ("<=", ["x", "1"])])
+                                 for _ in range(rng.randint(0, 2)))]
+    payload = rng.choice(["_", f"{{{rng.choice(names + ['x', '1'])}}}"])
+    node = f"node({rng.choice(ptrs)},{rng.choice(ptrs + ['nil'])},{payload})"
+    return H(" /\\ ".join(pure + [node]))
+
+
+def prover_answers_digest(seed: int = 53, n: int = 150) -> tuple[str, int]:
+    """Digest of the rendered answers on seeded left sides against the
+    analyzer's footprint pres, right sides that reuse left existentials'
+    names, and each left side's abstraction; also the number of right
+    existentials that share a name with a left variable."""
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    clashes = 0
+    fixed = [("node(x,n',d')", "node(x,n',_)"),
+             ("node(x,n',d')*list(n',nil)", "node(x,d',_)*list(d',nil)"),
+             ("d'=1 /\\ node(x,nil,{d'})", "node(x,nil,{d'+1})"),
+             # the fresh names of a case split show in the frames
+             ("slseg(r,nil,[1,5))", "node(r,n',_)"),
+             ("slseg(r,n',[1,5))*list(n',nil)", "node(r,n',_)")]
+    queries = [(H(l), H(r)) for l, r in fixed]
+    for i in range(n):
+        domain = DOMAINS[i % 3]
+        lhs = random_heap(rng, domain=domain, max_atoms=3,
+                          with_true=i % 4 == 3, n_pure=2)
+        ptrs = sorted(v.name for v in lhs.vars()
+                      if isinstance(v, PVar) and v.name in "rst")
+        lvars = sorted(v.name for v in lhs.vars() if isinstance(v, LVar))
+        rhss = []
+        for y in ptrs:
+            rhss += _footprint_pres(f"q = {y}->next; {y}->data = x; "
+                                    f"assert({y} != nil && x < y || "
+                                    f"{y} == nil);")
+            rhss += [H(f"node({y},{j}',_)") for j in lvars[:1]]
+        rhss += [_clashing_rhs(rng, lhs) for _ in range(3)]
+        param = AbstractionParam(domain, random_param_multiset(rng))
+        rhss.append(abstract(lhs, param)[0])
+        queries += [(lhs, rhs) for rhs in rhss]
+    for lhs, rhs in queries:
+        clashes += len(set(lhs.vars()) & set(rhs.evars()))
+        digest.update(_render_answers(lhs, rhs).encode())
+    return digest.hexdigest(), clashes
+
+
+# recorded before the search pruned clashing anti-frame cells as it builds
+# them and renamed the right side apart only on a name clash
+PROVER_ANSWERS_SHA256 = (
+    "b630b7b46dfb05e613026cae693ea543ba0df171e21c63241d6523b48245c5e0")
+
+
+def test_prover_answers_are_unchanged_on_random_heaps():
+    digest, clashes = prover_answers_digest()
+    assert clashes >= 400
+    assert digest == PROVER_ANSWERS_SHA256
+
+
+# ---------------------------------------------------------------------------
 # Chaining into an unbound segment target
 # ---------------------------------------------------------------------------
 
@@ -973,6 +1128,20 @@ def test_chaining_binds_an_unbound_target_to_a_left_head():
     # the chain must reach the cell the right side puts at v'
     assert not entails(lhs, H("node(v',nil,{2})*list(r,v')*true")).holds
     assert not entails(lhs, H("node(v',q,{3})*list(r,v')*true")).holds
+
+
+def test_chaining_stays_anchored_where_the_oracle_holds():
+    """A pinned incompleteness, the FOUND on chaining anchoring: the chained
+    segment's target must be nil or the head of another left atom, but the
+    oracle's segment walk may pass its end and lasso back to it, so under
+    the oracle list(x,y)*list(y,z) |= list(x,z).  The prover keeps its
+    rule and answers "no"; relaxing the rule changes these answers and so
+    cannot pass unnoticed."""
+    lhs = H("list(x,y)*list(y,z)")
+    for rhs in map(H, ["list(x,z)", "list(x,v')"]):
+        assert oracle_entails(lhs, rhs, bounds=TIGHT).holds
+        assert not entails(lhs, rhs).holds
+        assert not Prover().entails(lhs, rhs).holds
 
 
 FOLD_BOUNDS = OracleBounds(max_cells=4, max_extension=1, n_spare_data=1,
