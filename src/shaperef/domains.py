@@ -39,7 +39,6 @@ from .terms import (
     PVar,
     Term,
     shifted,
-    term_sort_key,
     var_of,
 )
 from .heaps import (
@@ -134,16 +133,12 @@ def project_contents(contents: Multiset, facts: Facts, tracked: Multiset) -> Mul
     """
     if contents.is_empty():
         return EMPTY_MS
-    by_rep: dict[Term, list[Term]] = {}
-    for k in sorted(contents.keys(), key=term_sort_key):
-        by_rep.setdefault(facts.rep(k), []).append(k)
     budget = facts.value_class_sums(tracked)
     pairs = []
-    for rep, keys in by_rep.items():
-        have = sum(contents.mult(k) for k in keys)
+    for rep, (key, have) in facts.value_classes(contents).items():
         keep = min(have, budget.get(rep, 0))
         if keep > 0:
-            pairs.append((keys[0], keep))
+            pairs.append((key, keep))
     return Multiset.of(pairs)
 
 
@@ -151,10 +146,12 @@ def project_contents(contents: Multiset, facts: Facts, tracked: Multiset) -> Mul
 # Rule plumbing
 # ---------------------------------------------------------------------------
 #
-# A rule takes (heap, facts, param, occurrences) and returns (rule-name,
-# rewritten heap) for the first redex in canonical atom order, or None.  The
-# engine tries the rules of a domain in a fixed listing order, so the whole
-# rewrite is deterministic on normalized input.
+# A rule takes (heap, facts, param, occ) and returns (rule-name, rewritten
+# heap) for the first redex in canonical atom order, or None.  ``occ`` is a
+# Counter of how often each variable occurs in the heap, built once per rule
+# pass, for the rules' test that a logical variable occurs nowhere else
+# (``_beyond``).  The engine tries the rules of a domain in a fixed listing
+# order, so the whole rewrite is deterministic on normalized input.
 #
 # The domains differ only in how two chained atoms fold, and rls has no
 # contents to cap.  ``_JOINS`` maps a domain to join(a, b, facts, param),
@@ -164,28 +161,17 @@ def project_contents(contents: Multiset, facts: Facts, tracked: Multiset) -> Mul
 _Make = Callable[[Term, Term], Spatial]
 
 
-class _Occurrences:
-    """How often each variable occurs in one heap, for the rules' test that
-    a logical variable occurs nowhere else.  The heap is walked once, at
-    the first test; the counts live as long as the rule pass that asks."""
-
-    def __init__(self, h: SymbolicHeap):
-        self._h = h
-        self._counts: Optional[Counter] = None
-
-    def beyond(self, x: LVar, atoms: tuple[Spatial, ...],
-               terms: tuple[Term, ...] = ()) -> bool:
-        """Whether x occurs in the heap outside ``atoms`` (spatial atoms of
-        the heap, at distinct positions), or in one of ``terms``."""
-        if self._counts is None:
-            self._counts = var_counts(self._h.pure, self._h.spatial)
-        inside = sum(var_of(t) is x for a in atoms
-                     for t in (a.head, a.tail, *a.data_terms))
-        return (self._counts[x] > inside
-                or any(var_of(t) is x for t in terms))
+def _beyond(occ: Counter, x: LVar, atoms: tuple[Spatial, ...],
+            terms: tuple[Term, ...] = ()) -> bool:
+    """Whether x occurs in the heap that ``occ`` counts outside ``atoms``
+    (spatial atoms of the heap, at distinct positions), or in one of
+    ``terms``."""
+    inside = sum(var_of(t) is x for a in atoms
+                 for t in (a.head, a.tail, *a.data_terms))
+    return occ[x] > inside or any(var_of(t) is x for t in terms)
 
 
-_Rule = Callable[[SymbolicHeap, Facts, AbstractionParam, _Occurrences],
+_Rule = Callable[[SymbolicHeap, Facts, AbstractionParam, Counter],
                  Optional[tuple[str, SymbolicHeap]]]
 
 
@@ -208,12 +194,12 @@ def _junctions(h: SymbolicHeap) -> Iterator[tuple[int, int, LVar]]:
 
 
 def _rule_collect_garbage(h: SymbolicHeap, facts: Facts,
-                          param: AbstractionParam, occ: _Occurrences):
+                          param: AbstractionParam, occ: Counter):
     """An atom headed by a logical variable no other part of the heap
     mentions is unreachable; trade it for spatial true."""
     for i, a in enumerate(h.spatial):
         head = a.head
-        if not isinstance(head, LVar) or occ.beyond(head, (a,)):
+        if not isinstance(head, LVar) or _beyond(occ, head, (a,)):
             continue
         rest = _without(h.spatial, i)
         return ("collect-garbage", SymbolicHeap(h.pure, rest + (TRUE_SPATIAL,)))
@@ -221,7 +207,7 @@ def _rule_collect_garbage(h: SymbolicHeap, facts: Facts,
 
 
 def _rule_collect_cycle(h: SymbolicHeap, facts: Facts,
-                        param: AbstractionParam, occ: _Occurrences):
+                        param: AbstractionParam, occ: Counter):
     """Two atoms chained into a cycle over logical variables mentioned
     nowhere else are unreachable; trade both for spatial true."""
     atoms = h.spatial
@@ -232,7 +218,7 @@ def _rule_collect_cycle(h: SymbolicHeap, facts: Facts,
         for j, b in enumerate(atoms):
             if j == i or b.head != ta or b.tail != ha:
                 continue
-            if occ.beyond(ha, (a, b)) or occ.beyond(ta, (a, b)):
+            if _beyond(occ, ha, (a, b)) or _beyond(occ, ta, (a, b)):
                 continue
             rest = _without(atoms, i, j)
             return ("collect-cycle", SymbolicHeap(h.pure, rest + (TRUE_SPATIAL,)))
@@ -295,7 +281,7 @@ _JOINS = {"mls": _join_mls, "rls": _join_rls, "sls": _join_sls}
 
 
 def _fold(h: SymbolicHeap, facts: Facts, param: AbstractionParam,
-          occ: _Occurrences, mid: bool):
+          occ: Counter, mid: bool):
     """Fold the first junction the domain's join accepts.
 
     The folded segment runs from the left operand's head to the right
@@ -309,12 +295,12 @@ def _fold(h: SymbolicHeap, facts: Facts, param: AbstractionParam,
         a, b = atoms[i], atoms[j]
         e1, e2 = a.head, b.tail
         if not mid:
-            if not facts.equal(e2, NIL) or occ.beyond(x, (a, b), (e1, e2)):
+            if not facts.equal(e2, NIL) or _beyond(occ, x, (a, b), (e1, e2)):
                 continue
         elif not any(w not in (i, j) and not isinstance(c, TrueAtom)
                      and facts.equal(e2, c.head)
-                     and not occ.beyond(x, (a, b, c),
-                                        (e1, e2, c.head, c.tail))
+                     and not _beyond(occ, x, (a, b, c),
+                                     (e1, e2, c.head, c.tail))
                      for w, c in enumerate(atoms)):
             continue
         # join is pure, so it waits until the junction qualifies
@@ -335,7 +321,7 @@ _rule_fold_at_witness = partial(_fold, mid=True)
 
 
 def _rule_cap_contents(h: SymbolicHeap, facts: Facts, param: AbstractionParam,
-                       occ: _Occurrences):
+                       occ: Counter):
     """Project a segment's contents down to the tracked budget.  Fires only
     when the projection actually forgets occurrences (strictly smaller
     mass); re-keying a multiset inside one congruence class changes
@@ -376,7 +362,7 @@ def abstract(h: SymbolicHeap,
     size = measure(cur)
     steps: list[RewriteStep] = []
     while not cur.is_false:
-        facts, occ = cur.facts, _Occurrences(cur)
+        facts, occ = cur.facts, var_counts(cur.pure, cur.spatial)
         hit = None
         for rule in _RULES[param.domain]:
             hit = rule(cur, facts, param, occ)

@@ -579,6 +579,14 @@ class Facts:
         out.sort(key=lambda g: term_sort_key(g[0]))
         return out
 
+    def value_classes(self, ms: Multiset) -> dict[Term, list]:
+        """The congruence classes of ms's keys, by representative and in
+        key order: [the class's least key, its sum of multiplicities]."""
+        acc: dict[Term, list] = {}
+        for t, n in ms.items:  # in key order: the first key is the least
+            acc.setdefault(self.rep(t), [t, 0])[1] += n
+        return acc
+
     def value_class_sums(self, ms: Multiset) -> dict[Term, int]:
         """Sum multiplicities of congruent keys; keys become representatives."""
         acc: dict[Term, int] = {}

@@ -64,16 +64,16 @@ equal to nil or to the head of a left cell (the head clashes).
 ``star(lhs, candidate)`` is false for a candidate with such a cell, as
 the closure of the conjunction keeps every fact of the left closure
 (normalize's substitutions keep equalities), and heads are non-nil and
-pairwise distinct: the re-check would drop it.  So the residue move is not
+pairwise distinct: the re-check drops it.  So the residue move is not
 taken for an obligation whose head clashes under the bindings so far:
 theta only grows, so every anti-frame through the move would hold that
 cell.  A head that is still an unbound existential never clashes, as the
-left closure does not mention it; one bound after the move is checked on
-the finished candidate, before the re-check.  Where the only obligation is
-one right node, this drops just the candidates that check would drop.
-Elsewhere the search may find more: the residue move is tried only where
-no other move reached a leaf, and a leaf whose candidate clashes no longer
-counts as one.
+left closure does not mention it; a candidate whose head is bound after
+the move and clashes is dropped by the re-check, as ``star`` is false.
+Where the only obligation is one right node, the prune drops just the
+candidates the re-check would drop.  Elsewhere the search may find more:
+the residue move is tried only where no other move reached a leaf, and a
+leaf whose candidate clashes no longer counts as one.
 
 Strict entailment (``entails`` without ``modulo_true`` and without true on
 the right) prunes by a lower bound on the moves a goal still needs.  A leaf
@@ -102,8 +102,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import (Callable, Iterator, NamedTuple, Optional, Sequence,
+                    Union)
 
 from .terms import (
     Const,
@@ -262,17 +262,9 @@ def unfold(atom: Spatial, context: SymbolicHeap,
     cases = [case(s.keys()[0] if total else untracked(), None)] \
         if total <= 1 else []
     cases += [case(k, s.minus_one(k))
-              for k in _content_class_keys(s, context.facts)]
+              for k, _ in context.facts.value_classes(s).values()]
     cases.append(case(untracked(), s))
     return Disj(tuple(cases))
-
-
-def _content_class_keys(contents: Multiset, facts: Facts) -> list[Term]:
-    """One representative key per congruence class of the content keys."""
-    by_rep: dict[Term, Term] = {}
-    for k in sorted(contents.keys(), key=term_sort_key):
-        by_rep.setdefault(facts.rep(k), k)
-    return sorted(by_rep.values(), key=term_sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +378,20 @@ def _name_payload(full: tuple[Spatial, ...], l_atom: Spatial,
 
 
 class _Search:
-    """One subtraction query (mode: "entails", "frame" or "abduce")."""
+    """One subtraction query (mode: "entails", "frame" or "abduce").
+
+    Two flags decide what differs between the modes.  ``abduce``: an
+    obligation the facts do not refute may become a hypothesis, and an
+    undischargeable right atom becomes part of the anti-frame in place of a
+    case split.  ``strict``: every left atom must be consumed, so a leaf
+    leaves no left atom over, true on the left fails at once, and the move
+    bound applies; only entailment without true on the right is strict, as
+    abduction always searches modulo true.
+    """
 
     def __init__(self, lhs: SymbolicHeap, rhs: SymbolicHeap, mode: str,
                  modulo_true: bool):
-        self.mode = mode
+        self.abduce = mode == "abduce"
         self._steps = 0
 
         lhs_spatial = lhs.cells()
@@ -399,9 +400,7 @@ class _Search:
         self._contexts = {(lhs.pure, lhs_spatial): lhs}
         self.lhs_had_true = lhs.has_true()
         rhs_spatial = rhs.cells()
-        self.modulo = modulo_true or rhs.has_true()
-        # every left atom must be consumed: the move bound applies
-        self.strict = mode == "entails" and not self.modulo
+        self.strict = mode == "entails" and not (modulo_true or rhs.has_true())
 
         self.lhs = lhs
         self.base_pure = lhs.pure
@@ -476,7 +475,7 @@ class _Search:
         atom when the facts do not refute it; otherwise None."""
         if _decide(facts, op, a, b, False):
             return hyps
-        if self.mode == "abduce" and not _decide(facts, op, a, b, True):
+        if self.abduce and not _decide(facts, op, a, b, True):
             return hyps + (PureAtom(op, a, b),)
         return None
 
@@ -526,7 +525,7 @@ class _Search:
     # -- the search proper ---------------------------------------------------
 
     def run(self) -> Iterator[_Leaf]:
-        if self.lhs_had_true and not self.modulo and self.mode != "frame":
+        if self.lhs_had_true and self.strict:
             return  # an arbitrary extension can never be pinned down
         yield from self._solve(self.root)
 
@@ -549,8 +548,10 @@ class _Search:
         r_atom = g.rhs[idx]
         rest = g.rhs[:idx] + g.rhs[idx + 1:]
 
+        # the budgeted moves: chaining, a right unfold and a case split
+        budgeted = g.ubud > 0
         moves = self._try_direct(r_atom, rest, g)
-        if type(r_atom) is not NodeAtom:  # only a segment chains or unfolds
+        if budgeted and type(r_atom) is not NodeAtom:  # a segment's moves
             moves = itertools.chain(moves, self._try_chain(r_atom, rest, g),
                                     self._try_unfold_rhs(r_atom, rest, g))
         produced = False
@@ -559,41 +560,32 @@ class _Search:
             yield leaf
         if produced:
             return
-        if self.mode == "abduce":
+        if self.abduce:
             # the obligation becomes part of the anti-frame
             if self._residue_clashes(r_atom, g.theta):
                 return
             g2 = _Goal(g.pure, g.full, g.rem, rest, g.rhs_pure, g.theta,
                        g.hyps, g.residue + (r_atom,), g.ubud)
             yield from self._solve(g2)
-        else:
+        elif budgeted:
             yield from self._try_case_split(r_atom, g)
 
     def _residue_clashes(self, r_atom: Spatial, theta: dict) -> bool:
         """Whether no cell fits beside the left side at r_atom's head under
-        theta (``_clashes``): every anti-frame that holds r_atom would be
-        dropped before the re-check."""
+        theta (``_clashes``): the re-check would drop every anti-frame that
+        holds r_atom."""
         return _clashes(self.lhs, subst_term(r_atom.head, theta))
 
     # -- move 1: direct atom match -----------------------------------------
 
     def _try_direct(self, r_atom: Spatial, rest: tuple[Spatial, ...],
                     g: _Goal) -> Iterator[_Leaf]:
-        facts = self._facts(g.pure, g.full)
         kind = type(r_atom)
-        head = subst_term(r_atom.head, g.theta)
-        if self.mode == "abduce" or head in self.rhs_evars or (
-                isinstance(head, Offset) and head.base in self.rhs_evars):
-            lis = [li for li, l_atom in enumerate(g.rem)
-                   if type(l_atom) is kind]
-        else:
-            # a determined head: _relate accepts exactly the left heads the
-            # facts prove equal to it (lazily, as _relate would test them)
-            lis = (li for li, l_atom in enumerate(g.rem)
-                   if type(l_atom) is kind and facts.equal(l_atom.head, head))
-        return self._consume(lis, r_atom, rest, g.rhs_pure, g, g.ubud, facts)
+        lis = [li for li, l_atom in enumerate(g.rem) if type(l_atom) is kind]
+        return self._consume(lis, r_atom, rest, g.rhs_pure, g, g.ubud,
+                             self._facts(g.pure, g.full))
 
-    def _consume(self, lis: Iterable[int], r_atom: Spatial,
+    def _consume(self, lis: Sequence[int], r_atom: Spatial,
                  rest: tuple[Spatial, ...], rhs_pure: tuple[PureAtom, ...],
                  g: _Goal, ubud: int, facts: Facts) -> Iterator[_Leaf]:
         """Discharge r_atom by each left atom g.rem[li] in turn, then solve
@@ -638,8 +630,6 @@ class _Search:
 
     def _try_chain(self, r_atom: Spatial, rest: tuple[Spatial, ...],
                    g: _Goal) -> Iterator[_Leaf]:
-        if g.ubud <= 0:
-            return
         facts = self._facts(g.pure, g.full)
         tgt = subst_term(r_atom.dst, g.theta)
         unbound = tgt in self.rhs_evars
@@ -711,8 +701,6 @@ class _Search:
 
     def _try_unfold_rhs(self, r_atom: Spatial, rest: tuple[Spatial, ...],
                         g: _Goal) -> Iterator[_Leaf]:
-        if g.ubud <= 0:
-            return
         ctx = self._context(g.pure, g.full)
         facts = ctx.facts
         src = subst_term(r_atom.head, g.theta)
@@ -731,8 +719,6 @@ class _Search:
     # -- move 4: case analysis on a left segment ----------------------------
 
     def _try_case_split(self, r_atom: Spatial, g: _Goal) -> Iterator[_Leaf]:
-        if g.ubud <= 0:
-            return
         want = subst_term(r_atom.head, g.theta)
         if want in self.rhs_evars:
             return
@@ -817,7 +803,7 @@ class _Search:
             if hyps is None:
                 return
 
-        if self.mode != "frame" and not self.modulo and g.rem:
+        if self.strict and g.rem:
             return  # strict entailment must consume the whole left heap
         leftover = tuple(sorted(g.rem, key=spatial_sort_key))
         # case splits append to the left pure part
@@ -1000,9 +986,7 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[SymbolicHeap]:
         return [FALSE_HEAP]
     candidates: list[SymbolicHeap] = []
     for cand in _proposals(lhs, rhs):
-        if any(_clashes(lhs, a.head) for a in cand.cells()):
-            continue  # star(lhs, cand) is false: see the module docstring
-        combined = star(lhs, cand)
+        combined = star(lhs, cand)  # false where a cell clashes
         if combined.is_false:
             continue
         if not entails(combined, rhs, modulo_true=True).holds:

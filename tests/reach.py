@@ -6,19 +6,22 @@ Usage, from anywhere in a checkout:
 
     python3 tests/reach.py
 
-It imports every module of the package under the trace, runs Tier-1 in
-this process (``pytest.main`` over ``pyproject.toml``'s ``testpaths``),
-then each workload of ``perfbench.workloads`` on its corpus at seeds 1, 2
-and 3: every item, the workload's output checks and its canonical forms,
-as one untraced pass of ``perfbench/run.py`` does.  For each module it
-prints the executable lines that the tests reach but the workloads do not,
-and the lines that neither reaches.  Lines run on import count for both.
-A line is executable when an instruction of the module's compiled code is
-on it.  The exit status is pytest's, as a failing test leaves its lines
-out of the trace.
+It imports every module of the package under the trace and runs Tier-1
+in this process (``pytest.main`` over ``pyproject.toml``'s
+``testpaths``).  It runs each workload of ``perfbench.workloads`` on its
+corpus at seeds 1, 2 and 3 in a fresh interpreter, traced from the import
+of the benchmark on: every item, the workload's output checks and its
+canonical forms, as one untraced pass of ``perfbench/run.py`` does.  So a
+line that runs once per process, such as a cached property of an interned
+atom, counts for the workloads when they reach it, whatever Tier-1 ran
+first.  For each module it prints the executable lines that the tests
+reach but the workloads do not, and the lines that neither reaches.  Lines
+run on import count for both.  A line is executable when an instruction of
+the module's compiled code is on it.  The exit status is pytest's, as a
+failing test leaves its lines out of the trace.
 
 Tier-1 runs several times slower under the trace: the whole run takes
-about 5.5 minutes on a 2-vCPU host.
+about 4.5 minutes on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ import importlib
 import json
 import os
 import random
+import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 from types import CodeType
 from typing import Callable, Collection
 
-ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = Path(__file__).resolve()
+ROOT = SCRIPT.parent.parent
 PACKAGE = ROOT / "src" / "shaperef"
 SEEDS = (1, 2, 3)
 
@@ -82,6 +88,32 @@ def reached_lines(run: Callable[[], object],
     return result, lines
 
 
+def reached_lines_apart(target: str, files: Collection[str],
+                        path: Collection[str] = ()) -> dict[str, set[int]]:
+    """For each of ``files``, the lines that ran while a fresh interpreter,
+    with ``path`` ahead on its ``sys.path``, imported the module of
+    ``target`` (``module:function``) and called the function.  Nothing
+    this process ran before counts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "lines.json"
+        spec = {"target": target, "files": list(files), "path": list(path),
+                "out": str(out)}
+        subprocess.run([sys.executable, str(SCRIPT), "--apart",
+                        json.dumps(spec)], check=True)
+        return {f: set(lines) for f, lines in json.loads(out.read_text()).items()}
+
+
+def _apart(spec: dict) -> None:
+    """The child of ``reached_lines_apart``."""
+    sys.path[:0] = spec["path"]
+    module, function = spec["target"].split(":")
+    _, lines = reached_lines(
+        lambda: getattr(importlib.import_module(module), function)(),
+        spec["files"])
+    Path(spec["out"]).write_text(
+        json.dumps({f: sorted(found) for f, found in lines.items()}))
+
+
 def split(executable: set[int], imported: set[int], tests: set[int],
           bench: set[int]) -> tuple[set[int], set[int]]:
     """(lines the tests reach but the benchmark does not, lines neither
@@ -115,8 +147,12 @@ def _run_workloads() -> None:
             wl.forms(corpus, records)
 
 
-def main() -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--apart"]:
+        _apart(json.loads(argv[1]))
+        return 0
+    path = [str(ROOT / "src"), str(ROOT)]
+    sys.path[:0] = path
     files = sorted(str(p) for p in PACKAGE.glob("*.py"))
     _, imported = reached_lines(
         lambda: [importlib.import_module(f"shaperef.{Path(f).stem}")
@@ -129,7 +165,8 @@ def main() -> int:
     import pytest
     os.chdir(ROOT)  # so that pytest collects its testpaths
     status, tests = reached_lines(lambda: pytest.main(["-q"]), files)
-    _, bench = reached_lines(_run_workloads, files)
+    bench = reached_lines_apart("reach:_run_workloads", files,
+                                path + [str(SCRIPT.parent)])
 
     n_exec = n_tests = n_none = 0
     for f in files:
@@ -149,4 +186,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

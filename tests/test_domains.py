@@ -21,7 +21,8 @@ from shaperef.domains import (
     measure,
     project_contents,
 )
-from shaperef.heaps import NodeAtom, SortedSegAtom, SymbolicHeap, normalize
+from shaperef.heaps import (NodeAtom, SortedSegAtom, SymbolicHeap, normalize,
+                            var_counts)
 from shaperef.syntax import parse_heap
 from shaperef.prover import entails
 from shaperef.terms import (Const, LVar, Multiset, NIL, PVar, PureAtom, eq,
@@ -349,7 +350,7 @@ def test_occurrence_counts_agree_with_a_walk_of_the_rest(domain):
     answers = collections.Counter()
     for _ in range(60):
         h = _occurrence_cases(rng, domain)
-        occ = domains._Occurrences(h)
+        occ = var_counts(h.pure, h.spatial)
         n = len(h.spatial)
         for k in (1, 2, 3):
             for idx in itertools.combinations(range(n), k):
@@ -360,7 +361,7 @@ def test_occurrence_counts_agree_with_a_walk_of_the_rest(domain):
                     beyond = _lvars_beyond(h, idx, terms)
                     for x in h.vars():
                         if isinstance(x, LVar):
-                            got = occ.beyond(x, atoms, terms)
+                            got = domains._beyond(occ, x, atoms, terms)
                             assert got == (x in beyond), (h, idx, terms, x)
                             answers[got] += 1
     assert answers[True] > 100 and answers[False] > 100

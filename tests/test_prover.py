@@ -603,12 +603,7 @@ def test_abduce_pruning_keeps_every_anti_frame_of_the_unpruned_search(
     after it: the residue move is tried only where no other move reached a
     leaf, and a leaf whose anti-frame clashes used to count.  So abduce
     keeps every answer of the unpruned search and may find more."""
-    rng = random.Random(4243)
-    corpus = []
-    for i in range(150):
-        domain = ("mls", "rls", "sls")[i % 3]
-        corpus.append((random_heap(rng, domain=domain, max_atoms=2, n_pure=1),
-                       random_heap(rng, domain=domain, max_atoms=2, n_pure=1)))
+    corpus = _multi_cell_abduction_corpus()
     answers = [abduce(lhs, rhs) for lhs, rhs in corpus]
     monkeypatch.setattr(prover._Search, "_residue_clashes",
                         lambda self, r_atom, theta: False)
@@ -619,6 +614,34 @@ def test_abduce_pruning_keeps_every_anti_frame_of_the_unpruned_search(
             assert set(unpruned) <= set(answer), (str(lhs), str(rhs))
         gained += answer != unpruned
     assert gained > 0
+
+
+def _multi_cell_abduction_corpus():
+    rng = random.Random(4243)
+    corpus = []
+    for i in range(150):
+        domain = ("mls", "rls", "sls")[i % 3]
+        corpus.append((random_heap(rng, domain=domain, max_atoms=2, n_pure=1),
+                       random_heap(rng, domain=domain, max_atoms=2, n_pure=1)))
+    return corpus
+
+
+def test_the_recheck_drops_every_proposal_with_a_clashing_cell():
+    """With the search's prune on, a proposal can still hold a cell whose
+    head is bound after the residue move and clashes; star is false for
+    it, so abduce needs no clash filter before the re-check."""
+    clashing = 0
+    for lhs, rhs in _multi_cell_abduction_corpus():
+        assert abduce(lhs, rhs) == _abduce_rechecking_every_proposal(
+            lhs, rhs), (str(lhs), str(rhs))
+        lhs = normalize(lhs)
+        if lhs.is_false:
+            continue
+        for cand in prover._proposals(lhs, rhs):
+            if any(prover._clashes(lhs, a.head) for a in cand.cells()):
+                clashing += 1
+                assert star(lhs, cand).is_false, (str(lhs), str(cand))
+    assert clashing > 0
 
 
 @pytest.mark.parametrize("rhs", ["list(r,nil,{x+1:1})", "node(r,nil,{x+1})"])
