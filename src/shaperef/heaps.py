@@ -52,6 +52,7 @@ from .terms import (
     PureAtom,
     Term,
     FALSE_ATOM,
+    TRUE_ATOM,
     _Interned,
     base_of,
     shifted,
@@ -644,7 +645,8 @@ class SymbolicHeap:
 
     @property
     def is_false(self) -> bool:
-        return any(p.op == "false" for p in self.pure)
+        # false is one interned atom with no operands
+        return FALSE_ATOM in self.pure
 
     def subst(self, m: dict[Term, Term]) -> "SymbolicHeap":
         return SymbolicHeap(tuple(p.subst(m) for p in self.pure),
@@ -724,10 +726,10 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
     not come back, so no heap links to its normal form."""
     if h._canonical:
         return h
-    pure = [p for p in h.pure if p.op != "true"]
-    spatial = list(h.spatial)
-    if any(p.op == "false" for p in pure):
+    if FALSE_ATOM in h.pure:
         return FALSE_HEAP
+    pure = [p for p in h.pure if p is not TRUE_ATOM]
+    spatial = list(h.spatial)
 
     # substitute logical-variable equalities to a fixpoint
     changed = True

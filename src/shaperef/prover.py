@@ -114,6 +114,7 @@ from .terms import (
     Offset,
     PVar,
     PureAtom,
+    TRUE_ATOM,
     Term,
     leq,
     lt,
@@ -407,10 +408,12 @@ class _Search:
         evars = rhs.evars()
         # rename the right side's existentials apart only where one is also
         # a left variable; otherwise the names are apart already
-        rename = any(map(lhs.vars().__contains__, evars))
+        rename = bool(evars) and not set(evars).isdisjoint(lhs.vars())
         self.fresh = _FreshNames(lambda: _used_names(lhs, rhs),
                                  0 if rename else len(evars))
-        rhs_pure = tuple(p for p in rhs.pure if p.op != "true")
+        rhs_pure = rhs.pure
+        if TRUE_ATOM in rhs_pure:
+            rhs_pure = tuple(p for p in rhs_pure if p is not TRUE_ATOM)
         # the search's name of each right existential
         self.renaming: dict[LVar, LVar]
         if rename:
@@ -424,8 +427,9 @@ class _Search:
         # existential
         self.rhs_evars: set[LVar] = set(self.renaming.values())
 
-        self.root = _Goal(lhs.pure, lhs_spatial, lhs_spatial,
-                          tuple(sorted(rhs_spatial, key=spatial_sort_key)),
+        if len(rhs_spatial) > 1:
+            rhs_spatial = tuple(sorted(rhs_spatial, key=spatial_sort_key))
+        self.root = _Goal(lhs.pure, lhs_spatial, lhs_spatial, rhs_spatial,
                           rhs_pure, {}, (), (), MAX_UNFOLD_DEPTH)
 
     # -- bookkeeping -------------------------------------------------------
@@ -994,7 +998,8 @@ def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[SymbolicHeap]:
         candidates.append(cand)
     if not candidates:
         return [FALSE_HEAP]
-    candidates.sort(key=_candidate_key)
+    if len(candidates) > 1:
+        candidates.sort(key=_candidate_key)
     return candidates
 
 
@@ -1035,8 +1040,11 @@ def choose(candidates: Sequence[SymbolicHeap]) -> SymbolicHeap:
     """Pick the preferred abduction candidate.
 
     Consistent before false; then fewer spatial atoms, fewer pure atoms,
-    and finally the lexicographically least rendering.
+    and finally the lexicographically least rendering.  A lone candidate
+    is returned as it is.
     """
+    if len(candidates) == 1:
+        return candidates[0]
     if not candidates:
         raise ValueError("choose() requires at least one candidate")
     return min(candidates, key=_candidate_key)
@@ -1050,9 +1058,6 @@ def _candidate_key(h: SymbolicHeap) -> tuple:
 # Stateful wrapper with query counting and memoisation
 # ---------------------------------------------------------------------------
 
-_MISSING = object()
-
-
 class Prover:
     """Caches query results; counts every query issued and every query the
     memo answers."""
@@ -1062,26 +1067,32 @@ class Prover:
         self.memo_hits = 0
         self._memo: dict[tuple, object] = {}
 
-    def _cached(self, op, lhs: SymbolicHeap, rhs: SymbolicHeap, **kw):
-        """One query through the memo, keyed by the frozen heaps: one probe
-        on a hit, one more to store a miss."""
+    def _cached(self, key: tuple):
+        """One query through the memo, keyed by ``(op, lhs, rhs)`` or
+        ``(entails, lhs, rhs, modulo_true)`` over the frozen heaps: a hit
+        costs one probe and returns the stored object; a miss asks op and
+        stores its answer, unless op raises."""
         self.queries += 1
-        key = (op, lhs, rhs, *kw.values())
-        out = self._memo.get(key, _MISSING)
-        if out is _MISSING:
-            out = self._memo[key] = op(lhs, rhs, **kw)
+        try:
+            out = self._memo[key]
+        except KeyError:
+            pass
         else:
             self.memo_hits += 1
+            return out
+        op, lhs, rhs, *flag = key
+        out = self._memo[key] = (op(lhs, rhs, modulo_true=flag[0]) if flag
+                                 else op(lhs, rhs))
         return out
 
     def entails(self, lhs: SymbolicHeap, rhs: SymbolicHeap,
                 modulo_true: bool = False) -> ProofOutcome:
-        return self._cached(entails, lhs, rhs, modulo_true=modulo_true)
+        return self._cached((entails, lhs, rhs, modulo_true))
 
     def frame_infer(self, lhs: SymbolicHeap,
                     rhs: SymbolicHeap) -> list[ProofOutcome]:
-        return self._cached(frame_infer, lhs, rhs)
+        return self._cached((frame_infer, lhs, rhs))
 
     def abduce(self, lhs: SymbolicHeap,
                rhs: SymbolicHeap) -> list[SymbolicHeap]:
-        return self._cached(abduce, lhs, rhs)
+        return self._cached((abduce, lhs, rhs))

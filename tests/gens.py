@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from shaperef.terms import Const, LVar, Multiset, NIL, PVar
+from shaperef.terms import Const, LVar, Multiset, NIL, PVar, PureAtom
 from shaperef.heaps import (
     ListSegAtom,
     NodeAtom,
@@ -86,6 +86,53 @@ def _attempt(rng, domain, max_atoms, with_true, n_pure) -> SymbolicHeap:
         op = rng.choice(["=", "!=", "<=", "<"])
         from shaperef.terms import PureAtom
         pure.append(PureAtom(op, a, b))
+    return normalize(SymbolicHeap(tuple(pure), tuple(atoms)))
+
+
+def random_heap_with_logical_pure(rng: random.Random, domain: str = "mls",
+                                  max_atoms: int = 3, n_pure: int = 2,
+                                  retries: int = 30) -> SymbolicHeap:
+    """A random consistent normalized heap whose pure atoms mention the
+    logical variables of its spatial atoms, which ``random_heap`` never
+    draws: a junction j' of the chain against nil, a pointer or another
+    junction (``j0'!=nil``, ``j0'!=r``), and a node's logical payload a'
+    by order or disequality against a data term or another payload
+    (``x<a1'``, ``a0'<=a1'``).  Its own function, so that the streams of
+    the other generators stay as they are."""
+    for _ in range(retries):
+        h = _attempt_with_logical_pure(rng, domain, max_atoms, n_pure)
+        if not h.is_false:
+            return h
+    return normalize(SymbolicHeap((), (NodeAtom(PVar("r"), NIL, None),)))
+
+
+def _attempt_with_logical_pure(rng, domain, max_atoms, n_pure):
+    atoms, junctions, payloads = [], [], []
+    cur = rng.choice(ADDR_PVARS)
+    n = rng.randint(2, max_atoms)  # so that the chain has a junction
+    for i in range(n):
+        end = (NIL if rng.random() < 0.7 else PVar("q")) if i == n - 1 \
+            else LVar(f"j{i}")
+        atom = _random_atom(rng, domain, cur, end, i)
+        if isinstance(atom, NodeAtom) and rng.random() < 0.6:
+            atom = NodeAtom(cur, end, LVar(f"a{i}"))
+            payloads.append(atom.data)
+        atoms.append(atom)
+        if isinstance(end, LVar):
+            junctions.append(end)
+        cur = end
+    pure = []
+    for _ in range(rng.randint(1, n_pure)):
+        if not payloads or rng.random() < 0.5:
+            a = rng.choice(junctions)
+            b = rng.choice([NIL, *ADDR_PVARS, *junctions])
+            op = "!="
+        else:
+            a = rng.choice(payloads)
+            b = rng.choice(DATA_TERMS + payloads)
+            op = rng.choice(["!=", "<=", "<"])
+        if b is not a:
+            pure.append(PureAtom(op, *rng.sample([a, b], 2)))
     return normalize(SymbolicHeap(tuple(pure), tuple(atoms)))
 
 

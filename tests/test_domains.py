@@ -23,17 +23,20 @@ from shaperef.domains import (
 )
 from shaperef.heaps import (NodeAtom, SortedSegAtom, SymbolicHeap, normalize,
                             var_counts)
+from shaperef.oracle import BoundsTooLarge, oracle_entails
 from shaperef.syntax import parse_heap
 from shaperef.prover import entails
 from shaperef.terms import (Const, LVar, Multiset, NIL, PVar, PureAtom, eq,
                             shifted, var_of)
 
+import gens
 from gens import (
     DATA_TERMS,
     canonical_chain_forms,
     count_variable_lookups,
     monotonicity_trial,
     random_heap,
+    random_heap_with_logical_pure,
     random_param_multiset,
     soundness_trial,
 )
@@ -424,6 +427,29 @@ def test_abstraction_sound_on_random_heaps(domain):
             skips += 1
     assert not fails, fails[:3]
     assert skips < 40  # the loop must mostly measure, not skip
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_abstraction_sound_on_heaps_with_logical_pure_atoms(domain):
+    """h |= alpha(h) where pure atoms mention the chain's junctions and
+    logical payloads, which random_heap never draws."""
+    gens._init_bounds()  # the plain bounds of soundness_trial
+    rng = random.Random(_SEEDS[domain] + 2)
+    fails, logical, checked = [], 0, 0
+    for _ in range(150):
+        h = random_heap_with_logical_pure(rng, domain)
+        logical += any(isinstance(v, LVar) for p in h.pure for v in p.vars())
+        alpha, _ = abstract(h, AbstractionParam(
+            domain, random_param_multiset(rng)))
+        try:
+            verdict = oracle_entails(h, alpha, bounds=gens.SOUND_PLAIN_BOUNDS)
+        except BoundsTooLarge:
+            continue
+        if not verdict.holds:
+            fails.append(f"{h} ~> {alpha}")
+        checked += verdict.models_checked > 0
+    assert not fails, fails[:3]
+    assert logical >= 120 and checked >= 90
 
 
 # ROADMAP 4(b)'s corpus: 300 seed-7 heaps per domain of up to 4 atoms and 3

@@ -44,7 +44,8 @@ from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, NIL, PVar,
                              PureAtom, TRUE_ATOM, eq, leq, lt, neq, shifted,
                              subst_term)
 
-from gens import fold_query, random_heap, random_param_multiset
+from gens import (chain_heap, fold_query, random_heap,
+                  random_heap_with_logical_pure, random_param_multiset)
 
 TIGHT = OracleBounds(max_cells=3, max_extension=1, n_spare_data=1,
                      max_models=20000, max_steps=200000)
@@ -400,7 +401,7 @@ def _splice(context: SymbolicHeap, idx: int, case: SymbolicHeap) -> SymbolicHeap
 @pytest.mark.parametrize("domain", ["mls", "rls", "sls"])
 def test_unfold_is_equivalent_to_the_atom(domain):
     """The unfolded disjunction has the same bounded models as the segment."""
-    rng = random.Random(20240 + hash(domain) % 1000)
+    rng = random.Random(20240 + DOMAINS.index(domain))
     checked = 0
     for _ in range(40):
         h = random_heap(rng, domain=domain, max_atoms=2, n_pure=1)
@@ -480,7 +481,7 @@ def test_frame_infer_keeps_arbitrary_heap_atom():
 def test_frame_outcomes_cover_the_left_heap(domain):
     """Every bounded model of the left heap satisfies rhs * frame for
     at least one returned outcome (the outcomes form a case cover)."""
-    rng = random.Random(77 + hash(domain) % 1000)
+    rng = random.Random(77 + DOMAINS.index(domain))
     covered_checks = 0
     for _ in range(60):
         lhs = random_heap(rng, domain=domain, max_atoms=2, n_pure=1)
@@ -962,6 +963,87 @@ def test_prover_counts_memo_hits():
     assert (p.queries, p.memo_hits) == (5, 2)
 
 
+def test_prover_stream_counts_hits_and_returns_the_stored_answers():
+    """A seeded stream of queries with repeats, some through equal heaps
+    built afresh: each repeated (op, lhs, rhs, flag) is a hit returning
+    the object its first query stored, and a first query's answer is the
+    plain function's."""
+    rng = random.Random(2501)
+    pool = [(random_heap(rng, domain=DOMAINS[i % 3], max_atoms=2),
+             random_heap(rng, domain=DOMAINS[i % 3], max_atoms=2))
+            for i in range(12)]
+    # the Prover method, the plain function and the flag of each op
+    ops = [(Prover.entails, entails, {}),
+           (Prover.entails, entails, {"modulo_true": True}),
+           (Prover.frame_infer, frame_infer, {}),
+           (Prover.abduce, abduce, {})]
+    p = Prover()
+    stored: dict = {}
+    for _ in range(200):
+        lhs, rhs = rng.choice(pool)
+        if rng.random() < 0.5:  # an equal heap that is another object
+            lhs = SymbolicHeap(lhs.pure, lhs.spatial)
+        i = rng.randrange(len(ops))
+        method, plain, flag = ops[i]
+        hits = p.memo_hits
+        out = method(p, lhs, rhs, **flag)
+        key = (i, lhs, rhs)
+        if key in stored:
+            assert p.memo_hits == hits + 1 and out is stored[key]
+        else:
+            assert p.memo_hits == hits and out == plain(lhs, rhs, **flag)
+            stored[key] = out
+    assert (p.queries, p.memo_hits) == (200, 200 - len(stored)) == (200, 154)
+
+
+def _gens_corpus() -> list[SymbolicHeap]:
+    """Seeded heaps from every tests/gens.py generator, some of them
+    false, and the false stars of pairs of them."""
+    rng = random.Random(2502)
+    heaps = [FALSE_HEAP, H("false /\\ node(x,nil,_)"),
+             H("x=nil /\\ x!=nil /\\ emp")]
+    for i in range(300):
+        domain = DOMAINS[i % 3]
+        heaps += [random_heap(rng, domain=domain, with_true=i % 4 == 3),
+                  random_heap_with_logical_pure(rng, domain),
+                  *fold_query(rng, domain)]
+    heaps.append(chain_heap([None, Const(1), PVar("x")]))
+    heaps += [star(a, b) for a, b in zip(heaps[::2], heaps[1::2])]
+    return heaps
+
+
+def test_is_false_is_a_test_for_the_false_atom():
+    corpus = _gens_corpus()
+    assert sum(h.is_false for h in corpus) >= 100
+    for h in corpus:
+        assert h.is_false == any(p.op == "false" for p in h.pure), str(h)
+
+
+def test_choose_returns_a_lone_candidate_itself():
+    for h in _gens_corpus()[:100]:
+        assert choose([h]) is h
+        assert choose((h,)) is h
+
+
+def test_search_renames_exactly_where_a_right_existential_is_a_left_variable():
+    """_Search renames the right side's existentials apart exactly where
+    one of them is a left variable; a renamed existential gets a name
+    other than its own."""
+    rng = random.Random(2503)
+    decisions = set()
+    for i in range(300):
+        lhs = random_heap(rng, domain=DOMAINS[i % 3], max_atoms=3, n_pure=2)
+        rhs = _clashing_rhs(rng, lhs)
+        evars = rhs.evars()
+        old_rule = any(map(lhs.vars().__contains__, evars))
+        st = prover._Search(lhs, rhs, "frame", False)
+        assert st.renaming.keys() == set(evars)
+        renamed = any(k is not v for k, v in st.renaming.items())
+        assert renamed == old_rule, (str(lhs), str(rhs))
+        decisions.add((bool(evars), old_rule))
+    assert decisions == {(False, False), (True, False), (True, True)}
+
+
 # ---------------------------------------------------------------------------
 # Differential testing against the bounded-model oracle
 # ---------------------------------------------------------------------------
@@ -990,7 +1072,7 @@ def test_entailment_differential_against_oracle(domain):
     oracle.  The reverse direction (oracle yes, prover no) measures
     incompleteness and is reported, not asserted, at this sample size.
     """
-    rng = random.Random(31000 + hash(domain) % 1000)
+    rng = random.Random(31000 + DOMAINS.index(domain))
     sound_violations = []
     agree = incomplete = total = 0
     for i in range(400):
@@ -1024,6 +1106,40 @@ def test_entailment_differential_against_oracle(domain):
     assert total >= 250
     print(f"\n[{domain}] {total} pairs, {agree} agree, "
           f"{incomplete} incomplete ({incomplete / total:.1%})")
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_abduction_differential_against_oracle(domain):
+    """Every consistent anti-frame A of abduce(lhs, rhs) has lhs * A |=
+    rhs * true in every bounded model, against random right sides and
+    against the load/store pre node(y,n',d')."""
+    rng = random.Random(32000 + DOMAINS.index(domain))
+    refuted = []
+    checked = 0
+    for i in range(300):
+        lhs = random_heap(rng, domain=domain, max_atoms=2, n_pure=1)
+        if i % 2:
+            rhs = random_heap(rng, domain=domain, max_atoms=2, n_pure=1)
+        else:
+            rhs = H(f"node({rng.choice('rst')},n',d')")
+        for cand in abduce(lhs, rhs):
+            if cand.is_false:
+                continue
+            try:
+                verdict = oracle_entails(star(lhs, cand), rhs,
+                                         modulo_true=True, bounds=TIGHT)
+            except BoundsTooLarge:
+                continue
+            if verdict.models_checked == 0:
+                continue  # lhs * A has no model within the bounds
+            checked += 1
+            if not verdict.holds:
+                refuted.append((lhs, rhs, cand, verdict.countermodel))
+    assert not refuted, "\n".join(
+        f"{l} * {a} |- {r} refuted by {cm.render()}"
+        for l, r, a, cm in refuted[:3])
+    print(f"\n[{domain}] {checked} anti-frames checked")
+    assert checked >= 150
 
 
 # ---------------------------------------------------------------------------
