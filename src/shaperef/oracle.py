@@ -632,6 +632,19 @@ def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
 # Entailment
 # ---------------------------------------------------------------------------
 
+def _universal_range(store: dict, heap: dict, data: list[int]) -> list:
+    """The values a universal variable of the right side takes against a
+    left model with this store (its program variables) and heap: every
+    address of the model (its cells, nil, and each address in the store
+    or in a next field), one fresh address standing for all the others,
+    then the data.  All of it is read off the model's shape."""
+    addrs = {NIL_V, *heap}
+    addrs.update(v for v in store.values() if isinstance(v, tuple))
+    addrs.update(nx for nx, _ in heap.values())  # a next value is an address
+    fresh = _addr(max(k for _, k in addrs) + 1)
+    return sorted(addrs) + [fresh] + data
+
+
 def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
                    modulo_true: bool = False,
                    bounds: Optional[OracleBounds] = None) -> OracleVerdict:
@@ -659,9 +672,8 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
     checked = 0
     for m, entry in _models(lhs, bounds, data, held):
         base_env = {v: val for v, val in m.env.items() if isinstance(v, PVar)}
-        combos = itertools.product(
-            sorted(m.heap) + [NIL_V, _addr(97)] + data,
-            repeat=len(univ)) if univ else [()]
+        combos = itertools.product(_universal_range(base_env, m.heap, data),
+                                   repeat=len(univ)) if univ else [()]
         read: set = set()
         for combo in combos:
             checked += 1
