@@ -28,18 +28,39 @@ those checks look up the payloads of the cells they are handed, and with
 no contents a segment's payload check succeeds once, with one tick,
 whatever the payloads are.
 
-So take two models of one shape (``_shape``: the store the check is
-handed, the cells in order and their next values) that have the same
-payloads at the cells a check of the first read.  By induction over the
-search, the check of the second makes the same choices in the same order:
-it reaches the same verdict, spends the same steps and reads the same
-cells.  ``oracle_entails`` keeps, per left shape, the payloads at the cells
-read (the union over the valuations of the right side's universal
-variables) of every model whose right-side checks all held, and never
-builds a left candidate that matches one: each of its right-side checks
-would hold too and spend the same steps, so whether the candidate is a
-model at all cannot change the verdict or the countermodel.  Where the
-checks read no payload, a shape is checked once whatever its payloads.
+So take two models of one shape (the store the check is handed, which is
+the left model's program variables, the cells in order and their next
+values) that have the same payloads at the cells a check of the first
+read.  By induction over the search, the check of the second makes the
+same choices in the same order: it reaches the same verdict, spends the
+same steps and reads the same cells.  ``oracle_entails`` keeps, per left
+shape, the payloads at the cells read (the union over the valuations of
+the right side's universal variables) of every model whose right-side
+checks all held, and never builds a left candidate that matches one: each
+of its right-side checks would hold too and spend the same steps, so
+whether the candidate is a model at all cannot change the verdict or the
+countermodel.  Where the checks read no payload, a shape is checked once
+whatever its payloads.
+
+The right side's universal variables (its program variables that the left
+side lacks) range over the addresses of the left model (its cells, nil,
+and each address in its store or in a next field), one fresh address,
+which stands for every address the model does not mention, and the data
+universe.  That range is read off the shape, so the skip above stays
+exact.
+
+The enumerator does each piece of work at the coarsest level it can.  Per
+query (``_models``): whether the left heap has a model at all, what each
+variable other than a head ranges over, and the left checker.  Per pair
+of segment lengths and extension size (``_models_skeleton``): the
+canonical cells and the value lists of the variables.  Per store, one
+value for each variable: its filters, its program-variable store, which is
+both the key of its shapes and the store of its right-side checks, and the
+payload lists of its atoms; those lists are kept for the query, the
+products of the data by length and each forced segment's list for the
+last values of its data terms.  Per candidate: its payloads, the match
+against the held entries, its heap (copied for extension cells only) and
+the left check.  Per model: the right-side checks.
 
 Values are sorted: addresses are tagged tuples ``('a', k)`` with nil =
 ``('a', 0)``; data values are plain ints.  Sharing an int between the two
@@ -62,7 +83,7 @@ from typing import Iterable, Iterator, Optional
 
 from .terms import (Const, LVar, NilTerm, Offset, PVar, PureAtom,
                     Term, var_of)
-from .heaps import ListSegAtom, NodeAtom, SortedSegAtom, SymbolicHeap
+from .heaps import NodeAtom, SortedSegAtom, SymbolicHeap
 
 NIL_V = ("a", 0)
 
@@ -73,6 +94,9 @@ def _addr(k: int) -> tuple:
 
 class BoundsTooLarge(Exception):
     """The query is outside the oracle's enumeration budget."""
+
+
+_EXHAUSTED = "satisfaction search budget exhausted"
 
 
 @dataclass
@@ -219,8 +243,8 @@ class _SatSearch:
     once its next value bound, and the cells handed to the payload check of
     a sorted segment or of a segment with contents.  Nothing else reads a
     payload: a walk collects cells, and only those checks look up their
-    payloads.  So ``run`` on a model of the same shape (``_shape``) with
-    the same payloads at those cells makes the same search, with the same
+    payloads.  So ``run`` on a model of the same shape (see the module
+    docstring) with the same payloads at those cells makes the same search, with the same
     verdict and steps.
     """
 
@@ -242,9 +266,10 @@ class _SatSearch:
         self.max_steps = max_steps
 
     def _tick(self) -> None:
+        # inlined in the placement and the payload checks, which run hot
         self.steps -= 1
         if self.steps <= 0:
-            raise BoundsTooLarge("satisfaction search budget exhausted")
+            raise BoundsTooLarge(_EXHAUSTED)
 
     def run(self, model: Model, allow_leftover: bool) -> bool:
         self.model = model
@@ -257,7 +282,9 @@ class _SatSearch:
     # -- atom placement (footprint search) --------------------------------
 
     def _place(self, i: int, env: dict, used: frozenset, cover_all: bool) -> bool:
-        self._tick()
+        self.steps -= 1
+        if self.steps <= 0:
+            raise BoundsTooLarge(_EXHAUSTED)
         if i == len(self.atoms):
             return self._finish_pure(env, used, cover_all)
         a, check = self.atoms[i], self.checks[i]
@@ -278,11 +305,14 @@ class _SatSearch:
         return ((c, {**env, t: c}) for c in self.heap)
 
     def _place_node(self, a: NodeAtom, env: dict) -> Iterator[tuple[dict, tuple]]:
+        heap = self.heap
         for v, env0 in self._head_candidates(a.at, env):
-            self._tick()
-            if v not in self.heap:
+            self.steps -= 1
+            if self.steps <= 0:
+                raise BoundsTooLarge(_EXHAUSTED)
+            if v not in heap:
                 continue
-            nx, d = self.heap[v]
+            nx, d = heap[v]
             env2 = _bind(a.nxt, nx, env0)
             if env2 is not None and a.data is not None:
                 self.read.add(v)
@@ -291,28 +321,46 @@ class _SatSearch:
                 yield env2, (v,)
 
     def _place_seg(self, a, check, env: dict) -> Iterator[tuple[dict, list]]:
+        heap = self.heap
+        counted = bool(a.contents.items)
         for v, env0 in self._head_candidates(a.src, env):
-            self._tick()
-            if v not in self.heap:
+            self.steps -= 1
+            if self.steps <= 0:
+                raise BoundsTooLarge(_EXHAUSTED)
+            if v not in heap:
                 continue
-            # walk the chain, proposing each stop point.  The cells grow in
-            # place once every placement of the shorter segment was tried;
-            # a check that reads their payloads looks them up.
+            # walk the chain, proposing each stop point.  The cells, and
+            # for a segment with contents the count of each payload among
+            # them, grow in place once every placement of the shorter
+            # segment was tried.
             cells: list = []
+            freq: dict[object, int] = {}
             cur = v
+            # the end's value, where the store fixes it: then a stop binds
+            # nothing, and _bind need not be asked at each cell
+            end = _eval(a.dst, env0)
             while True:
                 # keep walking past a stop: the chain may pass through the
                 # end and lasso back to it with more cells
-                if cells and (env2 := _bind(a.dst, cur, env0)) is not None:
-                    yield from check(self, a, env2, cells)
-                if cur not in self.heap or cur in cells:
+                if cells:
+                    if end is None:
+                        env2 = _bind(a.dst, cur, env0)
+                    else:
+                        env2 = env0 if cur == end else None
+                    if env2 is not None:
+                        yield from check(self, a, env2, cells, freq)
+                if cur not in heap or cur in cells:
                     break
                 cells.append(cur)
-                cur = self.heap[cur][0]
-                self._tick()
+                cur, d = heap[cur]
+                if counted:
+                    freq[d] = freq.get(d, 0) + 1
+                self.steps -= 1
+                if self.steps <= 0:
+                    raise BoundsTooLarge(_EXHAUSTED)
 
-    def _sorted_check(self, a: SortedSegAtom, env: dict,
-                      cells: list) -> Iterator[tuple[dict, list]]:
+    def _sorted_check(self, a: SortedSegAtom, env: dict, cells: list,
+                      freq: dict) -> Iterator[tuple[dict, list]]:
         self.read.update(cells)
         datas = [self.heap[c][1] for c in cells]
         if any(not isinstance(d, int) for d in datas):
@@ -326,7 +374,7 @@ class _SatSearch:
             for hi_v, env2 in self._bound_candidates(a.hi, env1, datas[-1] + 1):
                 if hi_v <= datas[-1]:
                     continue
-                yield from self._contents_check(a, env2, cells)
+                yield from self._contents_check(a, env2, cells, freq)
 
     def _bound_candidates(self, t: Term, env: dict, natural: int) -> Iterator[tuple[int, dict]]:
         """The integer values of bound t, each with its store: t's own,
@@ -341,25 +389,27 @@ class _SatSearch:
             if isinstance(c, int) and (env2 := _bind(t, c, env)) is not None:
                 yield c, env2
 
-    def _contents_check(self, a, env: dict,
-                        cells: list) -> Iterator[tuple[dict, list]]:
+    def _contents_check(self, a, env: dict, cells: list,
+                        freq: dict) -> Iterator[tuple[dict, list]]:
+        """The stores under which the payloads of cells, counted in freq,
+        cover a's contents."""
         ms = a.contents
         if not ms.items:  # no payload is read; the one empty assignment
-            self._tick()  # costs a step, as in the loop below
+            self.steps -= 1  # costs a step, as in the loop below
+            if self.steps <= 0:
+                raise BoundsTooLarge(_EXHAUSTED)
             yield env, cells
             return
         self.read.update(cells)
-        freq: dict[object, int] = {}
-        for c in cells:
-            d = self.heap[c][1]
-            freq[d] = freq.get(d, 0) + 1
         # the keys whose variable the store leaves unbound range over the
         # segment's payloads
         unassigned = [k for k, _ in ms.items
                       if (x := var_of(k)) is not None and x not in env]
         cand_vals = sorted(d for d in freq if isinstance(d, int)) if unassigned else ()
         for combo in itertools.product(cand_vals, repeat=len(unassigned)):
-            self._tick()
+            self.steps -= 1
+            if self.steps <= 0:
+                raise BoundsTooLarge(_EXHAUSTED)
             env2: Optional[dict] = env
             for k, val in zip(unassigned, combo):
                 env2 = _bind(k, val, env2)
@@ -386,6 +436,9 @@ class _SatSearch:
             return all(_eval_pure(p, env) for p in self.pure)
         if len(free) > 4:
             raise BoundsTooLarge("too many unconstrained variables")
+        if not self.pure:  # the first assignment holds, at one step
+            self._tick()
+            return True
         # dangling addresses reachable only through the store still belong
         # to the existential universe of the pure part
         addrs = set(self.heap) | {NIL_V}
@@ -435,15 +488,17 @@ def models(h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
     bounds = bounds or OracleBounds()
     data = data_universe if data_universe is not None else _data_universe(
         h, n_spare=bounds.n_spare_data)
-    for m, _ in _models(h, bounds, data, {}):
+    for m, *_ in _models(h, bounds, data, {}):
         yield m
 
 
 def _models(h: SymbolicHeap, bounds: OracleBounds, data: list[int],
-            held: dict) -> Iterator[tuple[Model, dict]]:
+            held: dict) -> Iterator[tuple[Model, dict, dict, tuple]]:
     """The models of h, in the order ``models`` yields them, each with the
-    entry of its shape (see ``_shape``) in held, leaving out every candidate
-    that an entry of its shape matches.
+    entry of its shape (see the module docstring) in held, its store (its
+    program variables, the store a right-side check is handed) and its
+    payloads in cell order, leaving out every candidate that an entry of
+    its shape matches.
 
     An entry maps a tuple of cell positions (in the heap's order) to a set
     of payload tuples, the payloads at those positions; a candidate matches
@@ -455,29 +510,51 @@ def _models(h: SymbolicHeap, bounds: OracleBounds, data: list[int],
     empty entry skips nothing.  The skip is exact when the consumer adds to
     an entry only the payloads of a model whose checks all held at the
     cells those checks read (see the module docstring).
+
+    The store yielded is shared by the models of one store and must not
+    be written.  What depends on h alone is computed here, once per query
+    (see the module docstring), and every pair of segment lengths and
+    extension size goes to ``_models_skeleton``.
     """
     if h.is_false:
         return
     atoms = h.cells()
-    segs = [a for a in atoms if isinstance(a, (ListSegAtom, SortedSegAtom))]
-    n_fixed = len(atoms) - len(segs)
-    ext_max = bounds.max_extension if h.has_true() else 0
+    heads = [a.head for a in atoms]
+    # each head is forced to its atom's first cell: a nil or constant head
+    # has none, and two atoms have no cell in common
+    if (not all(isinstance(t, (PVar, LVar)) for t in heads)
+            or len(set(heads)) < len(heads)):
+        return
+    # the choice slots, end variables first, then the others; values are
+    # sorted: next/endpoint positions hold addresses, data positions hold
+    # ints, and a variable used only in pure atoms may be either
     data_vars = _data_position_vars(h)
+    slots: dict[Term, str] = {}
+    for t in (a.tail for a in atoms):
+        if isinstance(t, (PVar, LVar)) and t not in heads:
+            slots.setdefault(t, "addr")
+    for v in h.vars():
+        if v not in heads:
+            slots.setdefault(v, "data" if v in data_vars else "any")
+    seg_terms = [a.data_terms for a in atoms if not isinstance(a, NodeAtom)]
+    n_fixed = len(atoms) - len(seg_terms)
+    ext_max = bounds.max_extension if h.has_true() else 0
     check = _SatSearch(h, data, bounds.max_steps)
+    payloads: dict = {}
     count = 0
 
     for seg_lens in itertools.product(range(1, bounds.max_cells + 1),
-                                      repeat=len(segs)):
-        total = n_fixed + sum(seg_lens)
-        if total > bounds.max_cells:
+                                      repeat=len(seg_terms)):
+        if n_fixed + sum(seg_lens) > bounds.max_cells:
             continue
         for ext in range(0, ext_max + 1):
-            for m in _models_skeleton(h, atoms, seg_lens, ext, data,
-                                      data_vars, check, held):
+            for found in _models_skeleton(
+                    atoms, seg_terms, h.pure, slots, seg_lens, ext, data,
+                    check, held, payloads):
                 count += 1
                 if count > bounds.max_models:
                     raise BoundsTooLarge("model enumeration budget exhausted")
-                yield m
+                yield found
 
 
 def _data_position_vars(h: SymbolicHeap) -> set:
@@ -488,141 +565,148 @@ def _data_position_vars(h: SymbolicHeap) -> set:
             if (v := var_of(t)) is not None}
 
 
-def _seg_payloads(a, n: int, env: dict, data: list[int]) -> list[tuple]:
+def _seg_payloads(a, n: int, vals: tuple, data: list[int]) -> list[tuple]:
     """The payload tuples of an n-cell segment on a forced footprint that
-    satisfy its constraints under env, in product order."""
+    satisfy its constraints, in product order, where vals are the values
+    of its data terms (``a.data_terms``) under the store."""
     tuples: Iterator[tuple] = itertools.product(data, repeat=n)
     if isinstance(a, SortedSegAtom):
-        lo, hi = _eval(a.lo, env), _eval(a.hi, env)
+        lo, hi, *vals = vals
         if not isinstance(lo, int) or not isinstance(hi, int):
             return []
         # the nondecreasing tuples, in product order since data ascends
         tuples = itertools.combinations_with_replacement(
             [d for d in data if lo <= d < hi], n)
     need: dict[object, int] = {}
-    for k, m in a.contents.items:
-        kv = _eval(k, env)
+    for kv, (_, m) in zip(vals, a.contents.items):
         need[kv] = need.get(kv, 0) + m
+    if not need:
+        return list(tuples)
     return [t for t in tuples if all(t.count(v) >= m for v, m in need.items())]
 
 
-def _shape(store: dict, cells: Iterable, nexts: Iterable) -> tuple:
-    """What a right-side check reads of a model apart from payloads (see
-    the module docstring): the store's program variables, the cells in
-    order and their next values.  Models of one shape differ only in their
-    payloads, and a check reads those only at the cells it records."""
-    return (tuple((v, x) for v, x in store.items() if isinstance(v, PVar)),
-            tuple(cells), tuple(nexts))
+def _product(payloads: dict, data: list[int], n: int) -> list[tuple]:
+    """The n-tuples of data in product order, kept in payloads under n."""
+    ps = payloads.get(n)
+    if ps is None:
+        ps = payloads[n] = list(itertools.product(data, repeat=n))
+    return ps
 
 
-def _models_skeleton(h: SymbolicHeap, atoms: tuple, seg_lens: tuple, ext: int,
-                     data: list[int], data_vars: set, check: _SatSearch,
-                     held: dict) -> Iterator[tuple[Model, dict]]:
+def _models_skeleton(atoms: tuple, seg_terms: list[tuple], pure: tuple,
+                     slots: dict, seg_lens: tuple, ext: int, data: list[int],
+                     check: _SatSearch, held: dict, payloads: dict
+                     ) -> Iterator[tuple[Model, dict, dict, tuple]]:
+    """The models of the atoms whose segments have the given lengths and
+    that have ext extension cells, as ``_models`` yields them; seg_terms
+    holds the data terms of each segment, slots the value kind of each
+    choice variable.
+
+    Each store (one value per choice variable) is filtered, and its
+    program-variable store, the keys of its shapes and its atoms' payload
+    lists are built, once.  payloads keeps lists across the query: under
+    n the n-tuples of the data, and under (atom, length) the list of a
+    forced segment for the last values of its data terms met.  Each
+    candidate then costs its payload tuple, its match against the entries
+    of its shape, its heap and the left check."""
     # allocate canonical addresses per atom
     lens = iter(seg_lens)
-    atom_cells: list[list[tuple]] = []
+    atom_cells: list[tuple] = []
+    k = 1
     for a in atoms:
         n = 1 if isinstance(a, NodeAtom) else next(lens)
-        first = sum(map(len, atom_cells)) + 1
-        atom_cells.append([_addr(first + i) for i in range(n)])
-    cells = [c for cs in atom_cells for c in cs]
-    ext_cells = [_addr(len(cells) + 1 + i) for i in range(ext)]
+        atom_cells.append(tuple(_addr(k + i) for i in range(n)))
+        k += n
+    cells = tuple(c for cs in atom_cells for c in cs)
+    ext_cells = tuple(_addr(k + i) for i in range(ext))
     all_cells = cells + ext_cells
-
     # head variables are forced to their atom's first cell
-    env: dict[Term, object] = {}
-    for a, cs in zip(atoms, atom_cells):
-        if not isinstance(a.head, (PVar, LVar)):
-            return  # nil/const heads are inconsistent
-        if env.setdefault(a.head, cs[0]) != cs[0]:
-            return
+    env: dict[Term, object] = {a.head: cs[0] for a, cs in zip(atoms, atom_cells)}
     # A segment's walk can stop again after its own cells only where it
     # re-enters a cell that is allocated but no atom's head.
-    reentry = set(all_cells) - set(env.values())
+    reentry = set(ext_cells).union(*(cs[1:] for cs in atom_cells))
 
-    # choice slots: end vars, then remaining vars.  Values are sorted:
-    # next/endpoint positions hold addresses, data positions hold ints, and
-    # a variable used only in pure atoms may be either.
-    addr_universe = all_cells + [NIL_V, _addr(990)]  # one dangling address
-    choice_vars: list[Term] = []
-    choice_cands: list[list] = []
-    for t in (a.tail for a in atoms):
-        if isinstance(t, (PVar, LVar)) and t not in env and t not in choice_vars:
-            choice_vars.append(t)
-            choice_cands.append(addr_universe)
-    for v in h.vars():
-        if v not in env and v not in choice_vars:
-            choice_vars.append(v)
-            choice_cands.append(data if v in data_vars else data + addr_universe)
-
-    seg_terms = [t for a in atoms if not isinstance(a, NodeAtom)
-                 for t in a.data_terms]
-    wild = [(d,) for d in data]
+    addrs = list(all_cells) + [NIL_V, _addr(990)]  # one dangling address
+    ranges = {"addr": addrs, "data": data, "any": data + addrs}
     # an extension cell's next values, then its payloads
-    ext_nexts = list(itertools.product(all_cells + [NIL_V], repeat=ext))
-    ext_datas = list(itertools.product(data, repeat=ext))
+    ext_nexts = list(itertools.product(all_cells + (NIL_V,), repeat=ext))
+    ext_datas = _product(payloads, data, ext)
 
-    for var_combo in itertools.product(*choice_cands):
+    for var_combo in itertools.product(*map(ranges.__getitem__,
+                                            slots.values())):
         env1 = dict(env)
-        env1.update(zip(choice_vars, var_combo))
+        env1.update(zip(slots, var_combo))
         ends = [_eval(a.tail, env1) for a in atoms]
         # a next value is an address: an integer end (x+1, or a constant)
         # has no model, and neither has an offset from an address
         if not all(isinstance(e, tuple) for e in ends):
             continue
-        if any(_eval_pure(p, env1) is not True for p in h.pure):
+        if pure and any(_eval_pure(p, env1) is not True for p in pure):
             continue
         # a content key or bound that does not evaluate is an offset from
         # an address, which no placement of its segment satisfies
-        if any(_eval(t, env1) is None for t in seg_terms):
+        seg_vals = [tuple(_eval(t, env1) for t in ts) for ts in seg_terms]
+        if any(None in vals for vals in seg_vals):
             continue
-        nexts = [c for cs, endv in zip(atom_cells, ends)
-                 for c in cs[1:] + [endv]]
+        nexts = tuple(c for cs, endv in zip(atom_cells, ends)
+                      for c in cs[1:] + (endv,))
+        store = {v: x for v, x in env1.items() if isinstance(v, PVar)}
+        key = tuple(store.items())
         # the entries of this store's shapes still to build, one per
         # extension next; a shape leaves the list once its entry matches
         # every payload
         shapes = []
         for enx in ext_nexts:
-            entry = held.setdefault(
-                _shape(env1, all_cells, nexts + list(enx)), {})
+            entry = held.setdefault((key, all_cells, nexts + enx), {})
             if () not in entry:
                 shapes.append((enx, entry))
         if not shapes:
             continue
-        payloads: list[list[tuple]] = []
+        pay_lists: list[list[tuple]] = []
+        vals_of = iter(seg_vals)
         for a, cs, endv in zip(atoms, atom_cells, ends):
             if isinstance(a, NodeAtom):
                 if a.data is None:
-                    payloads.append(wild)
+                    pay_lists.append(_product(payloads, data, 1))
                 elif (dv := _eval(a.data, env1)) is None:
                     break
                 else:
-                    payloads.append([(dv,)])
+                    pay_lists.append([(dv,)])
             elif endv not in reentry:
-                payloads.append(_seg_payloads(a, len(cs), env1, data))
+                # stores in a row tend to give the same values
+                vals = next(vals_of)
+                kept = payloads.get((a, len(cs)))
+                if kept is None or kept[0] != vals:
+                    kept = payloads[a, len(cs)] = (
+                        vals, _seg_payloads(a, len(cs), vals, data))
+                pay_lists.append(kept[1])
             else:
-                payloads.append(list(itertools.product(data, repeat=len(cs))))
+                next(vals_of)
+                pay_lists.append(_product(payloads, data, len(cs)))
         else:
-            for pay_combo in itertools.product(*payloads):
+            for pay_combo in itertools.product(*pay_lists):
                 if not shapes:
                     break
                 pays = tuple(itertools.chain.from_iterable(pay_combo))
                 heap = None
                 for enx, entry in tuple(shapes):
                     for ed in ext_datas:
+                        cand = pays + ed
                         # a held model fixed the payloads its checks read
-                        if entry:
-                            cand = pays + ed
-                            if any(tuple(cand[i] for i in at) in seen
-                                   for at, seen in entry.items()):
-                                continue
+                        if entry and any(
+                                tuple(map(cand.__getitem__, at)) in seen
+                                for at, seen in entry.items()):
+                            continue
                         if heap is None:
                             heap = dict(zip(cells, zip(nexts, pays)))
-                        heap2 = dict(heap)
-                        heap2.update(zip(ext_cells, zip(enx, ed)))
-                        model = Model(env1, heap2)
-                        if check.run(model, allow_leftover=False):
-                            yield model, entry
+                        if ext:
+                            cand_heap = dict(heap)
+                            cand_heap.update(zip(ext_cells, zip(enx, ed)))
+                        else:
+                            cand_heap = heap
+                        model = Model(env1, cand_heap)
+                        if check.run(model, False):
+                            yield model, entry, store, cand
                             if () in entry:
                                 shapes.remove((enx, entry))
                                 break
@@ -670,20 +754,24 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
     # at the cells those checks read (see _models)
     held: dict = {}
     checked = 0
-    for m, entry in _models(lhs, bounds, data, held):
-        base_env = {v: val for v, val in m.env.items() if isinstance(v, PVar)}
-        combos = itertools.product(_universal_range(base_env, m.heap, data),
-                                   repeat=len(univ)) if univ else [()]
-        read: set = set()
-        for combo in combos:
+    for m, entry, store, pays in _models(lhs, bounds, data, held):
+        if univ:
+            read: set = set()
+            for combo in itertools.product(
+                    _universal_range(store, m.heap, data), repeat=len(univ)):
+                checked += 1
+                env2 = dict(store)
+                env2.update(zip(univ, combo))
+                if not check.run(Model(env2, m.heap), modulo_true):
+                    return OracleVerdict(False, Model(dict(m.env), m.heap),
+                                         checked)
+                read |= check.read
+        else:
             checked += 1
-            env2 = dict(base_env)
-            env2.update(zip(univ, combo))
-            if not check.run(Model(env2, m.heap), allow_leftover=modulo_true):
+            if not check.run(Model(store, m.heap), modulo_true):
                 return OracleVerdict(False, Model(dict(m.env), m.heap),
                                      checked)
-            read |= check.read
-        at = tuple(i for i, c in enumerate(m.heap) if c in read)
-        pays = tuple(d for _, d in m.heap.values())
-        entry.setdefault(at, set()).add(tuple(pays[i] for i in at))
+            read = check.read
+        at = tuple(i for i, c in enumerate(m.heap) if c in read) if read else ()
+        entry.setdefault(at, set()).add(tuple(map(pays.__getitem__, at)))
     return OracleVerdict(True, None, checked)

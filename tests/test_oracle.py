@@ -26,11 +26,12 @@ from shaperef.oracle import (
     oracle_entails,
     satisfies,
 )
+from shaperef.domains import DOMAINS, AbstractionParam, abstract
 from shaperef.heaps import Facts
 from shaperef.syntax import parse_heap as H
 from shaperef.terms import LVar, Offset, PVar
 
-from gens import random_heap
+from gens import random_heap, random_param_multiset
 
 
 def holds(l, r, **kw):
@@ -578,6 +579,38 @@ def test_oracle_answers_are_unchanged_on_random_heaps(answers):
     assert digest.hexdigest() == ORACLE_ANSWERS_SHA256
 
 
+# 3 cells, plus one extension cell for a heap with a true conjunct
+SMALL = OracleBounds(max_cells=3, max_extension=1, n_spare_data=1,
+                     max_models=4000, max_steps=200000)
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_abstraction_queries_answer_as_every_model_does(domain):
+    """The queries the analysis asks the oracle, oracle_entails(h, alpha(h)),
+    on seeded heaps: the same verdict and countermodel as a loop over every
+    model, with no more checks, and fewer on some."""
+    rng = random.Random(f"alpha-{domain}")
+    decided = skipped = 0
+    for _ in range(30):
+        with_true = rng.random() < 0.15
+        h = random_heap(rng, domain=domain, max_atoms=2 if with_true else 3,
+                        with_true=with_true, n_pure=1)
+        alpha = abstract(h, AbstractionParam(domain,
+                                             random_param_multiset(rng)))[0]
+        try:
+            holds_, counter, checked = _reference_entails(h, alpha, False,
+                                                          SMALL)
+        except BoundsTooLarge:
+            continue
+        v = oracle_entails(h, alpha, bounds=SMALL)
+        assert (v.holds, v.countermodel and v.countermodel.render()
+                ) == (holds_, counter), (str(h), str(alpha))
+        assert v.models_checked <= checked
+        decided += 1
+        skipped += v.models_checked < checked
+    assert decided >= 25 and skipped
+
+
 @pytest.mark.parametrize("text", [
     "list(x,nil)",
     "node(x,y,_) * list(y,nil,{}) * true",
@@ -635,8 +668,10 @@ def _record_checks(monkeypatch) -> list:
 
 
 def _pvar_shape(model: Model) -> tuple:
-    return oracle._shape(model.env, model.heap,
-                         (nx for nx, _ in model.heap.values()))
+    """The model's shape (see the oracle's module docstring): its program
+    variables, its cells in order and their next values."""
+    return (tuple((v, x) for v, x in model.env.items() if isinstance(v, PVar)),
+            tuple(model.heap), tuple(nx for nx, _ in model.heap.values()))
 
 
 @pytest.mark.parametrize("lhs, rhs", [
