@@ -601,6 +601,20 @@ class Facts:
 # Symbolic heaps
 # ---------------------------------------------------------------------------
 
+class _cached(cached_property):
+    """``cached_property`` without its lock: the first read computes the
+    value and writes it to the instance dict, where later reads find it
+    without calling the descriptor.  Up to Python 3.11 the lock is taken
+    on every first read.  A heap's caches are functions of its fields, so
+    two threads that raced would only compute the same value twice."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class SymbolicHeap:
     """Pure conjunction + spatial *-conjunction; logical vars existential.
@@ -629,11 +643,11 @@ class SymbolicHeap:
 
     _canonical = False  # not a field: normalize sets it per instance
 
-    @cached_property
+    @_cached
     def facts(self) -> Facts:
         return Facts(self.pure, self.spatial)
 
-    @cached_property
+    @_cached
     def _hash(self) -> int:
         return hash((self.pure, self.spatial))
 
@@ -652,7 +666,7 @@ class SymbolicHeap:
         return SymbolicHeap(tuple(p.subst(m) for p in self.pure),
                             tuple(a.subst(m) for a in self.spatial))
 
-    @cached_property
+    @_cached
     def _vars(self) -> tuple[Union[PVar, LVar], ...]:
         return tuple(dict.fromkeys(chain.from_iterable(
             a.vars() for a in chain(self.pure, self.spatial))))
@@ -664,14 +678,14 @@ class SymbolicHeap:
     def evars(self) -> list[LVar]:
         return [v for v in self.vars() if isinstance(v, LVar)]
 
-    @cached_property
+    @_cached
     def _has_true(self) -> bool:
         return any(isinstance(a, TrueAtom) for a in self.spatial)
 
     def has_true(self) -> bool:
         return self._has_true
 
-    @cached_property
+    @_cached
     def _cells(self) -> tuple[Spatial, ...]:
         return tuple(a for a in self.spatial if not isinstance(a, TrueAtom))
 
@@ -679,7 +693,7 @@ class SymbolicHeap:
         """Spatial atoms other than true."""
         return self._cells
 
-    @cached_property
+    @_cached
     def _str(self) -> str:
         sp = "*".join(str(a) for a in self.spatial) if self.spatial else "emp"
         if not self.pure:

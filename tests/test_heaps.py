@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
+import pickle
 import random
 from dataclasses import fields
 
@@ -350,6 +352,39 @@ def test_kept_keys_equal_a_fresh_computation(domain):
         assert h.cells() == tuple(a for a in h.spatial
                                   if not isinstance(a, TrueAtom))
         assert h.has_true() == (TRUE_SPATIAL in h.spatial)
+
+
+# what a heap keeps in its instance dict, each read through its public name
+_HEAP_CACHES = {"facts": lambda h: h.facts, "_hash": hash, "_vars": SymbolicHeap.vars,
+                "_cells": SymbolicHeap.cells, "_has_true": SymbolicHeap.has_true,
+                "_str": str}
+
+
+def test_a_heap_computes_each_cache_once_and_copies_none(monkeypatch):
+    computed = []
+
+    def counting(name, compute):
+        def count(h):
+            computed.append(name)
+            return compute(h)
+        return count
+
+    for name in _HEAP_CACHES:
+        kept = SymbolicHeap.__dict__[name]
+        monkeypatch.setattr(kept, "func", counting(name, kept.func))
+    parsed = H("d<=e /\\ node(x,y',{d})*list(y',nil,{d:1})*true")
+    h = SymbolicHeap(parsed.pure, parsed.spatial)  # nothing kept yet
+    for _ in range(2):
+        for read in _HEAP_CACHES.values():
+            read(h)
+    assert sorted(computed) == sorted(_HEAP_CACHES)
+    n = normalize(h)
+    for read in _HEAP_CACHES.values():
+        read(n)
+    assert {*_HEAP_CACHES, "_canonical"} <= vars(n).keys()
+    for c in (copy.copy(n), copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
+        # a copy is rebuilt from the two fields alone
+        assert c == n and vars(c).keys() == {"pure", "spatial"}
 
 
 def test_a_substitution_that_misses_an_atom_returns_it():
