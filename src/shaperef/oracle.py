@@ -244,8 +244,8 @@ class _SatSearch:
     a sorted segment or of a segment with contents.  Nothing else reads a
     payload: a walk collects cells, and only those checks look up their
     payloads.  So ``run`` on a model of the same shape (see the module
-    docstring) with the same payloads at those cells makes the same search, with the same
-    verdict and steps.
+    docstring) with the same payloads at those cells makes the same
+    search, with the same verdict and steps.
     """
 
     def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
@@ -621,7 +621,8 @@ def _models_skeleton(atoms: tuple, seg_terms: list[tuple], pure: tuple,
     ext_cells = tuple(_addr(k + i) for i in range(ext))
     all_cells = cells + ext_cells
     # head variables are forced to their atom's first cell
-    env: dict[Term, object] = {a.head: cs[0] for a, cs in zip(atoms, atom_cells)}
+    env: dict[Term, object] = {a.head: cs[0]
+                               for a, cs in zip(atoms, atom_cells)}
     # A segment's walk can stop again after its own cells only where it
     # re-enters a cell that is allocated but no atom's head.
     reentry = set(ext_cells).union(*(cs[1:] for cs in atom_cells))
@@ -680,7 +681,7 @@ def _models_skeleton(atoms: tuple, seg_terms: list[tuple], pure: tuple,
                     kept = payloads[a, len(cs)] = (
                         vals, _seg_payloads(a, len(cs), vals, data))
                 pay_lists.append(kept[1])
-            else:
+            else:  # any payload: the walk may take other cells
                 next(vals_of)
                 pay_lists.append(_product(payloads, data, len(cs)))
         else:
@@ -705,7 +706,7 @@ def _models_skeleton(atoms: tuple, seg_terms: list[tuple], pure: tuple,
                         else:
                             cand_heap = heap
                         model = Model(env1, cand_heap)
-                        if check.run(model, False):
+                        if check.run(model, allow_leftover=False):
                             yield model, entry, store, cand
                             if () in entry:
                                 shapes.remove((enx, entry))
@@ -755,23 +756,19 @@ def oracle_entails(lhs: SymbolicHeap, rhs: SymbolicHeap,
     held: dict = {}
     checked = 0
     for m, entry, store, pays in _models(lhs, bounds, data, held):
-        if univ:
-            read: set = set()
-            for combo in itertools.product(
-                    _universal_range(store, m.heap, data), repeat=len(univ)):
-                checked += 1
-                env2 = dict(store)
-                env2.update(zip(univ, combo))
-                if not check.run(Model(env2, m.heap), modulo_true):
-                    return OracleVerdict(False, Model(dict(m.env), m.heap),
-                                         checked)
-                read |= check.read
-        else:
+        # one right-side store per valuation of the universal variables;
+        # without any, the model's own, which no check writes to
+        stores = ({**store, **dict(zip(univ, combo))}
+                  for combo in itertools.product(
+                      _universal_range(store, m.heap, data), repeat=len(univ))
+                  ) if univ else (store,)
+        read: set = set()
+        for env in stores:
             checked += 1
-            if not check.run(Model(store, m.heap), modulo_true):
+            if not check.run(Model(env, m.heap), modulo_true):
                 return OracleVerdict(False, Model(dict(m.env), m.heap),
                                      checked)
-            read = check.read
-        at = tuple(i for i, c in enumerate(m.heap) if c in read) if read else ()
+            read |= check.read
+        at = tuple(i for i, c in enumerate(m.heap) if c in read)
         entry.setdefault(at, set()).add(tuple(map(pays.__getitem__, at)))
     return OracleVerdict(True, None, checked)

@@ -355,9 +355,9 @@ def test_kept_keys_equal_a_fresh_computation(domain):
 
 
 # what a heap keeps in its instance dict, each read through its public name
-_HEAP_CACHES = {"facts": lambda h: h.facts, "_hash": hash, "_vars": SymbolicHeap.vars,
-                "_cells": SymbolicHeap.cells, "_has_true": SymbolicHeap.has_true,
-                "_str": str}
+_HEAP_CACHES = {"facts": lambda h: h.facts, "_hash": hash,
+                "_vars": SymbolicHeap.vars, "_cells": SymbolicHeap.cells,
+                "_has_true": SymbolicHeap.has_true, "_str": str}
 
 
 def test_a_heap_computes_each_cache_once_and_copies_none(monkeypatch):
