@@ -21,6 +21,15 @@ Grammar (ID, INT and whitespace as in ``shaperef.lang``):
 Its own tokens: LVAR is ``ID'``, a logical variable (a plain ID is a
 program variable); SINT is an INT with an optional "-"; "/\\" joins the
 parts of a heap; "_", the unknown payload, is an ID everywhere else.
+
+The heap rule is decided before each part is read, from at most its first
+two tokens, and never by backtracking.  ``true`` starts a pure atom only
+where "/\\" follows it; ``emp``, ``node``, ``list`` and ``slseg`` start a
+spatial atom unless a relation or an offset's "+" follows, where they name
+a variable; the end of input starts a spatial part, so an empty part is a
+missing spatial atom.  Any other token starts a pure atom, which "/\\" or
+the end of input must follow.  So an error is reported in the part that
+the first tokens chose.
 """
 
 from __future__ import annotations
@@ -50,6 +59,8 @@ from .heaps import (
     SymbolicHeap,
     TRUE_SPATIAL,
 )
+
+__all__ = ["ParseError", "parse_heap", "parse_term"]
 
 
 class _Parser(Cursor):
@@ -92,18 +103,6 @@ class _Parser(Cursor):
             self.fail("expected a relation")
         op = self.next().kind
         return PureAtom(op, lhs, self.term())
-
-    def comparison_ahead(self) -> bool:
-        """Does the next part start with a term and a relation, or with a
-        term that is wrong past its first token (such as ``nil+1``)?"""
-        save = self.pos
-        try:
-            self.term()
-            return self.peek().kind in _PURE_OPS
-        except ParseError:
-            return self.pos > save
-        finally:
-            self.pos = save
 
     # -- spatial ---------------------------------------------------------------
 
@@ -168,43 +167,34 @@ class _Parser(Cursor):
 
     # -- heaps -----------------------------------------------------------------
 
+    def spatial_ahead(self) -> bool:
+        """Does the next part of the heap start with a spatial atom?  Read
+        from at most two tokens, by the rule of the module docstring."""
+        t = self.peek()
+        if t.kind == "eof":
+            return True  # an empty part is a missing spatial atom
+        if t.text == "true":
+            return self.peek(1).kind != "/\\"
+        # a relation or an offset's "+" makes the word a term
+        return (t.text in ("emp", "node", "list", "slseg")
+                and self.peek(1).kind not in ("+", *_PURE_OPS))
+
     def heap(self) -> SymbolicHeap:
         pure: list[PureAtom] = []
+        while not self.spatial_ahead():
+            pure.append(self.pure_atom())
+            if self.peek().kind == "eof":
+                # heap made of pure atoms only (lenient: implicit emp)
+                return SymbolicHeap(tuple(pure), ())
+            self.expect("/\\", "'/\\' or end of heap")
         spatial: list[Spatial] = []
-        while True:
-            save = self.pos
-            # a part is pure if it parses as a pure atom followed by /\;
-            # past a term and a relation, its errors are the pure atom's
-            committed = self.comparison_ahead()
-            try:
-                p = self.pure_atom()
-                if self.peek().kind == "/\\":
-                    self.next()
-                    pure.append(p)
-                    continue
-                if self.peek().kind == "eof":
-                    if p == TRUE_ATOM:
-                        # a trailing bare "true" is the arbitrary-heap atom
-                        return SymbolicHeap(tuple(pure), (TRUE_SPATIAL,))
-                    # heap made of pure atoms only (lenient: implicit emp)
-                    pure.append(p)
-                    return SymbolicHeap(tuple(pure), ())
-                if committed:
-                    self.fail("expected '/\\' or end of heap")
-            except ParseError:
-                if committed:
-                    raise
-            self.pos = save
-            break
         while True:
             a = self.spatial_atom()
             if a is not None:
                 spatial.append(a)
-            if self.peek().kind == "*":
-                self.next()
-                continue
-            break
-        return SymbolicHeap(tuple(pure), tuple(spatial))
+            if self.peek().kind != "*":
+                return SymbolicHeap(tuple(pure), tuple(spatial))
+            self.next()
 
 
 def _parse(text: str, rule, what: str):

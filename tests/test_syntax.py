@@ -7,9 +7,10 @@ import random
 import pytest
 
 from shaperef import lang
-from shaperef.heaps import normalize
+from shaperef.heaps import ListSegAtom, NodeAtom, TRUE_SPATIAL, normalize
 from shaperef.syntax import ParseError, parse_heap, parse_term
-from shaperef.terms import PVar
+from shaperef.terms import (Const, Multiset, NIL, PVar, PureAtom, TRUE_ATOM,
+                            shifted)
 
 from gens import random_heap
 
@@ -78,6 +79,10 @@ def test_parse_term_forms():
     "node(nil+1,nil,_)",
     "slseg(x,nil,[nil+1,3))",
     "nil+1=x /\\ emp",
+    "",                     # an empty heap
+    "x=1 /\\ ",             # an empty part after /\
+    "x /\\ emp",            # a pure part with no relation
+    "false * node(x,nil,_)",  # a pure atom joined by *
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError) as info:
@@ -100,7 +105,31 @@ ERROR_POSITIONS = {
     "node(nil+1,nil,_)": (1, 9),
     "slseg(x,nil,[nil+1,3))": (1, 17),
     "nil+1=x /\\ emp": (1, 4),
+    "": (1, 1),
+    "x=1 /\\ ": (1, 8),
+    "x /\\ emp": (1, 3),
+    "false * node(x,nil,_)": (1, 7),
 }
+
+
+@pytest.mark.parametrize("text, pure, spatial", [
+    # a keyword followed by a relation or an offset names a variable
+    ("node=1 /\\ node(node,nil,_)",
+     (PureAtom("=", PVar("node"), Const(1)),),
+     (NodeAtom(PVar("node"), NIL, None),)),
+    ("emp=2 /\\ emp", (PureAtom("=", PVar("emp"), Const(2)),), ()),
+    ("list+1<=x /\\ list(list,nil)",
+     (PureAtom("<=", shifted(PVar("list"), 1), PVar("x")),),
+     (ListSegAtom(PVar("list"), NIL, Multiset()),)),
+    # true is pure only where /\ follows it
+    ("true /\\ true", (TRUE_ATOM,), (TRUE_SPATIAL,)),
+    ("true * node(x,nil,_)", (),
+     (TRUE_SPATIAL, NodeAtom(PVar("x"), NIL, None))),
+])
+def test_the_heap_parser_decides_each_part_from_its_first_tokens(
+        text, pure, spatial):
+    h = parse_heap(text)
+    assert (h.pure, h.spatial) == (pure, spatial)
 
 
 def test_parse_error_positions_count_lines():
