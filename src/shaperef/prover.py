@@ -96,6 +96,12 @@ leaf.  A case split succeeds only if each consistent case reaches a leaf,
 so it builds every case first and fails at once when a consistent case
 exceeds the budget.  Frame inference, abduction and entailment modulo
 true may leave left atoms over, and search as before.
+
+The three operations read one outcome rule off the search (``_leaves``):
+no leaf means "no", so entails does not hold, frame_infer returns no
+frame and abduce returns [false]; a search that exhausts its step budget
+raises BudgetExceeded, which means "unknown" in all three and never
+becomes a verdict.
 """
 
 from __future__ import annotations
@@ -914,11 +920,20 @@ def _invert_instantiation(leaf: _Leaf, renaming: dict[LVar, LVar],
     return out, render
 
 
-# A search raises ValueError when it needs the value of an offset of nil,
-# such as ``rep(x+1)`` where the left side has x = nil: ``shifted`` builds
-# no such term.  An offset of an address has no value, so no proof can use
-# it, and the query answers "no" as the oracle does: entails does not
-# hold, frame_infer finds no frame and abduce gives [false].
+def _leaves(st: _Search, first: bool = False) -> list[_Leaf]:
+    """The leaves of the search, in order, or with ``first`` the first one
+    only; none where the search needs a term that has no value.
+
+    A search raises ValueError when it needs the value of an offset of nil,
+    such as ``rep(x+1)`` where the left side has x = nil: ``shifted`` builds
+    no such term.  An offset of an address has no value, so no proof can use
+    it, and the query answers "no" as the oracle does.  BudgetExceeded is
+    not caught: it means "unknown", not "no" (see the module docstring)."""
+    try:
+        return list(itertools.islice(st.run(), 1 if first else None))
+    except ValueError:
+        return []
+
 
 def entails(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
             modulo_true: bool = False) -> ProofOutcome:
@@ -935,13 +950,10 @@ def entails(lhs: SymbolicHeap, rhs: SymbolicHeap, *,
     if len(lhs.cells()) == len(rhs.cells()) and lhs == normalize(rhs):
         return ProofOutcome(True)
     st = _Search(lhs, rhs, "entails", modulo_true)
-    try:
-        leaf = next(st.run(), None)
-    except ValueError:  # a term it needs has no value
-        leaf = None
-    if leaf is None:
+    leaves = _leaves(st, first=True)
+    if not leaves:
         return ProofOutcome(False)
-    inst, _ = _invert_instantiation(leaf, st.renaming, lhs.vars())
+    inst, _ = _invert_instantiation(leaves[0], st.renaming, lhs.vars())
     return ProofOutcome(True, instantiation=inst)
 
 
@@ -956,13 +968,10 @@ def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[ProofOutcome]:
     if lhs.is_false:
         return [ProofOutcome(True, frame=FALSE_HEAP)]
     st = _Search(lhs, rhs, "frame", False)
-    try:  # every leaf, or none: the outcomes must cover the left side
-        leaves = list(st.run())
-    except ValueError:  # a term it needs has no value
-        return []
     outcomes: list[ProofOutcome] = []
     seen: set[tuple[SymbolicHeap, frozenset]] = set()
-    for leaf in leaves:
+    # every leaf, or none: the outcomes must cover the left side
+    for leaf in _leaves(st):
         inst, render = _invert_instantiation(leaf, st.renaming, lhs.vars())
         frame = SymbolicHeap(leaf.extra_pure, leaf.leftover)
         if render:
@@ -980,7 +989,8 @@ def frame_infer(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[ProofOutcome]:
 
 def abduce(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[SymbolicHeap]:
     """Find anti-frames A with lhs * A |- rhs * true and lhs * A
-    consistent.  Falls back to [false] when nothing consistent works.
+    consistent.  Falls back to [false] when nothing consistent works, and
+    raises BudgetExceeded when a search exhausts its budget.
 
     Every returned candidate has been re-checked against the entailment;
     the list is deterministic and duplicate-free.
@@ -1008,12 +1018,8 @@ def _proposals(lhs: SymbolicHeap, rhs: SymbolicHeap) -> list[SymbolicHeap]:
     consistent lhs, in the order it finds them, before any re-check."""
     st = _Search(lhs, rhs, "abduce", True)
     inverse = {v: k for k, v in st.renaming.items() if v is not k}
-    try:
-        leaves = list(st.run())
-    except (BudgetExceeded, ValueError):  # ValueError: see above entails
-        leaves = []
     proposals: dict[SymbolicHeap, None] = {}
-    for leaf in leaves:
+    for leaf in _leaves(st):
         # unbound existentials keep their original right-hand names; the
         # residue is already instantiated (_finish)
         unbound = {v: k for v, k in inverse.items() if v not in leaf.theta}
