@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .terms import (Const, LVar, NilTerm, Offset, PVar, PureAtom,
                     Term, var_of)
@@ -223,9 +223,11 @@ def _data_universe(*heaps: SymbolicHeap, n_spare: int = 2) -> list[int]:
 class _SatSearch:
     """Satisfaction of one formula, checked against one model at a time.
 
-    What depends on the formula alone (its cells and the payload check of
-    each segment, spatial true, variables and data universe) is computed once;
-    ``run`` does the per-model search.
+    What depends on the formula alone (its cells, spatial true, variables
+    and data universe) is computed once; ``run`` does the per-model search.
+    A universe not handed in is built where a search first reads it: at a
+    sorted segment's unbound bound, or at a variable the spatial part
+    leaves free.
 
     Stores are shared, never written: a routine copies a store before it
     binds a variable into it, and never writes to a store it received.  So
@@ -248,22 +250,22 @@ class _SatSearch:
     search, with the same verdict and steps.
     """
 
-    def __init__(self, h: SymbolicHeap, universe_data: list[int], max_steps: int):
-        # each cell, and the check of a segment's payloads, picked once per
-        # formula (None for a node).  The checks are plain functions, called
-        # with the search: a bound method kept here would make the search a
-        # reference cycle.
+    def __init__(self, h: SymbolicHeap,
+                 universe_data: Union[list[int], Callable[[], list[int]]],
+                 max_steps: int):
+        # universe_data is the data universe, or a function that builds it
+        # where the search first reads it (``_data``)
         self.atoms = h.cells()
-        self.checks = tuple(
-            None if isinstance(a, NodeAtom)
-            else _SatSearch._sorted_check if isinstance(a, SortedSegAtom)
-            else _SatSearch._contents_check
-            for a in self.atoms)
         self.has_true = h.has_true()
         self.vars = h.vars()
         self.pure = h.pure
         self.data = universe_data
         self.max_steps = max_steps
+
+    def _data(self) -> list[int]:
+        if callable(self.data):
+            self.data = self.data()
+        return self.data
 
     def _tick(self) -> None:
         # inlined in the placement and the payload checks, which run hot
@@ -287,9 +289,9 @@ class _SatSearch:
             raise BoundsTooLarge(_EXHAUSTED)
         if i == len(self.atoms):
             return self._finish_pure(env, used, cover_all)
-        a, check = self.atoms[i], self.checks[i]
-        for env2, cells in (self._place_node(a, env) if check is None
-                            else self._place_seg(a, check, env)):
+        a = self.atoms[i]
+        for env2, cells in (self._place_node(a, env) if type(a) is NodeAtom
+                            else self._place_seg(a, env)):
             if used.isdisjoint(cells) and self._place(
                     i + 1, env2, used.union(cells), cover_all):
                 return True
@@ -320,9 +322,10 @@ class _SatSearch:
             if env2 is not None:
                 yield env2, (v,)
 
-    def _place_seg(self, a, check, env: dict) -> Iterator[tuple[dict, list]]:
+    def _place_seg(self, a, env: dict) -> Iterator[tuple[dict, list]]:
         heap = self.heap
         counted = bool(a.contents.items)
+        ordered = type(a) is SortedSegAtom
         for v, env0 in self._head_candidates(a.src, env):
             self.steps -= 1
             if self.steps <= 0:
@@ -332,9 +335,12 @@ class _SatSearch:
             # walk the chain, proposing each stop point.  The cells, and
             # for a segment with contents the count of each payload among
             # them, grow in place once every placement of the shorter
-            # segment was tried.
+            # segment was tried; so do, for a sorted segment, the first
+            # payload and the last, which is None once the payloads so far
+            # do not ascend as integers.
             cells: list = []
             freq: dict[object, int] = {}
+            first = last = None
             cur = v
             # the end's value, where the store fixes it: then a stop binds
             # nothing, and _bind need not be asked at each cell
@@ -348,31 +354,39 @@ class _SatSearch:
                     else:
                         env2 = env0 if cur == end else None
                     if env2 is not None:
-                        yield from check(self, a, env2, cells, freq)
+                        yield from (
+                            self._sorted_check(a, env2, cells, freq, first,
+                                               last) if ordered
+                            else self._contents_check(a, env2, cells, freq))
                 if cur not in heap or cur in cells:
                     break
                 cells.append(cur)
                 cur, d = heap[cur]
                 if counted:
                     freq[d] = freq.get(d, 0) + 1
+                if ordered:
+                    if len(cells) == 1:
+                        first = last = d if isinstance(d, int) else None
+                    elif last is not None:
+                        last = d if isinstance(d, int) and d >= last else None
                 self.steps -= 1
                 if self.steps <= 0:
                     raise BoundsTooLarge(_EXHAUSTED)
 
     def _sorted_check(self, a: SortedSegAtom, env: dict, cells: list,
-                      freq: dict) -> Iterator[tuple[dict, list]]:
+                      freq: dict, first: Optional[int], last: Optional[int],
+                      ) -> Iterator[tuple[dict, list]]:
+        """The stores under which the payloads of cells, which ascend from
+        first to last unless last is None, lie in a's interval and cover
+        a's contents."""
         self.read.update(cells)
-        datas = [self.heap[c][1] for c in cells]
-        if any(not isinstance(d, int) for d in datas):
-            return
-        if any(datas[i] > datas[i + 1] for i in range(len(datas) - 1)):
-            return
-        # the payloads ascend: the first is the least, the last the greatest
-        for lo_v, env1 in self._bound_candidates(a.lo, env, datas[0]):
-            if lo_v > datas[0]:
+        if last is None:
+            return  # the payloads do not ascend as integers
+        for lo_v, env1 in self._bound_candidates(a.lo, env, first):
+            if lo_v > first:
                 continue
-            for hi_v, env2 in self._bound_candidates(a.hi, env1, datas[-1] + 1):
-                if hi_v <= datas[-1]:
+            for hi_v, env2 in self._bound_candidates(a.hi, env1, last + 1):
+                if hi_v <= last:
                     continue
                 yield from self._contents_check(a, env2, cells, freq)
 
@@ -384,7 +398,7 @@ class _SatSearch:
         if x is None or x in env:
             cands: Iterable = (_eval(t, env),)
         else:
-            cands = sorted(set(self.data) | {natural})
+            cands = sorted(set(self._data()) | {natural})
         for c in cands:
             if isinstance(c, int) and (env2 := _bind(t, c, env)) is not None:
                 yield c, env2
@@ -436,15 +450,9 @@ class _SatSearch:
             return all(_eval_pure(p, env) for p in self.pure)
         if len(free) > 4:
             raise BoundsTooLarge("too many unconstrained variables")
-        if not self.pure:  # the first assignment holds, at one step
-            self._tick()
-            return True
         # dangling addresses reachable only through the store still belong
         # to the existential universe of the pure part
-        addrs = set(self.heap) | {NIL_V}
-        addrs.update(nx for nx, _ in self.heap.values() if isinstance(nx, tuple))
-        addrs.update(v for v in self.model.env.values() if isinstance(v, tuple))
-        universe = sorted(addrs) + list(self.data)
+        universe = sorted(_addresses(self.model.env, self.heap)) + self._data()
         for combo in itertools.product(universe, repeat=len(free)):
             self._tick()
             env2 = dict(env)
@@ -454,12 +462,22 @@ class _SatSearch:
         return False
 
 
+def _addresses(store: dict, heap: dict) -> set:
+    """The addresses of a model with this store and heap: its cells, nil,
+    and each address in the store or in a next field."""
+    addrs = {NIL_V, *heap}
+    addrs.update(v for v in store.values() if isinstance(v, tuple))
+    addrs.update(nx for nx, _ in heap.values() if isinstance(nx, tuple))
+    return addrs
+
+
 def satisfies(model: Model, h: SymbolicHeap, bounds: Optional[OracleBounds] = None,
               allow_leftover: bool = False,
               extra_data: Optional[list[int]] = None) -> bool:
     """Does the model satisfy h (with h's unassigned variables existential)?"""
     bounds = bounds or OracleBounds()
-    data = extra_data if extra_data is not None else _data_universe(h, n_spare=bounds.n_spare_data)
+    data = extra_data if extra_data is not None else (
+        lambda: _data_universe(h, n_spare=bounds.n_spare_data))
     return _SatSearch(h, data, bounds.max_steps).run(model, allow_leftover)
 
 
@@ -720,12 +738,9 @@ def _models_skeleton(atoms: tuple, seg_terms: list[tuple], pure: tuple,
 def _universal_range(store: dict, heap: dict, data: list[int]) -> list:
     """The values a universal variable of the right side takes against a
     left model with this store (its program variables) and heap: every
-    address of the model (its cells, nil, and each address in the store
-    or in a next field), one fresh address standing for all the others,
+    address of the model, one fresh address standing for all the others,
     then the data.  All of it is read off the model's shape."""
-    addrs = {NIL_V, *heap}
-    addrs.update(v for v in store.values() if isinstance(v, tuple))
-    addrs.update(nx for nx, _ in heap.values())  # a next value is an address
+    addrs = _addresses(store, heap)
     fresh = _addr(max(k for _, k in addrs) + 1)
     return sorted(addrs) + [fresh] + data
 
