@@ -108,13 +108,12 @@ def measure(h: SymbolicHeap) -> tuple[int, int]:
     """Termination measure: (cell/segment atom count, total multiset mass).
 
     Spatial true does not count as an atom (the garbage rules trade an
-    atom for true); mass counts segment contents plus one per known node
-    payload, i.e. the mass the heap would carry with nothing projected
-    away.
+    atom for true), so the count is the heap's cells.  The mass is the sum
+    of the atoms' masses, which each atom sets as it is interned: segment
+    contents plus one per known node payload, i.e. the mass the heap would
+    carry with nothing projected away.
     """
-    atoms = sum(1 for a in h.spatial if not isinstance(a, TrueAtom))
-    mass = sum(atom_contents(a).total() for a in h.spatial)
-    return (atoms, mass)
+    return (len(h.cells()), sum(a.mass for a in h.spatial))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,7 @@ def _beyond(occ: Counter, x: LVar, atoms: tuple[Spatial, ...],
     """Whether x occurs in the heap that ``occ`` counts outside ``atoms``
     (spatial atoms of the heap, at distinct positions), or in one of
     ``terms``."""
-    inside = sum(var_of(t) is x for a in atoms
-                 for t in (a.head, a.tail, *a.data_terms))
+    inside = sum(a.vars().count(x) for a in atoms)
     return occ[x] > inside or any(var_of(t) is x for t in terms)
 
 

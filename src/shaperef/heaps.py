@@ -20,8 +20,9 @@ Spatial atoms:
 Segments are nonempty: their source address is allocated.  This is what
 makes rearrangement work (a segment head can always be materialized).
 
-Each atom states once which of its terms sit in which position, and every
-walk over an atom's terms reads these positions rather than its kind:
+Each atom states once, as it is interned, which of its terms sit in which
+position, and every walk over an atom's terms reads these positions rather
+than its kind:
 
   * ``head``       -- the allocated address: a of node, list and slseg;
   * ``tail``       -- the outgoing address: n of node, b of list and slseg;
@@ -36,9 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .terms import (
@@ -54,6 +53,7 @@ from .terms import (
     FALSE_ATOM,
     TRUE_ATOM,
     _Interned,
+    _cached,
     base_of,
     shifted,
     subst_term,
@@ -67,16 +67,31 @@ from .terms import (
 # ---------------------------------------------------------------------------
 
 class _Positions:
-    """The term positions of a spatial atom (see the module docstring);
-    the defaults are those of ``true``.  Atoms are interned (see
-    :mod:`shaperef.terms`), and each keeps its rendering, its variables
-    and its closure evidence."""
+    """The term positions of a spatial atom (see the module docstring) and
+    its mass: one per known node payload, and the total of a segment's
+    contents, which :func:`shaperef.domains.measure` sums.  Atoms are
+    interned (see :class:`shaperef.terms._Interned`): each atom but
+    ``true`` sets its positions and mass as instance attributes once, as
+    it is interned, and the class defaults are those of ``true``.  Its
+    rendering, its variables and its closure evidence it computes when
+    first read."""
 
     head: Optional[Term] = None
     tail: Optional[Term] = None
     data_terms: tuple[Term, ...] = ()
+    mass: int = 0
 
-    @cached_property
+    def _set_positions(self, head: Term, tail: Term,
+                       data_terms: tuple[Term, ...], mass: int) -> None:
+        # set one by one, not through __dict__, which would give each atom
+        # a dict of its own where its class shares one layout
+        put = object.__setattr__
+        put(self, "head", head)
+        put(self, "tail", tail)
+        put(self, "data_terms", data_terms)
+        put(self, "mass", mass)
+
+    @_cached
     def _closure(self) -> tuple:
         """What :class:`Facts` reads of the atom: its head, the bases of
         its head and tail, the bases of its data terms, its order edges
@@ -93,7 +108,7 @@ class _Positions:
     def _order_edges(self) -> tuple[tuple[Term, Term, int], ...]:
         return ()
 
-    @cached_property
+    @_cached
     def _vars(self) -> tuple[Union[PVar, LVar], ...]:
         return tuple(v for v in map(var_of, (self.head, self.tail,
                                              *self.data_terms))
@@ -127,18 +142,17 @@ class NodeAtom(_Interned, _Positions):
         key = (at, nxt, data)
         return cls._table.get(key) or cls._add(key, *key)
 
-    head = property(attrgetter("at"))
-    tail = property(attrgetter("nxt"))
-
-    @property
-    def data_terms(self) -> tuple[Term, ...]:
-        return () if self.data is None else (self.data,)
+    def _derive(self) -> None:
+        if self.data is None:
+            self._set_positions(self.at, self.nxt, (), 0)
+        else:
+            self._set_positions(self.at, self.nxt, (self.data,), 1)
 
     def _subst(self, m: dict[Term, Term]) -> "NodeAtom":
         d = None if self.data is None else subst_term(self.data, m)
         return NodeAtom(subst_term(self.at, m), subst_term(self.nxt, m), d)
 
-    @cached_property
+    @_cached
     def _str(self) -> str:
         p = "_" if self.data is None else "{%s}" % self.data
         return f"node({self.at},{self.nxt},{p})"
@@ -157,18 +171,15 @@ class ListSegAtom(_Interned, _Positions):
         key = (src, dst, contents)
         return cls._table.get(key) or cls._add(key, *key)
 
-    head = property(attrgetter("src"))
-    tail = property(attrgetter("dst"))
-
-    @property
-    def data_terms(self) -> tuple[Term, ...]:
-        return self.contents.keys()
+    def _derive(self) -> None:
+        ms = self.contents
+        self._set_positions(self.src, self.dst, ms.keys(), ms.total())
 
     def _subst(self, m: dict[Term, Term]) -> "ListSegAtom":
         return ListSegAtom(subst_term(self.src, m), subst_term(self.dst, m),
                            self.contents.subst(m))
 
-    @cached_property
+    @_cached
     def _str(self) -> str:
         if self.contents.is_empty():
             return f"list({self.src},{self.dst})"
@@ -195,12 +206,10 @@ class SortedSegAtom(_Interned, _Positions):
         key = (src, dst, lo, hi, contents)
         return cls._table.get(key) or cls._add(key, *key)
 
-    head = property(attrgetter("src"))
-    tail = property(attrgetter("dst"))
-
-    @property
-    def data_terms(self) -> tuple[Term, ...]:
-        return (self.lo, self.hi) + self.contents.keys()
+    def _derive(self) -> None:
+        ms = self.contents
+        self._set_positions(self.src, self.dst, (self.lo, self.hi) + ms.keys(),
+                            ms.total())
 
     def _order_edges(self) -> tuple[tuple[Term, Term, int], ...]:
         # lo < hi, and lo <= k < hi for every content key k
@@ -213,7 +222,7 @@ class SortedSegAtom(_Interned, _Positions):
                              subst_term(self.lo, m), subst_term(self.hi, m),
                              self.contents.subst(m))
 
-    @cached_property
+    @_cached
     def _str(self) -> str:
         core = f"slseg({self.src},{self.dst},[{self.lo},{self.hi})"
         if self.contents.is_empty():
@@ -600,20 +609,6 @@ class Facts:
 # ---------------------------------------------------------------------------
 # Symbolic heaps
 # ---------------------------------------------------------------------------
-
-class _cached(cached_property):
-    """``cached_property`` without its lock: the first read computes the
-    value and writes it to the instance dict, where later reads find it
-    without calling the descriptor.  Up to Python 3.11 the lock is taken
-    on every first read.  A heap's caches are functions of its fields, so
-    two threads that raced would only compute the same value twice."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
-
 
 @dataclass(frozen=True)
 class SymbolicHeap:

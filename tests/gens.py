@@ -9,6 +9,7 @@ small pool of data terms.
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 from shaperef.terms import Const, LVar, Multiset, NIL, PVar, PureAtom
 from shaperef.heaps import (
@@ -394,3 +395,44 @@ def count_variable_lookups(monkeypatch) -> list[int]:
         if hasattr(module, "var_of"):
             monkeypatch.setattr(module, "var_of", counting)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# What interning sets
+# ---------------------------------------------------------------------------
+
+def set_at_interning(obj) -> dict:
+    """What interning sets on an interned object beside its fields, in
+    order, by a walk of the fields: a spatial atom's head, tail, data
+    terms (contents as their keys, a wild payload as none) and mass (the
+    contents' multiplicities, and one for a known payload); a multiset's
+    keys and total; nothing for terms, pure atoms and true."""
+    if isinstance(obj, Multiset):
+        return {"_keys": tuple(t for t, _ in obj.items),
+                "_total": sum(n for _, n in obj.items)}
+    if not isinstance(obj, (NodeAtom, ListSegAtom, SortedSegAtom)):
+        return {}
+    terms, mass = [], 0
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, Multiset):
+            terms += [t for t, _ in v.items]
+            mass += sum(n for _, n in v.items)
+        elif v is not None:
+            terms.append(v)
+            mass += f.name == "data"
+    return {"head": terms[0], "tail": terms[1],
+            "data_terms": tuple(terms[2:]), "mass": mass}
+
+
+def interned_anew(obj, build):
+    """``build(obj)`` with obj's entry out of its class's table, so that
+    build makes a new object of obj's value the way a fresh process would;
+    obj is back in the table afterwards."""
+    values = obj._values()
+    table, key = type(obj)._table, values[0] if len(values) == 1 else values
+    assert table.pop(key) is obj
+    try:
+        return build(obj)
+    finally:
+        table[key] = obj

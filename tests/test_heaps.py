@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import hashlib
 import pickle
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 
 from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, NIL, PVar,
-                            PureAtom, eq, leq, lt, neq, shifted, term_sort_key,
-                            var_of)
+                            PureAtom, _cached, eq, leq, lt, neq, shifted,
+                            term_sort_key, var_of)
 from shaperef.heaps import (
     FALSE_HEAP,
     Facts,
@@ -26,14 +28,14 @@ from shaperef.heaps import (
     normalize,
     star,
 )
-from shaperef import domains, heaps, prover
+from shaperef import domains, heaps, prover, terms
 from shaperef.domains import DOMAINS, AbstractionParam, abstract
 from shaperef.oracle import OracleBounds, models, satisfies
 from shaperef.syntax import parse_heap as H
 
 import gens
-from gens import (ADDR_PVARS, DATA_TERMS, _random_atom, random_heap,
-                  random_param_multiset)
+from gens import (ADDR_PVARS, DATA_TERMS, _random_atom, interned_anew,
+                  random_heap, random_param_multiset, set_at_interning)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +399,20 @@ def test_a_substitution_that_misses_an_atom_returns_it():
         PVar("x"), LVar("u"), PVar("d"))
 
 
+_SET_AT_INTERNING = ("head", "tail", "data_terms", "mass")
+
+# every way to build an atom from the values of its fields
+_CONSTRUCTIONS = {
+    "positional": lambda a: type(a)(*a._values()),
+    "keyword": lambda a: type(a)(**{f.name: getattr(a, f.name)
+                                    for f in fields(a)}),
+    "replace": dataclasses.replace,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda a: pickle.loads(pickle.dumps(a)),
+}
+
+
 @pytest.mark.parametrize("kind", sorted(_ATOM_BUILDERS))
 def test_positions_follow_field_order(kind):
     rng = random.Random(kind)
@@ -405,12 +421,65 @@ def test_positions_follow_field_order(kind):
                          for _ in range(rng.randint(0, 3)))
         a = _ATOM_BUILDERS[kind](lambda: rng.choice(_POSITION_TERMS), ms)
         terms = _field_terms(a)
+        mass = sum(n for _, n in heaps.atom_contents(a).items)
         if kind == "true":
             assert terms == []
-            assert (a.head, a.tail, a.data_terms) == (None, None, ())
+            assert (a.head, a.tail, a.data_terms, a.mass) == (
+                None, None, (), 0)
         else:
             assert (a.head, a.tail, *a.data_terms) == tuple(terms)
+            assert a.mass == mass
         assert a.vars() == _vars_of(terms)
+        for path, build in _CONSTRUCTIONS.items():
+            assert build(a) is a, path
+            # the path itself builds the atom: what it stores is the walk
+            b = interned_anew(a, build)
+            assert b is not a and b._values() == a._values(), path
+            stored = {k: v for k, v in vars(b).items()
+                      if k in _SET_AT_INTERNING}
+            assert stored == set_at_interning(a), path
+
+
+def _lazy_values() -> list[tuple[type, str, functools.cached_property]]:
+    """Every value a class of terms.py or heaps.py computes on first read."""
+    return [(cls, name, d) for module in (terms, heaps)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            for name, d in vars(cls).items()
+            if isinstance(d, functools.cached_property)]
+
+
+def test_each_lazy_value_of_an_atom_is_computed_once(monkeypatch):
+    lazy = _lazy_values()
+    # one descriptor, which takes no lock
+    assert len(lazy) >= 12 and all(type(d) is _cached for _, _, d in lazy)
+    computed = Counter()
+
+    def counting(name, compute):
+        def count(obj):
+            computed[obj, name] += 1
+            return compute(obj)
+        return count
+
+    for cls, name, d in lazy:
+        if cls is not SymbolicHeap:  # a heap's own are counted above
+            monkeypatch.setattr(d, "func", counting(name, d.func))
+    # names no other test uses: the values are not interned yet
+    x, e = PVar("once_x"), LVar("once_e")
+    ms = Multiset.of([(e, 2), (Const(7), 1)])
+    objs = [PureAtom("<", x, shifted(e, 1)), PureAtom("=", x, e), ms,
+            NodeAtom(x, e, e), NodeAtom(e, NIL), ListSegAtom(x, e, ms),
+            SortedSegAtom(e, NIL, x, shifted(x, 3), ms)]
+    reads = [(o, name) for o in objs for cls, name, _ in lazy
+             if isinstance(o, cls)]
+    for _ in range(2):
+        for o, name in reads:
+            getattr(o, name)
+        # a heap of the atoms reads what they keep
+        h = SymbolicHeap(tuple(objs[:2]), tuple(objs[3:]))
+        str(h), h.vars(), h.facts
+    assert set(computed) == set(reads)
+    assert set(computed.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ from shaperef.terms import (
     term_sort_key,
 )
 
+from gens import interned_anew, set_at_interning
+
 
 def test_namespaces_disjoint():
     assert PVar("x") != LVar("x")
@@ -155,14 +157,37 @@ def test_offsets_are_interned_however_built():
     assert dataclasses.replace(d1, base=LVar("e")) is shifted(LVar("e"), 1)
 
 
+_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda t: pickle.loads(pickle.dumps(t))}
+
+
 def test_copies_and_pickles_are_the_interned_term():
     terms = [PVar("x"), LVar("x"), Const(-2), NIL, shifted(LVar("d"), 2)]
     terms += _build_each_kind()
     for t in terms:
-        assert copy.copy(t) is t
-        assert copy.deepcopy(t) is t
-        assert pickle.loads(pickle.dumps(t)) is t
+        for path, build in _COPIES.items():
+            assert build(t) is t, path
+            # built where the value is not interned yet, as in a fresh
+            # process: the fields, then what interning sets, and no more
+            b = interned_anew(t, build)
+            assert b is not t and b._values() == t._values(), path
+            fields_first = {f.name: getattr(t, f.name)
+                            for f in dataclasses.fields(t)}
+            assert list(vars(b).items()) == list(
+                {**fields_first, **set_at_interning(t)}.items()), path
     assert copy.deepcopy(terms) == terms
+
+
+def test_multiset_keys_and_total_follow_its_items():
+    rng = random.Random(17)
+    pool = [PVar("x"), LVar("d"), Const(1), Const(-3), NIL,
+            shifted(PVar("x"), 2)]
+    for _ in range(200):
+        ms = Multiset.of((rng.choice(pool), rng.randint(0, 3))
+                         for _ in range(rng.randint(0, 5)))
+        assert ms.keys() == tuple(t for t, _ in ms.items)
+        assert ms.total() == sum(n for _, n in ms.items)
+        assert ms.keys() == tuple(sorted(ms.as_dict(), key=term_sort_key))
 
 
 def test_term_orders_are_unchanged():
