@@ -16,12 +16,12 @@ quartiles, the change of the median, whether that change is a gain larger
 than the parent's interquartile range, and the change's wins: the pairs in
 which the change is better (a tie counts for neither side).
 
-Each metric's direction and bound come from ``BENCHMARK.json`` (this
-checkout's, or ``--benchmark``); a bound is read as a share of the
-parent's median.  The script flags a change whose median is worse than the
-parent's by more than the bound, a run whose outputs are wrong or whose
-items failed, and a ``digest=``/``counts=`` line that differs from the
-first parent run's.  The exit status is 1 when it raised a flag, else 0.
+Each metric's direction and bound come from this checkout's
+``BENCHMARK.json``; a bound is read as a share of the parent's median.
+The script flags a change whose median is worse than the parent's by more
+than the bound, a run whose outputs are wrong or whose items failed, and
+a ``digest=``/``counts=`` line that differs from the first parent run's.
+The exit status is 1 when it raised a flag, else 0.
 """
 
 from __future__ import annotations
@@ -136,9 +136,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     args = ap.parse_args(argv)
-    metrics = json.loads(args.benchmark.read_text())["end_to_end"]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     run_args = ["--workload", args.workload, "--seed", str(args.seed),
                 "--seconds", str(args.seconds), "--trace", "0"]
     checkouts = {"parent": args.parent.resolve(),

@@ -395,10 +395,8 @@ def test_occurrence_counts_agree_with_a_walk_of_the_rest(domain):
 def test_abstract_corpus_stays_within_its_variable_walk_budget(monkeypatch):
     # 120 seeded heaps per domain, abstracted and checked against their
     # abstraction as the benchmark's abstract workload does.  The budget is
-    # the count recorded when _beyond first read the atoms' kept variables;
-    # before that it walked their positions and the corpus made 10,228
-    # variable lookups, and before the rules counted each heap's variable
-    # occurrences once, 27,563
+    # this corpus's variable lookup count, recorded when _beyond first read
+    # the atoms' kept variables
     rng = random.Random(29)
     corpus = []
     for _ in range(120):

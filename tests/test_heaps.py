@@ -8,6 +8,7 @@ import functools
 import hashlib
 import pickle
 import random
+import uuid
 from collections import Counter
 from dataclasses import fields
 
@@ -464,8 +465,9 @@ def test_each_lazy_value_of_an_atom_is_computed_once(monkeypatch):
     for cls, name, d in lazy:
         if cls is not SymbolicHeap:  # a heap's own are counted above
             monkeypatch.setattr(d, "func", counting(name, d.func))
-    # names no other test uses: the values are not interned yet
-    x, e = PVar("once_x"), LVar("once_e")
+    # names no run has used yet: the values are new, with nothing read
+    tag = uuid.uuid4().hex
+    x, e = PVar(f"once_x_{tag}"), LVar(f"once_e_{tag}")
     ms = Multiset.of([(e, 2), (Const(7), 1)])
     objs = [PureAtom("<", x, shifted(e, 1)), PureAtom("=", x, e), ms,
             NodeAtom(x, e, e), NodeAtom(e, NIL), ListSegAtom(x, e, ms),
