@@ -6,6 +6,7 @@ must satisfy the post, and every small model of the post must be a
 concrete successor of some sampled pre-state (up to address renaming).
 """
 
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -162,6 +163,50 @@ def test_dot_export():
     for head in cfg.loop_heads:
         assert f'"{head}" [shape=circle, style=filled, fillcolor=lightgrey];' in dot
     assert '"l10" -> "l11" [label="d = t->data;"];' in dot
+
+
+# Programs whose edges reach every branch of spec_of: each command shape,
+# a load that overwrites its own source, wildcards in every position, a
+# disjunctive assert, empty branches (a skip edge), an empty loop body and
+# a negated compound loop condition.
+SPEC_PIN_PROGRAMS = [
+    RUNNING_EXAMPLE,
+    "",
+    "x = x->next;",
+    "x = y->data;",
+    "y->next = *;",
+    "y->data = 3;",
+    "x = new Node(x, x);",
+    "x = new Node(*, *);",
+    "x = *;",
+    "assert(x != nil || d <= 3);",
+    "if (x == nil) { }",
+    "while (x != nil) { }",
+    "while (x == nil || d < e && f != g) { x = x->next; }",
+]
+
+
+def cfg_specs_digest() -> str:
+    """sha256 over every edge of SPEC_PIN_PROGRAMS' graphs: its ends, the
+    spec's kind, label, pre, post and modified variables."""
+    digest = hashlib.sha256()
+    for text in SPEC_PIN_PROGRAMS:
+        for src, dst, sp in build_cfg(parse(text)).edges:
+            mods = ",".join(sorted(map(str, sp.modifies)))
+            digest.update(f"{src} {dst} {sp.kind} {sp.label} {sp.pre} "
+                          f"{sp.post} {mods}\n".encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+# recorded with a spec that stored its kind and label as strings, each
+# spelled out in the branch of spec_of that built it
+CFG_SPECS_SHA256 = (
+    "306bd4176f830a89f61f1a8e1a454253e956637107a93f66b9834700deda27f9")
+
+
+def test_cfg_specs_are_unchanged():
+    assert cfg_specs_digest() == CFG_SPECS_SHA256
 
 
 # ---------------------------------------------------------------------------
