@@ -24,6 +24,11 @@ expression position becomes a fresh placeholder (an arbitrary value); a
 Specifications are tight: they mention exactly the cells the command
 touches, so a state without the footprint cell has no valid transition.
 
+Each edge's specification keeps the command it specifies (``spec.cmd``),
+so the edge can be run concretely as well as symbolically.  Its ``kind``
+is read off the command's class and its ``label`` renders the command;
+neither is stored.
+
 Branching conditions are compiled to disjunctive-normal-form case lists;
 an assume edge's post is a disjunction when its condition needs one (e.g.
 the negation of a conjunction).  Branch nodes carry one assume-labeled
@@ -35,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from itertools import count
+from typing import Iterator, Optional, Union
 
 from . import lang
 from .heaps import Disj, EMP_HEAP, NodeAtom, SymbolicHeap, TRUE_SPATIAL
@@ -60,15 +66,36 @@ class Skip:
     """Synthesized no-op edge command for degenerate empty branches."""
 
 
+Command = Union[Assume, Skip, Assign, AllocNode, Load, Store, Assert]
+
+_KINDS = {Assume: "assume", Skip: "skip", Assert: "assert", Assign: "assign",
+          AllocNode: "alloc", Load: "load", Store: "store"}
+
+
 @dataclass(frozen=True)
 class CommandSpec:
-    """Tight local specification of one atomic command."""
+    """Tight local specification of one atomic command, which it keeps.
 
-    kind: str  # "assume" | "assert" | "assign" | "alloc" | "load" | "store" | "skip"
-    label: str
+    ``kind`` names the command's class, and ``label`` renders the command:
+    ``assume(cond)``, ``skip``, or the statement as the source writes it.
+    """
+
+    cmd: Command
     pre: SymbolicHeap
     post: Union[SymbolicHeap, Disj]
     modifies: frozenset
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[type(self.cmd)]
+
+    @property
+    def label(self) -> str:
+        if isinstance(self.cmd, Assume):
+            return f"assume({lang.render_cond(self.cmd.cond)})"
+        if isinstance(self.cmd, Skip):
+            return "skip"
+        return lang.render_stmt(self.cmd)
 
     def post_cases(self) -> tuple[SymbolicHeap, ...]:
         if isinstance(self.post, Disj):
@@ -83,18 +110,9 @@ class CommandSpec:
 # Expression / condition translation
 # ---------------------------------------------------------------------------
 
-class _Wildcards:
-    """Numbers the arbitrary-value placeholders within one specification."""
-
-    def __init__(self):
-        self.count = 0
-
-    def fresh(self) -> LVar:
-        self.count += 1
-        return LVar(f"w{self.count}")
-
-
-def _expr_term(e: Expr, wild: _Wildcards) -> Term:
+def _expr_term(e: Expr, wild: Iterator[int]) -> Term:
+    """The term of an expression; a "*" takes the next placeholder number
+    from ``wild``, which counts within one specification."""
     if isinstance(e, VarE):
         return PVar(e.name)
     if isinstance(e, NilE):
@@ -102,11 +120,16 @@ def _expr_term(e: Expr, wild: _Wildcards) -> Term:
     if isinstance(e, IntE):
         return Const(e.value)
     if isinstance(e, NondetE):
-        return wild.fresh()
+        return LVar(f"w{next(wild)}")
     raise TypeError(f"not an expression: {e}")
 
 
 _REL_MAKERS = {"==": eq, "!=": neq, "<=": leq, "<": lt}
+
+# the comparison that holds exactly where one fails, and whether it swaps
+# the operands
+_NEGATED = {"==": ("!=", False), "!=": ("==", False),
+            "<=": ("<", True), "<": ("<=", True)}
 
 
 def negate(c: Cond) -> Cond:
@@ -118,11 +141,8 @@ def negate(c: Cond) -> Cond:
     if isinstance(c, NondetC):
         return NondetC()
     if isinstance(c, RelC):
-        flipped = {"==": RelC("!=", c.lhs, c.rhs),
-                   "!=": RelC("==", c.lhs, c.rhs),
-                   "<=": RelC("<", c.rhs, c.lhs),
-                   "<": RelC("<=", c.rhs, c.lhs)}
-        return flipped[c.op]
+        op, swap = _NEGATED[c.op]
+        return RelC(op, c.rhs, c.lhs) if swap else RelC(op, c.lhs, c.rhs)
     if isinstance(c, AndC):
         return OrC(negate(c.lhs), negate(c.rhs))
     if isinstance(c, OrC):
@@ -132,14 +152,14 @@ def negate(c: Cond) -> Cond:
     raise TypeError(f"not a condition: {c}")
 
 
-def cond_cases(c: Cond, wild: Optional[_Wildcards] = None
+def cond_cases(c: Cond, wild: Optional[Iterator[int]] = None
                ) -> tuple[tuple[PureAtom, ...], ...]:
     """Disjunctive normal form: a tuple of conjunctive cases.
 
     A nondeterministic test contributes an unconstrained case; each "*"
     in a comparison operand becomes its own placeholder.
     """
-    wild = wild or _Wildcards()
+    wild = wild or count(1)
     if isinstance(c, NondetC):
         return ((),)
     if isinstance(c, RelC):
@@ -174,76 +194,40 @@ def old_var(name: str) -> LVar:
 # The specification table
 # ---------------------------------------------------------------------------
 
-Command = Union[Assume, Skip, Assign, AllocNode, Load, Store, Assert]
-
-
 def spec_of(cmd: Command) -> CommandSpec:
     """Tight local pre/post specification of one atomic command."""
-    if isinstance(cmd, Assume):
-        return CommandSpec(kind="assume",
-                           label=f"assume({lang.render_cond(cmd.cond)})",
-                           pre=TRUE_HEAP,
-                           post=_cond_post(cmd.cond),
-                           modifies=frozenset())
-    if isinstance(cmd, Skip):
-        return CommandSpec("skip", "skip", EMP_HEAP, EMP_HEAP, frozenset())
-    if isinstance(cmd, Assert):
+    if isinstance(cmd, (Assume, Assert)):
         post = _cond_post(cmd.cond)
-        return CommandSpec(kind="assert",
-                           label=lang.render_stmt(cmd),
-                           pre=post,
-                           post=post,
-                           modifies=frozenset())
-    if isinstance(cmd, Assign):
+        pre = TRUE_HEAP if isinstance(cmd, Assume) else post
+        return CommandSpec(cmd, pre, post, frozenset())
+    if isinstance(cmd, Skip):
+        return CommandSpec(cmd, EMP_HEAP, EMP_HEAP, frozenset())
+    wild = count(1)
+    if isinstance(cmd, (Assign, AllocNode)):
         x = PVar(cmd.var)
-        t = _expr_term(cmd.expr, _Wildcards())
-        t_old = subst_term(t, {x: old_var(cmd.var)})
-        return CommandSpec(kind="assign",
-                           label=lang.render_stmt(cmd),
-                           pre=EMP_HEAP,
-                           post=SymbolicHeap((eq(x, t_old),), ()),
-                           modifies=frozenset([x]))
-    if isinstance(cmd, AllocNode):
-        x = PVar(cmd.var)
-        wild = _Wildcards()
-        nxt = _expr_term(cmd.nxt, wild)
-        data = None if isinstance(cmd.data, NondetE) \
-            else _expr_term(cmd.data, wild)
         renaming = {x: old_var(cmd.var)}
-        nxt = subst_term(nxt, renaming)
-        if data is not None:
-            data = subst_term(data, renaming)
-        return CommandSpec(kind="alloc",
-                           label=lang.render_stmt(cmd),
-                           pre=EMP_HEAP,
-                           post=SymbolicHeap((), (NodeAtom(x, nxt, data),)),
-                           modifies=frozenset([x]))
-    if isinstance(cmd, Load):
-        x, y = PVar(cmd.var), PVar(cmd.src)
-        n, d = LVar("n"), LVar("d")
-        pre = SymbolicHeap((), (NodeAtom(y, n, d),))
-        y_post = old_var(cmd.src) if cmd.var == cmd.src else y
-        got = n if cmd.field == "next" else d
-        post = SymbolicHeap((eq(x, got),), (NodeAtom(y_post, n, d),))
-        return CommandSpec(kind="load",
-                           label=lang.render_stmt(cmd),
-                           pre=pre,
-                           post=post,
-                           modifies=frozenset([x]))
-    if isinstance(cmd, Store):
-        y = PVar(cmd.dst)
-        n, d = LVar("n"), LVar("d")
-        e = _expr_term(cmd.expr, _Wildcards())
-        pre = SymbolicHeap((), (NodeAtom(y, n, d),))
-        if cmd.field == "next":
-            atom = NodeAtom(y, e, d)
+        if isinstance(cmd, Assign):
+            t = subst_term(_expr_term(cmd.expr, wild), renaming)
+            post = SymbolicHeap((eq(x, t),), ())
         else:
-            atom = NodeAtom(y, n, e)
-        return CommandSpec(kind="store",
-                           label=lang.render_stmt(cmd),
-                           pre=pre,
-                           post=SymbolicHeap((), (atom,)),
-                           modifies=frozenset())
+            nxt = subst_term(_expr_term(cmd.nxt, wild), renaming)
+            data = None if isinstance(cmd.data, NondetE) \
+                else subst_term(_expr_term(cmd.data, wild), renaming)
+            post = SymbolicHeap((), (NodeAtom(x, nxt, data),))
+        return CommandSpec(cmd, EMP_HEAP, post, frozenset([x]))
+    if isinstance(cmd, (Load, Store)):
+        y = PVar(cmd.src if isinstance(cmd, Load) else cmd.dst)
+        n, d = LVar("n"), LVar("d")
+        pre = SymbolicHeap((), (NodeAtom(y, n, d),))
+        if isinstance(cmd, Load):
+            x = PVar(cmd.var)
+            y_post = old_var(cmd.src) if cmd.var == cmd.src else y
+            got = n if cmd.field == "next" else d
+            post = SymbolicHeap((eq(x, got),), (NodeAtom(y_post, n, d),))
+            return CommandSpec(cmd, pre, post, frozenset([x]))
+        e = _expr_term(cmd.expr, wild)
+        atom = NodeAtom(y, e, d) if cmd.field == "next" else NodeAtom(y, n, e)
+        return CommandSpec(cmd, pre, SymbolicHeap((), (atom,)), frozenset())
     raise TypeError(f"not an atomic command: {cmd}")
 
 
@@ -275,7 +259,7 @@ class Cfg:
     def succ(self, node: str) -> tuple[str, ...]:
         return tuple(e[1] for e in self._out[node])
 
-    def cmd(self, src: str, dst: str) -> CommandSpec:
+    def spec(self, src: str, dst: str) -> CommandSpec:
         for a, b, spec in self._out[src]:
             if b == dst:
                 return spec
