@@ -399,10 +399,11 @@ class Facts:
                 self.inconsistent = True
                 return
 
-        # -- final disequality / allocation checks ---------------------------
-        if self._check_neq_clashes():
-            self.inconsistent = True
-            return
+        # -- no disequality between equal terms -----------------------------
+        for u, v in self._neq_pairs:
+            if self.equal(u, v):
+                self.inconsistent = True
+                return
 
     # -- union-find -------------------------------------------------------
 
@@ -431,14 +432,6 @@ class Facts:
         else:
             self._parent[ra] = rb
         return True
-
-    # -- clash detection ----------------------------------------------------
-
-    def _check_neq_clashes(self) -> bool:
-        for u, v in self._neq_pairs:
-            if self.equal(u, v):
-                return True
-        return False
 
     # -- order closure ------------------------------------------------------
 

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .terms import (Const, LVar, NilTerm, Offset, PVar, PureAtom,
                     Term, var_of)
@@ -225,9 +225,6 @@ class _SatSearch:
 
     What depends on the formula alone (its cells, spatial true, variables
     and data universe) is computed once; ``run`` does the per-model search.
-    A universe not handed in is built where a search first reads it: at a
-    sorted segment's unbound bound, or at a variable the spatial part
-    leaves free.
 
     Stores are shared, never written: a routine copies a store before it
     binds a variable into it, and never writes to a store it received.  So
@@ -250,22 +247,14 @@ class _SatSearch:
     search, with the same verdict and steps.
     """
 
-    def __init__(self, h: SymbolicHeap,
-                 universe_data: Union[list[int], Callable[[], list[int]]],
+    def __init__(self, h: SymbolicHeap, universe_data: list[int],
                  max_steps: int):
-        # universe_data is the data universe, or a function that builds it
-        # where the search first reads it (``_data``)
         self.atoms = h.cells()
         self.has_true = h.has_true()
         self.vars = h.vars()
         self.pure = h.pure
         self.data = universe_data
         self.max_steps = max_steps
-
-    def _data(self) -> list[int]:
-        if callable(self.data):
-            self.data = self.data()
-        return self.data
 
     def _tick(self) -> None:
         # inlined in the placement and the payload checks, which run hot
@@ -398,7 +387,7 @@ class _SatSearch:
         if x is None or x in env:
             cands: Iterable = (_eval(t, env),)
         else:
-            cands = sorted(set(self._data()) | {natural})
+            cands = sorted(set(self.data) | {natural})
         for c in cands:
             if isinstance(c, int) and (env2 := _bind(t, c, env)) is not None:
                 yield c, env2
@@ -452,7 +441,7 @@ class _SatSearch:
             raise BoundsTooLarge("too many unconstrained variables")
         # dangling addresses reachable only through the store still belong
         # to the existential universe of the pure part
-        universe = sorted(_addresses(self.model.env, self.heap)) + self._data()
+        universe = sorted(_addresses(self.model.env, self.heap)) + self.data
         for combo in itertools.product(universe, repeat=len(free)):
             self._tick()
             env2 = dict(env)
@@ -476,8 +465,8 @@ def satisfies(model: Model, h: SymbolicHeap, bounds: Optional[OracleBounds] = No
               extra_data: Optional[list[int]] = None) -> bool:
     """Does the model satisfy h (with h's unassigned variables existential)?"""
     bounds = bounds or OracleBounds()
-    data = extra_data if extra_data is not None else (
-        lambda: _data_universe(h, n_spare=bounds.n_spare_data))
+    data = extra_data if extra_data is not None else _data_universe(
+        h, n_spare=bounds.n_spare_data)
     return _SatSearch(h, data, bounds.max_steps).run(model, allow_leftover)
 
 

@@ -120,14 +120,12 @@ from .terms import (
     Offset,
     PVar,
     PureAtom,
-    TRUE_ATOM,
     Term,
     leq,
     lt,
     shifted,
     split_offset,
     subst_term,
-    term_sort_key,
     var_of,
 )
 from .heaps import (
@@ -418,8 +416,6 @@ class _Search:
         self.fresh = _FreshNames(lambda: _used_names(lhs, rhs),
                                  0 if rename else len(evars))
         rhs_pure = rhs.pure
-        if TRUE_ATOM in rhs_pure:
-            rhs_pure = tuple(p for p in rhs_pure if p is not TRUE_ATOM)
         # the search's name of each right existential
         self.renaming: dict[LVar, LVar]
         if rename:
@@ -514,15 +510,16 @@ class _Search:
                         facts) -> list[tuple[dict, tuple]]:
         """Cover the right multiset with the left one (class-summed).
 
-        Unbound keys on the right branch over the left keys.
+        Unbound keys on the right branch over the left keys, both in key
+        order.
         """
         states = [theta]
-        for k in sorted(rms.keys(), key=term_sort_key):
+        for k in rms.keys():
             nxt = []
             for th in states:
                 kk = subst_term(k, th)
                 if kk in self.rhs_evars:
-                    for lk in sorted(set(lms.keys()), key=term_sort_key):
+                    for lk in lms.keys():
                         nxt.append({**th, kk: lk})
                 else:
                     nxt.append(th)
@@ -678,8 +675,8 @@ class _Search:
                 return
             theta, hyps = states[0]
             remainder: list[tuple[Term, int]] = []
-            for k in sorted(rms.keys(), key=term_sort_key):
-                need, rep = rms.mult(k), facts.rep(k)
+            for k, need in rms.items:
+                rep = facts.rep(k)
                 if not facts.proves_lt(k, l_atom.hi):
                     remainder.append((k, need))  # not proved low: left over
                 elif avail.get(rep, 0) < need:
@@ -693,8 +690,7 @@ class _Search:
                 return
         else:
             remainder = []
-            for k in sorted(rms.keys(), key=term_sort_key):
-                need = rms.mult(k)
+            for k, need in rms.items:
                 rep = facts.rep(k)
                 take = min(need, avail.get(rep, 0))
                 if rep in avail:

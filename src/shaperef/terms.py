@@ -384,7 +384,10 @@ class Multiset(_Interned):
     """A finite multiset of terms with positive multiplicities.
 
     Stored as a tuple of (term, multiplicity) pairs sorted by term key;
-    zero-multiplicity entries are dropped on construction.
+    zero-multiplicity entries are dropped on construction.  ``Multiset.of``
+    builds every non-empty multiset, so ``items`` and ``keys()`` are in
+    ``term_sort_key`` order, and readers rely on that order: they iterate
+    them as they are, without sorting.
     """
 
     items: tuple[tuple[Term, int], ...] = ()

@@ -2,9 +2,11 @@
 
 States are (store, heap) pairs in the oracle's model representation:
 values are ints (data sort) or ("a", k) address tuples with ("a", 0) as
-nil; heaps map addresses to (next value, data value) pairs.  The
-interpreter is the ground truth for command-level exactness tests and for
-whole-program sanity runs.
+nil; heaps map addresses to (next value, data value) pairs.  ``step`` is
+the concrete semantics of each CFG edge command, and a run follows the
+program's CFG (``cfg.build_cfg``), so control flow has one lowering: the
+one the analysis runs.  The interpreter is the ground truth for
+command-level exactness tests and for whole-program sanity runs.
 
 A "*" draws from a pool matched to its position, mirroring the sorted
 universes the model enumerator uses: next-pointer positions range over
@@ -21,12 +23,12 @@ even if the other faults, and dually for disjunction.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
+from shaperef.cfg import Assume, Skip, build_cfg
 from shaperef.lang import (AllocNode, AndC, Assert, Assign, Ast, Cond, Expr,
-                           If, IntE, Load, NilE, NondetC, NondetE, NotC, OrC,
-                           RelC, Store, VarE, While)
+                           IntE, Load, NilE, NondetC, NondetE, NotC, OrC, RelC,
+                           Store, VarE)
 from shaperef.oracle import NIL_V
 
 DANGLING = ("a", 990)
@@ -111,112 +113,93 @@ def cond_choices(c: Cond, store: dict, heap: dict, data: list) -> set:
     raise TypeError(f"not a condition: {c}")
 
 
-def _pick(rng, choices: set):
-    return rng.choice(sorted(choices, key=str))
-
-
 def _fresh_addr(heap: dict) -> tuple:
     k = max((a[1] for a in heap), default=0)
     return ("a", k + 1)
 
 
-def step(s, store: dict, heap: dict, data: list) -> list[tuple]:
-    """All successor states of one simple statement.
+def step(cmd, store: dict, heap: dict, data: list) -> list[tuple]:
+    """All outcomes of one CFG edge command, as (status, store', heap').
 
-    Returns a list of ("ok", store', heap') and/or ("fault", None, None)
-    entries; a fault is a dereference of a non-allocated address.
+    A simple statement gives an "ok" successor per choice, or a "fault" on
+    a dereference of a non-allocated address.  ``skip`` gives one "ok".
+    ``assume`` gives an "ok" for a true outcome and nothing for a false
+    one; ``assert`` gives "ok" or "assert-fail".  A condition's fault (an
+    order comparison on an address) gives a "fault".  The stores and heaps
+    of non-"ok" outcomes are None.
     """
-    if isinstance(s, Assign):
-        return [("ok", {**store, s.var: v}, dict(heap))
-                for v in expr_choices(s.expr, store, heap, data)]
-    if isinstance(s, AllocNode):
+    if isinstance(cmd, Skip):
+        return [("ok", store, heap)]
+    if isinstance(cmd, (Assume, Assert)):
+        out = []
+        # in a fixed order, as a run picks outcomes by position: a set
+        # iterates by hash, and a string's hash changes between processes
+        for v in sorted(cond_choices(cmd.cond, store, heap, data), key=str):
+            if v is FAULT:
+                out.append(("fault", None, None))
+            elif v:
+                out.append(("ok", store, heap))
+            elif isinstance(cmd, Assert):
+                out.append(("assert-fail", None, None))
+        return out
+    if isinstance(cmd, Assign):
+        return [("ok", {**store, cmd.var: v}, dict(heap))
+                for v in expr_choices(cmd.expr, store, heap, data)]
+    if isinstance(cmd, AllocNode):
         addr = _fresh_addr(heap)
         new_heap = dict(heap)
         new_heap[addr] = (NIL_V, 0)  # placeholder, filled per choice below
         out = []
-        for nv in expr_choices(s.nxt, store, new_heap, data, position="next"):
-            for dv in expr_choices(s.data, store, new_heap, data,
-                                   position="data"):
+        for nv in expr_choices(cmd.nxt, store, new_heap, data, "next"):
+            for dv in expr_choices(cmd.data, store, new_heap, data, "data"):
                 h2 = dict(heap)
                 h2[addr] = (nv, dv)
-                out.append(("ok", {**store, s.var: addr}, h2))
+                out.append(("ok", {**store, cmd.var: addr}, h2))
         return out
-    if isinstance(s, Load):
-        a = store[s.src]
+    if isinstance(cmd, Load):
+        a = store[cmd.src]
         if a not in heap:
             return [("fault", None, None)]
         nx, d = heap[a]
-        v = nx if s.field == "next" else d
-        return [("ok", {**store, s.var: v}, dict(heap))]
-    if isinstance(s, Store):
-        a = store[s.dst]
+        v = nx if cmd.field == "next" else d
+        return [("ok", {**store, cmd.var: v}, dict(heap))]
+    if isinstance(cmd, Store):
+        a = store[cmd.dst]
         if a not in heap:
             return [("fault", None, None)]
         nx, d = heap[a]
         out = []
-        for v in expr_choices(s.expr, store, heap, data, position=s.field):
+        for v in expr_choices(cmd.expr, store, heap, data, position=cmd.field):
             h2 = dict(heap)
-            h2[a] = (v, d) if s.field == "next" else (nx, v)
+            h2[a] = (v, d) if cmd.field == "next" else (nx, v)
             out.append(("ok", dict(store), h2))
         return out
-    raise TypeError(f"not a simple statement: {s}")
+    raise TypeError(f"not an edge command: {cmd}")
 
 
 def exec_program(ast: Ast, rng, data: Optional[list] = None,
                  fuel: int = 500) -> tuple[str, dict, dict]:
-    """One random run; returns (status, store, heap).
+    """One random run along the program's CFG; returns (status, store, heap).
 
-    Status is "ok", "assert-fail", "fault", or "fuel".  Nondeterministic
-    choices ('*' values, branch outcomes) are resolved by the rng.
+    Status is "ok" on reaching the end node, "assert-fail" or "fault" as
+    the failing edge's outcome, with the state before that edge, or "fuel"
+    once ``fuel`` edges are taken.  At each node the rng picks one
+    (out-edge, outcome) pair, which resolves '*' values and branches.
     """
     data = data if data is not None else [0, 1, 2, 3]
-    store: dict = {}
-    heap: dict = {}
-    budget = [fuel]
-
-    def run(stmts) -> Optional[str]:
-        nonlocal store, heap
-        for s in stmts:
-            if budget[0] <= 0:
-                return "fuel"
-            budget[0] -= 1
-            if isinstance(s, (Assign, AllocNode, Load, Store)):
-                results = step(s, store, heap, data)
-                tag, st2, h2 = rng.choice(results)
-                if tag == "fault":
-                    return "fault"
-                store, heap = st2, h2
-            elif isinstance(s, Assert):
-                pick = _pick(rng, cond_choices(s.cond, store, heap, data))
-                if pick is FAULT:
-                    return "fault"
-                if not pick:
-                    return "assert-fail"
-            elif isinstance(s, If):
-                pick = _pick(rng, cond_choices(s.cond, store, heap, data))
-                if pick is FAULT:
-                    return "fault"
-                bad = run(s.then) if pick else run(s.els)
-                if bad:
-                    return bad
-            elif isinstance(s, While):
-                while True:
-                    if budget[0] <= 0:
-                        return "fuel"
-                    pick = _pick(rng, cond_choices(s.cond, store, heap, data))
-                    if pick is FAULT:
-                        return "fault"
-                    if not pick:
-                        break
-                    bad = run(s.body)
-                    if bad:
-                        return bad
-            else:
-                raise TypeError(f"not a statement: {s}")
-        return None
-
-    status = run(ast.stmts) or "ok"
-    return status, store, heap
+    cfg = build_cfg(ast)
+    node, store, heap = cfg.start, {}, {}
+    while node != cfg.end:
+        if fuel <= 0:
+            return "fuel", store, heap
+        fuel -= 1
+        dst, (status, st2, h2) = rng.choice(
+            [(dst, outcome) for _, dst, spec in cfg.out_edges(node)
+             for outcome in step(spec.cmd, store, heap, data)])
+        if status != "ok":
+            return status, store, heap
+        node, store, heap = dst, st2, h2
+    return "ok", store, heap
 
 
 def canon_state(store: dict, heap: dict) -> tuple:

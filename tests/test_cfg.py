@@ -17,10 +17,10 @@ from shaperef.cfg import (Assume, Cfg, CommandSpec, Skip, build_cfg,
                           cond_cases, negate, spec_of)
 from shaperef.heaps import Disj, EMP_HEAP, NodeAtom, SymbolicHeap
 from shaperef.lang import (AndC, IntE, NilE, NondetC, NondetE, NotC, OrC,
-                           RelC, VarE, Ast, parse)
+                           RelC, VarE, parse)
 from shaperef.oracle import NIL_V, OracleBounds, _eval_pure, models, satisfies
 from shaperef.prover import frame_infer
-from shaperef.terms import Const, LVar, PVar
+from shaperef.terms import LVar, PVar
 
 from conc import (DANGLING, _k_not, canon_state, cond_choices, exec_program,
                   mixed_pool, step)
@@ -414,15 +414,29 @@ def _axiom_states(spec, stmt_vars, pools, data):
     return out
 
 
+def edge_command(label: str):
+    """The CFG edge command with this label: ``skip``, ``assume(c)`` or a
+    statement."""
+    if label == "skip":
+        return Skip()
+    if label.startswith("assume("):
+        return Assume(parse(f"assert{label[6:]};").stmts[0].cond)
+    return parse(label).stmts[0]
+
+
+# both data values, nil, and an address that is not allocated
+VALUES = [1, 2, NIL_V, DANGLING]
+
 EXACTNESS_CASES = [
-    # (command, pools for variables the footprint leaves unbound)
+    # (command's label, pools for variables the footprint leaves unbound);
+    # the data universe is [1, 2], and order comparisons get no addresses
     ("x = 1;", {"x": [1, NIL_V]}),
     ("x = nil;", {"x": [1, NIL_V]}),
-    ("x = y;", {"x": [1, NIL_V], "y": [1, NIL_V, DANGLING]}),
-    ("x = x;", {"x": [1, NIL_V, DANGLING]}),
+    ("x = y;", {"x": [1, NIL_V], "y": VALUES}),
+    ("x = x;", {"x": VALUES}),
     ("x = *;", {"x": [1, NIL_V]}),
     ("p = new Node(nil, 1);", {"p": [1, NIL_V]}),
-    ("p = new Node(nil, x);", {"p": [NIL_V], "x": [1]}),
+    ("p = new Node(nil, x);", {"p": [NIL_V], "x": [1, 2]}),
     ("p = new Node(p, *);", {"p": [NIL_V, ("a", 1), DANGLING]}),
     ("p = new Node(*, *);", {"p": [NIL_V]}),
     ("x = y->next;", {"x": [1, NIL_V]}),
@@ -435,7 +449,18 @@ EXACTNESS_CASES = [
     ("y->next = z;", {"z": [NIL_V, ("a", 1), DANGLING]}),
     ("y->data = 1;", {}),
     ("y->data = *;", {}),
-    ("y->data = z;", {"z": [1]}),
+    ("y->data = z;", {"z": [1, 2]}),
+    ("assume(x == y)", {"x": VALUES, "y": VALUES}),
+    ("assume(x != y)", {"x": VALUES, "y": VALUES}),
+    ("assume(x <= y)", {"x": [1, 2], "y": [1, 2]}),
+    ("assume(x < y)", {"x": [1, 2], "y": [1, 2]}),
+    ("assume(x == nil)", {"x": VALUES}),
+    ("assume(x < 2)", {"x": [1, 2]}),
+    ("assert(x == y);", {}),
+    ("assert(x != y);", {}),
+    ("assert(x <= y);", {}),
+    ("assert(x < y);", {}),
+    ("skip", {}),
 ]
 
 
@@ -443,15 +468,18 @@ EXACTNESS_CASES = [
                          ids=[row[0] for row in EXACTNESS_CASES])
 def test_axiom_exactness(text, pools):
     """Concrete successors and small post models coincide up to renaming."""
-    stmt = parse(text).stmts[0]
-    spec = spec_of(stmt)
-    data = [1]
-    pre_states = _axiom_states(spec, Ast((stmt,)).variables(), pools, data)
+    cmd = edge_command(text)
+    spec = spec_of(cmd)
+    assert spec.label == text
+    data = [1, 2]
+    variables = sorted({v.name for h in (spec.pre, *spec.post_cases())
+                        for v in h.vars() if isinstance(v, PVar)})
+    pre_states = _axiom_states(spec, variables, pools, data)
     assert pre_states
 
     concrete = set()
     for store, heap in pre_states:
-        for tag, st2, h2 in step(stmt, store, heap, data):
+        for tag, st2, h2 in step(cmd, store, heap, data):
             assert tag == "ok", f"fault from sampled footprint state: {store}"
             post_model_env = {PVar(k): v for k, v in st2.items()}
             from shaperef.oracle import Model
@@ -498,11 +526,29 @@ def test_running_example_never_fails_concretely():
 
 
 def test_branch_condition_filters_concretely():
-    for prefix, expected in [("x = nil; ", 1), ("x = 5; ", 2)]:
-        status, store, _ = exec_program(
-            parse(prefix + "if (x == nil) y = 1; else y = 2;"),
-            random.Random(7))
-        assert status == "ok" and store["y"] == expected
+    """Runs over each branch shape the CFG lowers specially: an empty
+    then-branch is an else-only branch, two empty branches meet by a skip
+    edge, and an empty loop body is an assume self-loop."""
+    for text, expected_status, expected_y in [
+        ("x = nil; if (x == nil) y = 1; else y = 2;", "ok", 1),
+        ("x = 5; if (x == nil) y = 1; else y = 2;", "ok", 2),
+        ("x = nil; y = 0; if (x == nil) { } else y = 2;", "ok", 0),
+        ("x = 5; y = 0; if (x == nil) { } else y = 2;", "ok", 2),
+        ("x = nil; y = 0; if (x == nil) { } else { }", "ok", 0),
+        ("x = 5; y = 0; if (x == nil) { } else { }", "ok", 0),
+        ("x = 5; y = 3; while (x == nil) { }", "ok", 3),
+        ("x = nil; y = 3; while (x == nil) { }", "fuel", 3),
+    ]:
+        status, store, _ = exec_program(parse(text), random.Random(7))
+        assert (status, store["y"]) == (expected_status, expected_y), text
+
+
+def test_order_condition_on_nil_faults_in_step():
+    """An order comparison on nil is a type fault on an assume edge as on
+    an assert edge: the case a type alarm has to catch."""
+    for text in ("assume(x < 1)", "assert(x < 1);"):
+        assert step(edge_command(text), {"x": NIL_V}, {}, [1, 2]) == \
+            [("fault", None, None)]
 
 
 def test_order_comparison_on_pointer_faults():

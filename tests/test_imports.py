@@ -1,15 +1,22 @@
-"""Every name a module of the package imports is used there, or exported
-through its ``__all__``: a stdlib-``ast`` check, as no linter is installed,
-that catches the imports a deletion leaves behind."""
+"""Every name a module of the package, or the concrete interpreter
+``tests/conc.py``, imports is used there, or exported through its
+``__all__``: a stdlib-``ast`` check, as no linter is installed, that
+catches the imports a deletion leaves behind.  The concrete interpreter
+imports neither the prover nor the domains it is the ground truth for."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "shaperef"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+PACKAGE = SRC / "shaperef"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -55,10 +62,25 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+@pytest.mark.parametrize("path",
+                         sorted(PACKAGE.glob("*.py")) + [TESTS / "conc.py"],
                          ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_conc_imports_neither_the_prover_nor_the_domains():
+    """In a fresh interpreter, ``import conc`` loads the CFG it runs and
+    nothing of the symbolic side."""
+    code = ("import sys, conc; print(sorted(m for m in sys.modules "
+            "if m.startswith('shaperef')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    loaded = set(ast.literal_eval(done.stdout))
+    assert "shaperef.cfg" in loaded
+    assert not loaded & {"shaperef.prover", "shaperef.domains"}
 
 
 def test_the_check_finds_an_unused_import():
