@@ -271,14 +271,8 @@ def atom_contents(a: Spatial) -> Multiset:
 # Consistency closure over pure + allocation facts
 # ---------------------------------------------------------------------------
 
-class _Zero:
-    """Virtual difference-bound node shared by all integer constants."""
-
-    def __repr__(self) -> str:
-        return "<0>"
-
-
-_ZERO = _Zero()
+# virtual difference-bound node shared by all integer constants
+_ZERO = object()
 
 # the sorts of Facts.sort
 ADDR, INT = "addr", "int"
@@ -322,6 +316,12 @@ class Facts:
     roots and nil's root that ``proves_neq`` reads are computed once.
     Where no atom gives an order edge, no order closure is built, and
     every order query finds no edge.  Queries never change it.
+
+    The order closure is sparse: it holds the longest path between each
+    two graph nodes that some path joins, and no entry for any other
+    pair.  A cycle of positive weight makes the heap inconsistent, and the
+    order closure is then None, not empty: an empty one would still prove
+    order facts between terms on one node, such as ``0 <= 2``.
     """
 
     def __init__(self, pure: tuple[PureAtom, ...], spatial: tuple[Spatial, ...]):
@@ -453,43 +453,35 @@ class Facts:
         return r, c
 
     def _close_order(self, cons: list[tuple[Term, Term, int]]):
-        edges: dict[tuple[object, object], int] = {}
-        nodes: set[object] = {_ZERO}
+        """Longest paths over the order edges: for each pair of graph nodes
+        that a path joins, and for no other pair, the greatest weight of
+        such a path; None where a cycle has positive weight.  Each node in
+        turn relaxes the paths through it, from the edges into it to the
+        edges out of it."""
+        dist: dict[tuple[object, object], int] = {}
         for u, v, s in cons:
             nu, cu = self._at(u)
             nv, cv = self._at(v)
             w = cu - cv + s
-            nodes.add(nu)
-            nodes.add(nv)
-            key = (nu, nv)
-            if key not in edges or edges[key] < w:
-                edges[key] = w
-        node_list = list(nodes)
-        dist = {(a, b): (0 if a is b else None) for a in node_list for b in node_list}
-        for (a, b), w in edges.items():
-            cur = dist[(a, b)]
-            if cur is None or cur < w:
-                dist[(a, b)] = w
-        for m in node_list:
-            for a in node_list:
-                dam = dist[(a, m)]
-                if dam is None:
-                    continue
-                for b in node_list:
-                    dmb = dist[(m, b)]
-                    if dmb is None:
-                        continue
-                    cur = dist[(a, b)]
-                    if cur is None or cur < dam + dmb:
-                        dist[(a, b)] = dam + dmb
-        for a in node_list:
-            if dist[(a, a)] > 0:
-                return None
+            if dist.get((nu, nv), w - 1) < w:
+                dist[nu, nv] = w
+        # a path passes only through nodes with an edge out of them
+        for m in dict.fromkeys(a for a, _ in dist):
+            into = [(a, w) for (a, b), w in dist.items() if b is m]
+            out = [(b, w) for (a, b), w in dist.items() if a is m]
+            for a, wa in into:
+                for b, wb in out:
+                    if dist.get((a, b), wa + wb - 1) < wa + wb:
+                        dist[a, b] = wa + wb
+        if any(a is b and w > 0 for (a, b), w in dist.items()):
+            return None
         return dist
 
     def _order_weight(self, u: Term, v: Term) -> Optional[int]:
-        """Best provable w with u + w <= v, or None."""
-        if self._order is None:
+        """Best provable w with u + w <= v, or None; None unless u and v
+        are integers."""
+        if (self._order is None
+                or self.sort(u) is not INT or self.sort(v) is not INT):
             return None
         nu, cu = self._at(u)
         nv, cv = self._at(v)
@@ -542,14 +534,10 @@ class Facts:
                 and w1 + cv - cu >= 0 and w2 + cu - cv >= 0)
 
     def proves_leq(self, u: Term, v: Term) -> bool:
-        if not (self.sort(u) is INT and self.sort(v) is INT):
-            return False
         w = self._order_weight(u, v)
         return w is not None and w >= 0
 
     def proves_lt(self, u: Term, v: Term) -> bool:
-        if not (self.sort(u) is INT and self.sort(v) is INT):
-            return False
         w = self._order_weight(u, v)
         return w is not None and w >= 1
 
@@ -722,10 +710,11 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
     the false heap.
 
     A heap already in canonical form comes back as the same object, so the
-    caches it holds (see :class:`SymbolicHeap`) are built once however
-    often it is normalized.  The heap returned is marked canonical, and a
-    marked heap returns at once.  Nothing is stored on an input that does
-    not come back, so no heap links to its normal form."""
+    caches it holds (see :class:`SymbolicHeap`) stay with it; its closure
+    is the one built here.  The heap returned is marked canonical, and a
+    marked heap returns at once, so its caches are built once however
+    often it is normalized.  Nothing is stored on an input that does not
+    come back, so no heap links to its normal form."""
     if h._canonical:
         return h
     if FALSE_ATOM in h.pure:
@@ -802,33 +791,22 @@ def normalize(h: SymbolicHeap) -> SymbolicHeap:
             for a in spatial
         ]
 
-    spatial.sort(key=spatial_sort_key)
-    out, facts = _canonical_form(h, pure, spatial)
-    if facts.inconsistent:
-        return FALSE_HEAP
-    # where the rest gives t a value, t=t is redundant; otherwise it stays,
-    # and the closure finds it false where t's base is an address
-    offset_self_eqs = [p for p in offset_self_eqs
-                       if not facts._has_value(p.lhs)]
-    if offset_self_eqs:
-        out, facts = _canonical_form(h, pure + offset_self_eqs, spatial)
+    spatial = tuple(sorted(spatial, key=spatial_sort_key))
+    while True:  # twice only where an offset t=t stays (below)
+        out = SymbolicHeap(tuple(sorted(pure, key=PureAtom.sort_key)), spatial)
+        facts = Facts(out.pure, spatial)
         if facts.inconsistent:
             return FALSE_HEAP
-    out.__dict__.update(facts=facts, _canonical=True)
-    return out
-
-
-def _canonical_form(h: SymbolicHeap, pure: list[PureAtom],
-                    spatial: list[Spatial]) -> tuple[SymbolicHeap, Facts]:
-    """The heap of the given atoms, pure ones sorted, and its closure: h
-    itself when the atoms are h's, so a heap already canonical keeps its
-    caches.  An inconsistent input does not come back, so its closure is
-    built uncached."""
-    out = SymbolicHeap(tuple(sorted(pure, key=lambda p: p.sort_key())),
-                       tuple(spatial))
+        # where the rest gives t a value, t=t is redundant; otherwise it
+        # stays, and the closure finds it false where t's base is an address
+        stay = [p for p in offset_self_eqs if not facts._has_value(p.lhs)]
+        if not stay:
+            break
+        pure, offset_self_eqs = pure + stay, []
     if out == h:
         out = h
-    return out, out.__dict__.get("facts") or Facts(out.pure, out.spatial)
+    out.__dict__.update(facts=facts, _canonical=True)
+    return out
 
 
 def star(h1: SymbolicHeap, h2: SymbolicHeap) -> SymbolicHeap:

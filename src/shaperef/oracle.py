@@ -86,6 +86,8 @@ from .terms import (Const, LVar, NilTerm, Offset, PVar, PureAtom,
 from .heaps import NodeAtom, SortedSegAtom, SymbolicHeap
 
 NIL_V = ("a", 0)
+# the one address that a model universe holds beyond its cells and nil
+DANGLING = ("a", 990)
 
 
 def _addr(k: int) -> tuple:
@@ -634,7 +636,7 @@ def _models_skeleton(atoms: tuple, seg_terms: list[tuple], pure: tuple,
     # re-enters a cell that is allocated but no atom's head.
     reentry = set(ext_cells).union(*(cs[1:] for cs in atom_cells))
 
-    addrs = list(all_cells) + [NIL_V, _addr(990)]  # one dangling address
+    addrs = list(all_cells) + [NIL_V, DANGLING]
     ranges = {"addr": addrs, "data": data, "any": data + addrs}
     # an extension cell's next values, then its payloads
     ext_nexts = list(itertools.product(all_cells + (NIL_V,), repeat=ext))

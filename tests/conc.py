@@ -29,9 +29,8 @@ from shaperef.cfg import Assume, Skip, build_cfg
 from shaperef.lang import (AllocNode, AndC, Assert, Assign, Ast, Cond, Expr,
                            IntE, Load, NilE, NondetC, NondetE, NotC, OrC, RelC,
                            Store, VarE)
-from shaperef.oracle import NIL_V
+from shaperef.oracle import DANGLING, NIL_V
 
-DANGLING = ("a", 990)
 FAULT = "fault"
 
 

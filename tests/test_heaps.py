@@ -15,8 +15,8 @@ from dataclasses import fields
 import pytest
 
 from shaperef.terms import (Const, FALSE_ATOM, LVar, Multiset, NIL, PVar,
-                            PureAtom, _cached, eq, leq, lt, neq, shifted,
-                            term_sort_key, var_of)
+                            PureAtom, _cached, eq, leq, shifted, term_sort_key,
+                            var_of)
 from shaperef.heaps import (
     FALSE_HEAP,
     Facts,
@@ -536,6 +536,66 @@ def test_facts_proves_order_through_constants():
 def test_facts_equal_by_antisymmetry():
     h = H("a<=b /\\ b<=a /\\ emp")
     assert h.facts.equal(PVar("a"), PVar("b"))
+
+
+def dense_order_closure(f: Facts, cons) -> dict | None:
+    """Floyd-Warshall over every pair of the edges' graph nodes, the zero
+    node among them, each node at distance 0 from itself: the reference
+    for ``Facts._close_order``.  None where a node lies on a cycle of
+    positive weight, else the finite entries off the diagonal."""
+    nodes = {heaps._ZERO: None}
+    dist: dict[tuple, int] = {}
+    for u, v, s in cons:
+        (nu, cu), (nv, cv) = f._at(u), f._at(v)
+        nodes.update({nu: None, nv: None})
+        w = cu - cv + s
+        if dist.get((nu, nv)) is None or dist[nu, nv] < w:
+            dist[nu, nv] = w
+    for a in nodes:
+        dist[a, a] = max(dist.get((a, a), 0), 0)
+    for m in nodes:
+        for a in nodes:
+            for b in nodes:
+                am, mb, ab = dist.get((a, m)), dist.get((m, b)), dist.get((a, b))
+                if am is not None and mb is not None and (
+                        ab is None or ab < am + mb):
+                    dist[a, b] = am + mb
+    if any(dist[a, a] > 0 for a in nodes):
+        return None
+    return {(a, b): w for (a, b), w in dist.items() if a is not b}
+
+
+def test_order_closure_matches_a_dense_reference():
+    """Random difference constraints over up to eight graph nodes: up to
+    seven variables, some under an offset, and the zero node that every
+    constant shares; weak and strict edges.  The sparse closure is None
+    exactly where the reference is, and otherwise has its entries off the
+    diagonal, which no query reads: a term and itself share a node, and
+    queries answer such pairs from the shifts alone."""
+    rng = random.Random(31)
+    f = Facts((), ())
+    outcomes = Counter()
+    for _ in range(3000):
+        names = [PVar(f"v{i}") for i in range(rng.randint(1, 7))]
+
+        def term():
+            r = rng.random()
+            if r < 0.2:
+                return Const(rng.randint(-3, 3))
+            v = rng.choice(names)
+            return shifted(v, rng.randint(1, 2)) if r < 0.4 else v
+
+        cons = [(term(), term(), rng.randint(0, 1))
+                for _ in range(rng.randint(1, 12))]
+        want = dense_order_closure(f, cons)
+        got = f._close_order(cons)
+        outcomes[want is None] += 1
+        if want is None:
+            assert got is None, cons
+        else:
+            assert got is not None, cons
+            assert {k: w for k, w in got.items() if k[0] is not k[1]} == want
+    assert min(outcomes.values()) >= 500
 
 
 def test_facts_allocation_disequalities():

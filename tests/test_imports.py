@@ -1,8 +1,8 @@
-"""Every name a module of the package, or the concrete interpreter
-``tests/conc.py``, imports is used there, or exported through its
-``__all__``: a stdlib-``ast`` check, as no linter is installed, that
-catches the imports a deletion leaves behind.  The concrete interpreter
-imports neither the prover nor the domains it is the ground truth for."""
+"""Every name a module of the package, or a module of the tests, imports
+is used there, or exported through its ``__all__``: a stdlib-``ast``
+check, as no linter is installed, that catches the imports a deletion
+leaves behind.  The concrete interpreter ``tests/conc.py`` imports neither
+the prover nor the domains it is the ground truth for."""
 
 from __future__ import annotations
 
@@ -62,9 +62,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path",
-                         sorted(PACKAGE.glob("*.py")) + [TESTS / "conc.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
 

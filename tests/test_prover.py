@@ -467,6 +467,17 @@ def test_frame_infer_failure_is_empty():
     assert frame_infer(H("list(r,nil)"), H("node(q,n',_)")) == []
 
 
+def test_frame_infer_reports_two_equal_leaves_once():
+    """Two leaves of the search give the same frame and instantiation,
+    and frame inference reports that outcome once."""
+    lhs = H("node(r,j0',{x}) * list(j0',nil,{3:1,x:2})")
+    rhs = H("list(r,nil,{x:1})")
+    assert len(prover._leaves(prover._Search(normalize(lhs), rhs, "frame",
+                                             False))) == 2
+    outs = frame_infer(lhs, rhs)
+    assert [(str(o.frame), o.instantiation) for o in outs] == [("emp", {})]
+
+
 def test_witness_leaf_without_obligations_builds_no_closure(monkeypatch):
     """A leaf with no pure obligation left reads no closure, so the search
     builds none for it; the root reuses the normalized left side's."""

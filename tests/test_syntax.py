@@ -7,7 +7,7 @@ import random
 import pytest
 
 from shaperef import lang
-from shaperef.heaps import ListSegAtom, NodeAtom, TRUE_SPATIAL, normalize
+from shaperef.heaps import ListSegAtom, NodeAtom, TRUE_SPATIAL
 from shaperef.syntax import ParseError, parse_heap, parse_term
 from shaperef.terms import (Const, Multiset, NIL, PVar, PureAtom, TRUE_ATOM,
                             shifted)
